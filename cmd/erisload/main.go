@@ -71,7 +71,7 @@ func main() {
 	overload := flag.Bool("overload", false, "with -remote: overload scenario — per-request deadlines, no retries, shed requests tolerated; reports goodput vs shed rate")
 	timeout := flag.Duration("timeout", 0, "with -remote: per-request client timeout (0 = none; 5ms under -overload)")
 	check := flag.Bool("check", false, "with -remote: record every operation and verify the history is linearizable after the run; violations dump to results/")
-	checkRing := flag.Int("checkring", 1<<16, "with -check: per-worker event ring capacity (overflow drops coverage, never soundness)")
+	checkRing := flag.Int("checkring", 1<<16, "with -check: per-worker event ring capacity (on overflow only the history before the first dropped event is checked)")
 	scanScen := flag.Bool("scan", false, "analytical scan scenario: selectivity sweep (0.1%/1%/10%/100%) reporting scan goodput and zone-map block pruning")
 	serverMetrics := flag.String("servermetrics", "", "with -remote -scan: the server's -metricsaddr endpoint (host:port) to read colscan.* block counters from")
 	ackFile := flag.String("ackfile", "", "with -remote: run a striped upsert workload recording every acknowledged write to this file; a dropped connection (server killed) ends the worker without failing the run")
@@ -763,7 +763,8 @@ func verifyHistory(rec *history.Recorder, mix string, obj wire.ObjectInfo) {
 	fmt.Printf("history check: %d events (%d dropped), %d point ops, %d scans, %d column scans verified in %.2fs\n",
 		rec.Len(), res.Dropped, res.Ops, res.Scans, res.ColScans, time.Since(start).Seconds())
 	if res.Dropped > 0 {
-		fmt.Printf("history check: %d events overflowed the ring (coverage lost, soundness kept); raise -checkring\n", res.Dropped)
+		fmt.Printf("history check: %d events overflowed the ring; only the history before the first overflow (%.3fs into the recording) was checked — raise -checkring or shorten -dur\n",
+			res.Dropped, float64(res.CutAt)/1e9)
 	}
 	if len(res.Violations) > 0 {
 		path, werr := histcheck.WriteViolations("results", "erisload", res, opts)

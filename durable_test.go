@@ -372,8 +372,18 @@ func TestDurableThroughputParity(t *testing.T) {
 	} else {
 		defer os.RemoveAll(dir)
 	}
-	base := run("")
-	logged := run(dir)
+	// Each run is only ~15 ms of wall time, so one scheduler or GC hiccup
+	// would decide the ratio: take the best of three alternating runs per
+	// side.
+	base, logged := time.Duration(1<<62), time.Duration(1<<62)
+	for i := 0; i < 3; i++ {
+		base = min(base, run(""))
+		sub, err := os.MkdirTemp(dir, "run-")
+		if err != nil {
+			t.Fatal(err)
+		}
+		logged = min(logged, run(sub))
+	}
 	ratio := float64(logged) / float64(base)
 	t.Logf("in-memory %v, logged %v (%.2fx)", base, logged, ratio)
 	if logged > base*3/2 {

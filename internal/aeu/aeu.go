@@ -264,6 +264,7 @@ type AEU struct {
 	Node topology.NodeID
 
 	router  *routing.Router
+	inbox   *routing.Inbox // this AEU's incoming buffers; its Wake is the park wake-up
 	machine *numasim.Machine
 	mems    *mem.System
 	cfg     Config
@@ -294,7 +295,7 @@ type AEU struct {
 	// Workload.
 	Generator Generator
 	Rng       *rand.Rand
-	genDone   bool
+	genDone   atomic.Bool // read by peers deciding whether they may park
 	skewed    bool
 
 	onClientResult func(tag uint64, from uint32, kvs []prefixtree.KV, answered int, err error)
@@ -347,6 +348,12 @@ type AEU struct {
 	boundsFixed *metrics.Counter // partitions realigned to the routing table
 	repairs     *metrics.Counter // recovering ranges healed by a repair fetch
 	expired     *metrics.Counter // deferred commands whose deadline passed
+	// Idle parking: parks counts blocks on the inbox, parkTimeouts those the
+	// timeout ended with work already waiting — wake-ups the safety net
+	// delivered instead of a producer. Timeouts that find nothing are not
+	// counted; they are how an idle AEU keeps its iteration-counted duties.
+	parks        *metrics.Counter
+	parkTimeouts *metrics.Counter
 	// Block outcomes of shared column scans (see colstore.ScanStats):
 	// values evaluated vs blocks skipped or accepted whole by zone maps.
 	colBlocksScanned *metrics.Counter
@@ -399,6 +406,7 @@ func New(r *routing.Router, mems *mem.System, id uint32, cfg Config) *AEU {
 		Core:             core,
 		Node:             machine.Topology().NodeOfCore(core),
 		router:           r,
+		inbox:            r.Inbox(id),
 		machine:          machine,
 		mems:             mems,
 		cfg:              cfg.withDefaults(),
@@ -417,6 +425,8 @@ func New(r *routing.Router, mems *mem.System, id uint32, cfg Config) *AEU {
 		boundsFixed:      reg.Counter(prefix + "bounds_reconciled"),
 		repairs:          reg.Counter(prefix + "range_repairs"),
 		expired:          reg.Counter(prefix + "expired"),
+		parks:            reg.Counter(prefix + "parks"),
+		parkTimeouts:     reg.Counter(prefix + "park_timeouts"),
 		colBlocksScanned: reg.Counter(prefix + "colscan.blocks_scanned"),
 		colBlocksPruned:  reg.Counter(prefix + "colscan.blocks_pruned"),
 		colBlocksFullHit: reg.Counter(prefix + "colscan.blocks_full_hit"),
@@ -499,7 +509,10 @@ func (a *AEU) Partition(obj routing.ObjectID) *Partition { return a.parts[obj] }
 func (a *AEU) Session(obj routing.ObjectID) *prefixtree.Session { return a.sessions[obj] }
 
 // Stop asks the AEU loop to exit after the current iteration.
-func (a *AEU) Stop() { a.stop.Store(true) }
+func (a *AEU) Stop() {
+	a.stop.Store(true)
+	a.inbox.Wake()
+}
 
 // Stopped reports whether Stop was called.
 func (a *AEU) Stopped() bool { return a.stop.Load() }
@@ -516,12 +529,14 @@ func (a *AEU) deliverTransfer(t transfer) {
 		a.stalledMail = append(a.stalledMail, t)
 		a.mailMu.Unlock()
 		a.stalledCnt.Add(1)
+		a.inbox.Wake()
 		return
 	}
 	a.mailMu.Lock() //eris:allowblock bounded mailbox append; contended only by control-plane transfer senders
 	a.mail = append(a.mail, t)
 	a.mailMu.Unlock()
 	a.mailCnt.Add(1)
+	a.inbox.Wake()
 }
 
 // releaseStalled moves fault-parked transfer payloads into the live

@@ -29,12 +29,19 @@ type harness struct {
 // range-partitioned index object split evenly over [0, domain).
 func newHarness(t testing.TB, topo *topology.Topology, n int, domain uint64) *harness {
 	t.Helper()
+	return newHarnessRouting(t, topo, n, domain, routing.Config{})
+}
+
+// newHarnessRouting is newHarness with a routing configuration (buffer
+// sizes, fault injector).
+func newHarnessRouting(t testing.TB, topo *topology.Topology, n int, domain uint64, rcfg routing.Config) *harness {
+	t.Helper()
 	machine, err := numasim.New(topo, numasim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mems := mem.NewSystem(machine)
-	router, err := routing.New(machine, mems, n, routing.Config{})
+	router, err := routing.New(machine, mems, n, rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package aeu
 
 import (
+	"sort"
+
 	"eris/internal/command"
 	"eris/internal/durable"
 	"eris/internal/faults"
@@ -40,6 +42,7 @@ func (a *AEU) handleBalance(c command.Command) {
 				p.prevHoles = append(p.prevHoles, keyRange{lo: r.lo, hi: r.hi})
 			}
 		}
+		a.noteUncoveredGrant(p, b)
 		p.Lo, p.Hi = b.NewLo, b.NewHi
 		p.reconArmed = false
 		// Recovering ranges the new bounds no longer cover are foreign now:
@@ -65,6 +68,61 @@ func (a *AEU) handleBalance(c command.Command) {
 			ReplyTo: command.NoReply, Tag: b.Epoch, Fetch: &fetch,
 		}
 		a.Outbox().Send(f.From, &cmd)
+	}
+}
+
+// noteUncoveredGrant marks as recovering every part of the bounds b is about
+// to install that this AEU has no data for and is not about to fetch: not
+// inside the current bounds, not in b's fetch list, not already recovering.
+// The balancer diffs against the routing table, so its fetch list tiles the
+// growth exactly when the previous cycle's OpBalance arrived here. When
+// that command was lost (and reconcileBounds has not yet caught up — it
+// needs two sweeps, counted in loop iterations) the table is ahead of
+// p.Lo/p.Hi and the difference would otherwise be adopted without data and
+// served as misses. Must run before p.Lo/p.Hi are overwritten.
+func (a *AEU) noteUncoveredGrant(p *Partition, b *command.Balance) {
+	covered := make([]keyRange, 0, 1+len(b.Fetches)+len(a.recovering))
+	if p.Lo <= p.Hi {
+		covered = append(covered, keyRange{lo: p.Lo, hi: p.Hi})
+	}
+	for _, f := range b.Fetches {
+		covered = append(covered, keyRange{lo: f.Lo, hi: f.Hi})
+	}
+	for _, r := range a.recovering {
+		if r.obj == p.Object {
+			covered = append(covered, keyRange{lo: r.lo, hi: r.hi})
+		}
+	}
+	sort.Slice(covered, func(i, j int) bool { return covered[i].lo < covered[j].lo })
+	gap := func(lo, hi uint64) {
+		// Ordered ownership: what lies below the old bounds was the left
+		// neighbour's, everything else the right neighbour's. A wrong guess
+		// only costs probes — the walk visits every peer.
+		from := a.ID + 1
+		if a.ID > 0 && (hi < p.Lo || int(from) >= len(a.peers)) {
+			from = a.ID - 1
+		}
+		dbg("aeu%d obj%d handleBalance epoch=%d UNCOVERED [%d,%d] -> recovering from aeu%d", a.ID, p.Object, b.Epoch, lo, hi, from)
+		a.recovering = append(a.recovering, recRange{obj: p.Object, lo: lo, hi: hi, from: from})
+	}
+	next := b.NewLo // lowest key of the new bounds not yet known covered
+	for _, c := range covered {
+		if next > b.NewHi {
+			return
+		}
+		if c.hi < next {
+			continue
+		}
+		if c.lo > next {
+			gap(next, min(c.lo-1, b.NewHi))
+		}
+		if c.hi == ^uint64(0) {
+			return
+		}
+		next = c.hi + 1
+	}
+	if next <= b.NewHi {
+		gap(next, b.NewHi)
 	}
 }
 

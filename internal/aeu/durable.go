@@ -20,10 +20,14 @@ type parkedAck struct {
 	seq      uint64
 }
 
-// SetWAL attaches the AEU's write-ahead log; must be called before Run.
+// SetWAL attaches the AEU's write-ahead log; must be called before Run. The
+// log's group-commit writer wakes this AEU whenever it publishes a new
+// durable watermark, so parked acks release without the loop polling for
+// the fsync.
 func (a *AEU) SetWAL(l *durable.Log) {
 	a.wal = l
 	a.walSync = l.Sync()
+	l.NotifyDurable(a.inbox.Wake)
 }
 
 // CkptRequest asks the AEU loop to cut a checkpoint image at its next
@@ -39,6 +43,7 @@ type CkptRequest struct {
 func (a *AEU) RequestCheckpoint() *CkptRequest {
 	req := &CkptRequest{Done: make(chan struct{})}
 	a.ckptReq.Store(req)
+	a.inbox.Wake()
 	return req
 }
 
@@ -109,6 +114,12 @@ func (a *AEU) parkAck(k groupKey, answered int, seq uint64) bool {
 	}
 	a.pendingAcks = append(a.pendingAcks, parkedAck{k: k, answered: answered, seq: seq})
 	return true
+}
+
+// durableAckReady reports whether the oldest parked ack is already covered
+// by the durable watermark (acks park in sequence order).
+func (a *AEU) durableAckReady() bool {
+	return len(a.pendingAcks) > 0 && a.pendingAcks[0].seq <= a.wal.DurableSeq()
 }
 
 // releaseDurableAcks answers every parked ack covered by the WAL's

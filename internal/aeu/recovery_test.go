@@ -139,6 +139,126 @@ func TestReconcileRepairHealsLostBalance(t *testing.T) {
 	}
 }
 
+// TestBalanceAfterLostBalanceRepairsGap is the chaos suite's corrupt_frame
+// violation (keys read as not-found for one balancing window) as a
+// deterministic story: epoch 1 grants [250,299] to AEU 1 but its OpBalance
+// is lost; before reconciliation gets its two sweeps in, epoch 2 arrives.
+// The balancer planned epoch 2 against the routing table, so its fetch list
+// for AEU 1 covers only the new growth [200,249] — nothing fetches
+// [250,299], which AEU 1 never held. handleBalance must not adopt that part
+// of the new bounds as if it had the data: it defers there and repairs.
+func TestBalanceAfterLostBalanceRepairsGap(t *testing.T) {
+	h := newHarness(t, topology.SingleNode(3), 3, 900)
+	kvs := make([]prefixtree.KV, 0, 100)
+	for k := uint64(200); k < 300; k++ {
+		kvs = append(kvs, prefixtree.KV{Key: k, Value: k * 7})
+	}
+	h.seed(t, kvs)
+
+	var mu sync.Mutex
+	results := map[uint64]uint64{}
+	answered := 0
+	for _, a := range h.aeus {
+		a.SetClientResult(func(tag uint64, from uint32, kvs []prefixtree.KV, n int, err error) {
+			mu.Lock()
+			answered += n
+			for _, kv := range kvs {
+				results[kv.Key] = kv.Value
+			}
+			mu.Unlock()
+		})
+	}
+	a0, a1 := h.aeus[0], h.aeus[1]
+
+	// Epoch 1: [250,299] moves 0 -> 1. The source shrinks; the target's
+	// command (and with it the fetch) is eaten.
+	if err := h.router.UpdateRange(testObj, []csbtree.Entry{
+		{Low: 0, Owner: 0}, {Low: 250, Owner: 1}, {Low: 600, Owner: 2},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	a0.handleBalance(command.Command{
+		Op: command.OpBalance, Object: uint32(testObj),
+		Balance: &command.Balance{Epoch: 1, NewLo: 0, NewHi: 249},
+	})
+
+	// Epoch 2, planned from the table: [200,249] moves 0 -> 1 as well.
+	if err := h.router.UpdateRange(testObj, []csbtree.Entry{
+		{Low: 0, Owner: 0}, {Low: 200, Owner: 1}, {Low: 600, Owner: 2},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	a0.handleBalance(command.Command{
+		Op: command.OpBalance, Object: uint32(testObj),
+		Balance: &command.Balance{Epoch: 2, NewLo: 0, NewHi: 199},
+	})
+	a1.handleBalance(command.Command{
+		Op: command.OpBalance, Object: uint32(testObj),
+		Balance: &command.Balance{Epoch: 2, NewLo: 200, NewHi: 599,
+			Fetches: []command.Fetch{{From: 0, Lo: 200, Hi: 249}}},
+	})
+	if p := a1.Partition(testObj); p.Lo != 200 || p.Hi != 599 {
+		t.Fatalf("aeu1 bounds [%d,%d], want [200,599]", p.Lo, p.Hi)
+	}
+	if len(a1.recovering) != 1 {
+		t.Fatalf("recovering = %+v, want the uncovered grant [250,299]", a1.recovering)
+	}
+	if r := a1.recovering[0]; r.lo != 250 || r.hi != 299 || r.from != 0 {
+		t.Fatalf("recovering = %+v, want [250,299] from aeu0", r)
+	}
+
+	// A lookup into the gap must wait for the repair, not read the empty
+	// tree.
+	a1.Outbox().RouteLookup(testObj, []uint64{260}, ClientReply, 1)
+	a1.Outbox().Flush()
+	a1.Settle()
+	mu.Lock()
+	if answered != 0 {
+		t.Fatalf("lookup answered (%d keys, %v) while its range had no data", answered, results)
+	}
+	mu.Unlock()
+
+	h.settleAll(t, 50)
+	mu.Lock()
+	defer mu.Unlock()
+	if answered != 1 || results[260] != 260*7 {
+		t.Fatalf("deferred lookup: answered=%d results=%v, want key 260 = %d", answered, results, 260*7)
+	}
+	if len(a1.recovering) != 0 || len(a1.pendingRanges) != 0 {
+		t.Fatalf("aeu1 not settled: recovering %+v pending %+v", a1.recovering, a1.pendingRanges)
+	}
+	if got := a1.Partition(testObj).Tree.Count(); got != 100 {
+		t.Fatalf("aeu1 tree count = %d, want all 100 keys of [200,299]", got)
+	}
+	if got := a0.Partition(testObj).Tree.Count(); got != 0 {
+		t.Fatalf("aeu0 still holds %d orphaned keys", got)
+	}
+}
+
+// TestBalanceGrantFullyCoveredAddsNoRecovery pins the healthy cycle: bounds
+// that grow by exactly the fetch list (either side, plus a shrink on the
+// other) open no recovering range.
+func TestBalanceGrantFullyCoveredAddsNoRecovery(t *testing.T) {
+	h := newHarness(t, topology.SingleNode(3), 3, 900)
+	a1 := h.aeus[1]
+	a1.handleBalance(command.Command{
+		Op: command.OpBalance, Object: uint32(testObj),
+		Balance: &command.Balance{Epoch: 1, NewLo: 250, NewHi: 649, Fetches: []command.Fetch{
+			{From: 2, Lo: 600, Hi: 649}, {From: 0, Lo: 250, Hi: 299},
+		}},
+	})
+	if len(a1.recovering) != 0 {
+		t.Fatalf("recovering = %+v, want none for a fully fetched grant", a1.recovering)
+	}
+	a1.handleBalance(command.Command{
+		Op: command.OpBalance, Object: uint32(testObj),
+		Balance: &command.Balance{Epoch: 2, NewLo: 400, NewHi: 500},
+	})
+	if len(a1.recovering) != 0 {
+		t.Fatalf("recovering = %+v, want none for a pure shrink", a1.recovering)
+	}
+}
+
 // TestRepairWalkFindsMisattributedOrphans pins the walk part of the repair:
 // the recovering entry's recorded holder is wrong (AEU 0), the data sits at
 // AEU 2, and the probe walk must reach it anyway instead of trusting the

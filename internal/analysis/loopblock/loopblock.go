@@ -6,8 +6,9 @@
 // run on their own goroutine so they are excluded) and flags, in every
 // reachable function:
 //
-//   - bare channel sends and receives outside a select with a default case
-//   - select statements without a default case
+//   - bare channel sends and receives outside a select
+//   - select statements without a default case — one finding at the select
+//     for all of its arms, so one suppression covers the statement
 //   - time.Sleep
 //   - file I/O: os package calls that open/read/write files, and methods on
 //     *os.File
@@ -150,35 +151,32 @@ func checkBody(pass *analysis.Pass, fi *analysis.FuncInfo, via string) {
 	pkg := fi.Pkg
 	info := pkg.Info
 
-	// Channel operations inside a select that has a default case are
-	// non-blocking; collect the allowed comm statements first.
+	// Channel operations in a select's comm clauses are never findings of
+	// their own: with a default case the select does not block, without one
+	// the select itself is the finding. Collect them first.
 	allowed := map[ast.Node]bool{}
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectStmt)
 		if !ok {
 			return true
 		}
-		hasDefault := false
 		for _, clause := range sel.Body.List {
-			if cc, ok := clause.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
+			cc, ok := clause.(*ast.CommClause)
+			if !ok {
+				continue
 			}
-		}
-		if hasDefault {
-			allowed[sel] = true
-			for _, clause := range sel.Body.List {
-				if cc, ok := clause.(*ast.CommClause); ok && cc.Comm != nil {
-					allowed[cc.Comm] = true
-					// The comm statement wraps the channel op expression.
-					ast.Inspect(cc.Comm, func(m ast.Node) bool {
-						switch m.(type) {
-						case *ast.UnaryExpr, *ast.SendStmt:
-							allowed[m] = true
-						}
-						return true
-					})
+			if cc.Comm == nil {
+				allowed[sel] = true // default case: non-blocking
+				continue
+			}
+			// The comm statement wraps the channel op expression.
+			ast.Inspect(cc.Comm, func(m ast.Node) bool {
+				switch m.(type) {
+				case *ast.UnaryExpr, *ast.SendStmt:
+					allowed[m] = true
 				}
-			}
+				return true
+			})
 		}
 		return true
 	})

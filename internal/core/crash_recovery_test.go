@@ -318,18 +318,20 @@ func TestCheckpointDuringBalance(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// Counted on the stopped engine: while the balancer runs, a range
+	// between its extraction and its link is in neither tree.
 	wantIdx, err := e.TupleCount(crIdx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantCol, err := e.TupleCount(crCol)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -94,6 +94,9 @@ type Log struct {
 	crashed bool
 
 	durable atomic.Uint64
+	// notify, when set, runs on the writer goroutine after each advance of
+	// durable (the owning AEU's wake-up).
+	notify atomic.Pointer[func()]
 
 	wake chan struct{}
 	done chan struct{}
@@ -120,6 +123,10 @@ func newLog(mgr *Manager, id, startGen int) *Log {
 
 // DurableSeq returns the highest sequence number covered by an fsync.
 func (l *Log) DurableSeq() uint64 { return l.durable.Load() }
+
+// NotifyDurable installs fn to be called from the writer goroutine every
+// time the durable watermark advances. fn must not block.
+func (l *Log) NotifyDurable(fn func()) { l.notify.Store(&fn) }
 
 // LastSeq returns the last sequence number appended to this log; only the
 // owning AEU's loop may call it.
@@ -446,6 +453,9 @@ func (l *Log) writeBatch(segs []*segment) bool {
 	}
 	if last > 0 {
 		l.durable.Store(last)
+		if fn := l.notify.Load(); fn != nil {
+			(*fn)()
+		}
 	}
 	l.durableOff = l.writtenOff
 	l.mgr.bytesLogged.Add(bytes)

@@ -62,12 +62,13 @@ type Violation struct {
 type Result struct {
 	Violations []Violation
 	// Ops counts checked point operations; Scans / ColScans checked
-	// aggregates. Dropped repeats the recorder's overflow count: lost
-	// coverage, not lost soundness.
+	// aggregates. Dropped repeats the recorder's overflow count; when it is
+	// non-zero only the events before CutAt (recorder time) were checked.
 	Ops      int
 	Scans    int
 	ColScans int
 	Dropped  int64
+	CutAt    int64
 }
 
 // op is one paired operation.
@@ -91,10 +92,26 @@ type op struct {
 	hasR     bool
 }
 
-// Check pairs and checks every event in rec.
+// Check pairs and checks the events in rec. When a log overflowed, the
+// history is cut at the earliest overflow instant across all logs: up to
+// there every client's record is complete, while past it a dropped write
+// would make recorded reads of its value look like violations. Operations
+// still open at the cut lose their response, which pair already treats
+// soundly — writes become open-ended, reads constrain nothing.
 func Check(rec *history.Recorder, opts Options) Result {
-	res := CheckEvents(rec.Events(), opts)
-	res.Dropped = rec.Dropped()
+	events := rec.Events()
+	cut, overflowed := rec.OverflowAt()
+	if overflowed {
+		kept := events[:0]
+		for _, e := range events {
+			if e.T < cut {
+				kept = append(kept, e)
+			}
+		}
+		events = kept
+	}
+	res := CheckEvents(events, opts)
+	res.Dropped, res.CutAt = rec.Dropped(), cut
 	return res
 }
 

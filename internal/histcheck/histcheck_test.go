@@ -344,3 +344,56 @@ func TestRecorderOverflowDropsNew(t *testing.T) {
 		t.Fatal("overflow overwrote the oldest event")
 	}
 }
+
+// TestOverflowCutsHistory: a full log drops a write, another client then
+// reads the dropped write's value. Checked whole, that read has no witness
+// — a violation that never happened. Check must cut at the overflow
+// instant instead, keep its teeth before it, and treat a write still open
+// at the cut as open-ended.
+func TestOverflowCutsHistory(t *testing.T) {
+	build := func(staleBeforeCut bool) *history.Recorder {
+		rec := history.New(2, 6)
+		a, b := rec.Client(0), rec.Client(1)
+		s := a.InvokeKey(history.OpUpsert, 1, 10)
+		a.ReturnWrite(s, history.OpUpsert)
+		// Open at the cut: invoked before a overflows, answered after.
+		open := b.InvokeKey(history.OpUpsert, 2, 50)
+		s = a.InvokeKey(history.OpLookup, 2, 0)
+		a.ReturnRead(s, true, 50) // explained only by the open write
+		seen := uint64(10)
+		if staleBeforeCut {
+			seen = 11 // a value nobody wrote, observed before the overflow
+		}
+		s = a.InvokeKey(history.OpLookup, 1, 0)
+		a.ReturnRead(s, true, seen) // a's log is full now
+		s = a.InvokeKey(history.OpUpsert, 1, 20)
+		a.ReturnWrite(s, history.OpUpsert) // both events dropped
+		b.ReturnWrite(open, history.OpUpsert)
+		s = b.InvokeKey(history.OpLookup, 1, 0)
+		b.ReturnRead(s, true, 20) // reads the write a's log never saw
+		return rec
+	}
+
+	rec := build(false)
+	if got := rec.Dropped(); got != 2 {
+		t.Fatalf("dropped = %d, want 2", got)
+	}
+	if whole := CheckEvents(rec.Events(), Options{}); len(whole.Violations) == 0 {
+		t.Fatal("the uncut history should look violated: the test no longer shows why the cut is needed")
+	}
+	res := Check(rec, Options{})
+	if len(res.Violations) != 0 {
+		t.Fatalf("overflowed history flagged past the cut: %+v", res.Violations)
+	}
+	if cut, ok := rec.OverflowAt(); !ok || res.CutAt != cut || res.Dropped != 2 {
+		t.Fatalf("result cut=%d dropped=%d, recorder cut=%d ok=%v", res.CutAt, res.Dropped, cut, ok)
+	}
+	if res.Ops != 4 {
+		t.Fatalf("ops checked = %d, want the 4 invoked before the cut", res.Ops)
+	}
+
+	res = Check(build(true), Options{})
+	if len(res.Violations) != 1 || res.Violations[0].Key != 1 {
+		t.Fatalf("stale read before the cut not flagged: %+v", res.Violations)
+	}
+}

@@ -93,7 +93,11 @@ type ClientLog struct {
 	rec     *Recorder
 	events  []Event
 	dropped int64
-	nextSeq uint32
+	// overflowAt is the timestamp of the first dropped event: everything
+	// this client did strictly before it is in events, nothing at or after
+	// it can be relied on.
+	overflowAt int64
+	nextSeq    uint32
 }
 
 // Recorder owns a fixed set of client logs sharing one monotonic base.
@@ -144,10 +148,12 @@ func (r *Recorder) Len() int {
 	return n
 }
 
-// Dropped is the total number of events lost to log overflow. A non-zero
-// count does not make checking unsound — whole operations go unobserved,
-// which only removes constraints — but it does shrink coverage, so
-// callers should size the logs to keep it zero.
+// Dropped is the total number of events lost to log overflow. The events
+// that were recorded after a drop are NOT a sound history on their own: a
+// dropped write makes a later recorded read of its value unexplainable, and
+// the checker would report a violation that never happened. Check them only
+// up to OverflowAt (histcheck.Check does), and size the logs to keep this
+// zero.
 func (r *Recorder) Dropped() int64 {
 	n := int64(0)
 	for _, l := range r.clients {
@@ -156,10 +162,26 @@ func (r *Recorder) Dropped() int64 {
 	return n
 }
 
+// OverflowAt returns the earliest instant at which any log dropped an event
+// (ok is false when none did). Every log is complete strictly before it:
+// each client appends in time order, so a log's events older than its own
+// first drop were all recorded.
+func (r *Recorder) OverflowAt() (t int64, ok bool) {
+	for _, l := range r.clients {
+		if l.dropped > 0 && (!ok || l.overflowAt < t) {
+			t, ok = l.overflowAt, true
+		}
+	}
+	return t, ok
+}
+
 // append records e, dropping it (counted) when the log is full. Capacity
 // is fixed at construction: steady-state appends never allocate.
 func (l *ClientLog) append(e Event) {
 	if len(l.events) == cap(l.events) {
+		if l.dropped == 0 {
+			l.overflowAt = e.T
+		}
 		l.dropped++
 		return
 	}

@@ -50,6 +50,17 @@ type Inbox struct {
 
 	overflowMu sync.Mutex
 	overflow   []byte
+	overflowed atomic.Bool // overflow is non-empty; lets Pending skip the lock
+
+	// Idle parking (see DESIGN.md "Idle strategy and wake-up protocol").
+	// The owner sets parked before it re-checks its wake sources and blocks
+	// on wake; a producer makes its work visible first and then calls Wake,
+	// which loads parked and sends only when it is set. The channel holds
+	// one token: a second producer finding it full knows the owner will
+	// wake anyway. idle is the owner's reusable park-timeout timer.
+	parked atomic.Bool
+	wake   chan struct{}
+	idle   *time.Timer
 
 	// Counters, registered on the engine's metrics registry under
 	// routing.inbox.<aeu>.*.
@@ -67,6 +78,7 @@ type Inbox struct {
 func newInbox(mgr *mem.Manager, size int, reg *metrics.Registry, id uint32) *Inbox {
 	prefix := fmt.Sprintf("routing.inbox.%d.", id)
 	in := &Inbox{
+		wake:      make(chan struct{}, 1),
 		appends:   reg.Counter(prefix + "appends"),
 		bytes:     reg.Counter(prefix + "bytes"),
 		swaps:     reg.Counter(prefix + "swaps"),
@@ -142,6 +154,7 @@ func (in *Inbox) Append(data []byte) (int, int) {
 		in.desc[w].Add(^uint64(0))
 		in.appends.Inc()
 		in.bytes.Add(int64(size))
+		in.Wake()
 		return int(w), waits
 	}
 }
@@ -150,9 +163,79 @@ func (in *Inbox) Append(data []byte) (int, int) {
 func (in *Inbox) appendOverflow(data []byte) {
 	in.overflowMu.Lock() //eris:allowblock overflow spill is already off the CAS fast path; bounded append under the lock
 	in.overflow = append(in.overflow, data...)
+	in.overflowed.Store(true)
 	in.overflowMu.Unlock()
 	in.overflows.Inc()
 	in.bytes.Add(int64(len(data)))
+	in.Wake()
+}
+
+// Wake unblocks the owner if it is parked. Every producer of work for the
+// owning AEU calls it after the work is visible (appended bytes, a mailbox
+// entry, a request slot, the stop flag): one atomic load, and a
+// non-blocking send only when the owner published the parked flag.
+//
+//eris:hotpath
+func (in *Inbox) Wake() {
+	if in.parked.Load() {
+		select {
+		case in.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// Pending reports whether a Swap would return data. The owner calls it
+// between publishing the parked flag and blocking.
+func (in *Inbox) Pending() bool {
+	return descOffset(in.desc[in.writable.Load()].Load()) > 0 || in.overflowed.Load()
+}
+
+// ParkResult says how a Park ended.
+type ParkResult uint8
+
+const (
+	// ParkAborted: the re-check found work; the owner never blocked.
+	ParkAborted ParkResult = iota
+	// ParkWoken: a producer's Wake ended the block.
+	ParkWoken
+	// ParkTimedOut: the timeout ended the block and no producer had sent a
+	// wake-up.
+	ParkTimedOut
+)
+
+// Park blocks the owner until a producer calls Wake or timeout passes.
+// recheck runs after the parked flag is published; when it reports work the
+// owner does not block. Together with the order producers keep (work
+// visible, then Wake) this loses no wake-up: either the producer's load
+// sees the flag and sends, or the flag was stored after that load and
+// recheck sees the producer's work.
+func (in *Inbox) Park(timeout time.Duration, recheck func() bool) ParkResult {
+	in.parked.Store(true)
+	defer in.parked.Store(false)
+	if recheck() {
+		return ParkAborted
+	}
+	if in.idle == nil {
+		in.idle = time.NewTimer(timeout)
+	} else {
+		in.idle.Reset(timeout)
+	}
+	select { //eris:allowblock the one place an AEU blocks: it is quiescent, every wake source calls Wake, and the timeout bounds the wait
+	case <-in.wake:
+		in.idle.Stop()
+		return ParkWoken
+	case <-in.idle.C:
+	}
+	// A producer may have sent while the expired timer was waiting for this
+	// goroutine to run; that is a delivered wake-up, and taking the token
+	// keeps it from ending the next park early.
+	select {
+	case <-in.wake:
+		return ParkWoken
+	default:
+		return ParkTimedOut
+	}
 }
 
 // backoff yields briefly at first and sleeps once a writer has clearly
@@ -202,6 +285,7 @@ func (in *Inbox) Swap() []byte {
 	if len(in.overflow) > 0 {
 		payload = append(append([]byte(nil), payload...), in.overflow...)
 		in.overflow = in.overflow[:0]
+		in.overflowed.Store(false)
 	}
 	in.overflowMu.Unlock()
 	return payload
