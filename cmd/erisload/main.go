@@ -32,13 +32,11 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
-	"net/http"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -72,8 +70,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "with -remote: per-request client timeout (0 = none; 5ms under -overload)")
 	check := flag.Bool("check", false, "with -remote: record every operation and verify the history is linearizable after the run; violations dump to results/")
 	checkRing := flag.Int("checkring", 1<<16, "with -check: per-worker event ring capacity (on overflow only the history before the first dropped event is checked)")
-	scanScen := flag.Bool("scan", false, "analytical scan scenario: selectivity sweep (0.1%/1%/10%/100%) reporting scan goodput and zone-map block pruning")
-	serverMetrics := flag.String("servermetrics", "", "with -remote -scan: the server's -metricsaddr endpoint (host:port) to read colscan.* block counters from")
 	ackFile := flag.String("ackfile", "", "with -remote: run a striped upsert workload recording every acknowledged write to this file; a dropped connection (server killed) ends the worker without failing the run")
 	verify := flag.Bool("verify", false, "with -remote -ackfile: look up every recorded acked write and exit non-zero if any is missing or older than its acked value")
 	flag.Parse()
@@ -90,15 +86,6 @@ func main() {
 			log.Fatal("-ackfile requires -remote")
 		}
 		runAcked(*remote, *conns, *workers, *dur, *ackFile)
-		return
-	}
-
-	if *scanScen {
-		if *remote != "" {
-			runRemoteScanSweep(*remote, *conns, *workers, *dur, *serverMetrics)
-		} else {
-			runLocalScanSweep(*machine, *workers, *keys, *metricsAddr)
-		}
 		return
 	}
 
@@ -188,171 +175,6 @@ func main() {
 		fmt.Printf("balancing cycles: %d\n", len(cycles))
 	}
 	fmt.Printf("(real time: %.1fs)\n", time.Since(start).Seconds())
-}
-
-// sweepFracs are the selectivity points of the -scan scenario.
-var sweepFracs = []float64{0.001, 0.01, 0.1, 1.0}
-
-// runLocalScanSweep drives the analytical scan scenario against an
-// in-process engine: a column bulk-loaded with clustered values (value =
-// global position, so block value ranges are tight and a selectivity
-// threshold is also a prunable range), then a selectivity sweep of
-// multicast scans reporting goodput and the zone-map block outcomes.
-func runLocalScanSweep(machine string, workers int, keys uint64, metricsAddr string) {
-	db, err := eris.Open(eris.Options{Machine: machine, Workers: workers, MetricsAddr: metricsAddr})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer db.Close()
-	col, err := db.CreateColumn("bench")
-	if err != nil {
-		log.Fatal(err)
-	}
-	per := int64(keys) / int64(db.Engine().NumAEUs())
-	total := uint64(per) * uint64(db.Engine().NumAEUs())
-	if err := col.LoadUniform(per, func(worker int, i int64) uint64 {
-		return uint64(int64(worker)*per + i)
-	}); err != nil {
-		log.Fatal(err)
-	}
-	if err := db.Start(); err != nil {
-		log.Fatal(err)
-	}
-	if addr := db.MetricsListenAddr(); addr != "" {
-		fmt.Printf("metrics: http://%s/metrics\n", addr)
-	}
-
-	const scansPerPoint = 64
-	fmt.Printf("local scan sweep: machine %s, %d AEUs, %d clustered tuples, %d scans per point\n",
-		machine, db.Engine().NumAEUs(), total, scansPerPoint)
-	fmt.Printf("%-8s %10s %14s %16s %9s %9s %9s %10s\n",
-		"sel", "scans/s", "matched/scan", "tuples/s", "scanned", "pruned", "full-hit", "untouched")
-	for _, frac := range sweepFracs {
-		pred := eris.PredLess(uint64(float64(total) * frac))
-		if frac >= 1 {
-			pred = eris.PredAll()
-		}
-		before := db.MetricsSnapshot()
-		start := time.Now()
-		var matched uint64
-		for i := 0; i < scansPerPoint; i++ {
-			res, err := col.Scan(pred)
-			if err != nil {
-				log.Fatal(err)
-			}
-			matched = res.Matched
-		}
-		elapsed := time.Since(start).Seconds()
-		delta := db.MetricsSnapshot().Delta(before)
-		printSweepPoint(frac, scansPerPoint, elapsed, matched, delta)
-	}
-}
-
-// runRemoteScanSweep runs the selectivity sweep over eriswire against a
-// running erisserve with a column (-coltuples > 0). The server's default
-// column values are hash-uniform over the full 64-bit domain, so the
-// thresholds scale fractions of that domain; when serverMetrics names the
-// server's -metricsaddr endpoint, the per-point zone-map block outcomes are
-// read from it (uniform values leave nothing to prune — the sweep makes
-// that visible rather than hiding it).
-func runRemoteScanSweep(addr string, conns, workers int, durSec float64, serverMetrics string) {
-	if workers <= 0 {
-		workers = 2 * conns
-	}
-	if durSec <= 0.01 {
-		durSec = 0.5 // the -dur default targets virtual seconds; a sweep point needs real time
-	}
-	pool, err := client.NewPool(addr, conns, client.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer pool.Close()
-	var obj wire.ObjectInfo
-	found := false
-	for _, o := range pool.Get().Objects() {
-		if o.Kind == wire.KindColumn {
-			obj, found = o, true
-			break
-		}
-	}
-	if !found {
-		log.Fatalf("server at %s exports no column; start erisserve with -coltuples > 0", addr)
-	}
-
-	fmt.Printf("remote scan sweep: %s, column %q, %d conns, %d workers, %.2fs per point\n",
-		addr, obj.Name, pool.Size(), workers, durSec)
-	fmt.Printf("%-8s %10s %14s %16s %9s %9s %9s %10s\n",
-		"sel", "scans/s", "matched/scan", "tuples/s", "scanned", "pruned", "full-hit", "untouched")
-	for _, frac := range sweepFracs {
-		pred := eris.PredLess(uint64(float64(1<<63) * frac * 2))
-		if frac >= 1 {
-			pred = eris.PredAll()
-		}
-		before := fetchServerMetrics(serverMetrics)
-		var scans, matched atomic.Uint64
-		deadline := time.Now().Add(time.Duration(durSec * float64(time.Second)))
-		var wg sync.WaitGroup
-		errc := make(chan error, workers)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for time.Now().Before(deadline) {
-					agg, err := pool.Get().ColScan(obj.ID, pred)
-					if err != nil {
-						errc <- err
-						return
-					}
-					scans.Add(1)
-					matched.Store(agg.Matched)
-				}
-			}()
-		}
-		wg.Wait()
-		select {
-		case err := <-errc:
-			log.Fatalf("remote scan sweep: %v", err)
-		default:
-		}
-		delta := fetchServerMetrics(serverMetrics).Delta(before)
-		printSweepPoint(frac, int(scans.Load()), durSec, matched.Load(), delta)
-	}
-	if serverMetrics == "" {
-		fmt.Println("block outcomes n/a: pass -servermetrics <erisserve -metricsaddr> to read server colscan.* counters")
-	}
-}
-
-// fetchServerMetrics reads a metrics snapshot from an erisserve
-// -metricsaddr endpoint; with no endpoint configured it returns an empty
-// snapshot (the sweep then reports goodput only).
-func fetchServerMetrics(addr string) metrics.Snapshot {
-	if addr == "" {
-		return metrics.Snapshot{}
-	}
-	resp, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		log.Fatalf("fetch server metrics: %v", err)
-	}
-	defer resp.Body.Close()
-	var snap metrics.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		log.Fatalf("decode server metrics: %v", err)
-	}
-	return snap
-}
-
-// printSweepPoint renders one selectivity point of the sweep table.
-func printSweepPoint(frac float64, scans int, elapsed float64, matched uint64, delta metrics.Snapshot) {
-	scanned := delta.SumCounters("aeu.", ".colscan.blocks_scanned")
-	pruned := delta.SumCounters("aeu.", ".colscan.blocks_pruned")
-	fullHit := delta.SumCounters("aeu.", ".colscan.blocks_full_hit")
-	untouched := "n/a"
-	if total := scanned + pruned + fullHit; total > 0 {
-		untouched = fmt.Sprintf("%.1f%%", 100*float64(pruned+fullHit)/float64(total))
-	}
-	fmt.Printf("%-8s %10.0f %14d %16.0f %9d %9d %9d %10s\n",
-		fmt.Sprintf("%g%%", frac*100), float64(scans)/elapsed, matched,
-		float64(scans)*float64(matched)/elapsed, scanned, pruned, fullHit, untouched)
 }
 
 // runAcked drives the durability workload for the kill -9 scenario: each

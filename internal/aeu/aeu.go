@@ -92,30 +92,25 @@ type Partition struct {
 	// cycle the source's own shrink lands before the targets' fetches, so
 	// the current bounds no longer cover the granted ranges even though all
 	// of their data is still here. prevHoles are the parts of those bounds
-	// whose data this AEU never actually had (ranges still recovering when
-	// the balance arrived) — a claim over them would just propagate the gap
+	// whose data this AEU never actually had (ranges under repair when the
+	// balance arrived) — a claim over them would just propagate the gap
 	// to the next owner as a trusted empty transfer.
 	prevLo, prevHi, prevEpoch uint64
 	prevHoles                 []keyRange
 
-	// Column-transfer accounting (size objects), read by client scans to
-	// detect rebalancing overlapping a fan-out. colXferGen advances on
-	// every tail detach and every linked payload; colInFlight counts
-	// payloads detached here that have not linked anywhere yet. A scan
-	// bracketed by two equal generation readings with zero in flight saw
-	// every tuple exactly once.
-	colXferGen  atomic.Int64
-	colInFlight atomic.Int64
-
-	// Range-transfer accounting (range objects), the same scheme for the
-	// checkpoint bracket: a checkpoint whose image collection two equal
-	// generation sums with zero in flight surround saw no range payload
-	// mid-move, so every moved range is fully inside exactly one AEU's
-	// image — a source image cut after its handoff (pruning the handoff's
-	// generation) can never be published while the payload is still in
-	// flight to a target whose image predates the link.
-	rngXferGen  atomic.Int64
-	rngInFlight atomic.Int64
+	// Transfer accounting, the bracket every reader that needs a stable cut
+	// across AEUs validates against (client column scans, the checkpoint's
+	// image collection). xferGen advances on every extraction (tail detach
+	// or range extract) here and on every payload linked here; inFlight
+	// counts payloads extracted here that have not landed anywhere yet. Two
+	// equal generation sums with zero in flight at both readings prove no
+	// payload started, landed or was afloat in between: a scan saw every
+	// tuple exactly once, and every moved range is fully inside exactly one
+	// AEU's image — a source image cut after its handoff (pruning the
+	// handoff's generation) can never be published while the payload is
+	// still in flight to a target whose image predates the link.
+	xferGen  atomic.Int64
+	inFlight atomic.Int64
 
 	// Monitoring counters sampled by the load balancer.
 	accesses  atomic.Int64 // keys/commands touched in the current window
@@ -159,16 +154,15 @@ func (p *Partition) SizeTuples() int64 {
 // transfer is a partition payload in flight between two AEUs: either a
 // linkable extracted subtree / chunk run, or a flattened copy stream.
 type transfer struct {
-	obj    routing.ObjectID
-	epoch  uint64
-	from   uint32
-	ex     *prefixtree.Extracted
-	kvs    []prefixtree.KV
-	det    *colstore.Detached
-	srcCol *Partition // column transfers: source partition, for in-flight accounting
-	srcRng *Partition // range transfers: source partition, for in-flight accounting
-	lo     uint64
-	hi     uint64
+	obj   routing.ObjectID
+	epoch uint64
+	from  uint32
+	ex    *prefixtree.Extracted
+	kvs   []prefixtree.KV
+	det   *colstore.Detached
+	src   *Partition // source partition, for in-flight accounting
+	lo    uint64
+	hi    uint64
 	// xid is the source's WAL handoff sequence number (0 when the engine
 	// runs without durability); the target logs it in its link record so
 	// recovery can pair the two sides of the transfer.
@@ -177,8 +171,8 @@ type transfer struct {
 	// range (at extraction, or — for a fetch of the current balancing epoch
 	// — just before that epoch's own shrink). An authoritative transfer
 	// carried everything that exists for the range, so landing it satisfies
-	// pending and recovering state outright; a non-authoritative one only
-	// contributes data and the requester must keep probing.
+	// awaited ranges outright; a non-authoritative one only contributes
+	// data and the requester must keep probing.
 	auth bool
 	// stalled marks a payload that already took the StallTransfer fault,
 	// so its release cannot stall again.
@@ -204,40 +198,33 @@ type heldAck struct {
 	epoch uint64
 }
 
-// pendingRange is a key range granted to this AEU whose data has not
-// arrived yet; commands touching it are deferred, not answered. The entry
-// is removed when its transfer lands; whatever is left when the epoch
-// closes (abandoned, errored, fetch frame lost) never got its data and is
-// converted to a recovering range instead of being dropped.
-type pendingRange struct {
+// awaitedRange is a key range this AEU owns (per the routing tables) whose
+// data it does not hold yet; commands touching it defer — expiring honestly
+// at their deadlines — instead of being answered from a tree that misses
+// keys which exist, or accepting writes that would collide with the live
+// copy when the data finally lands.
+//
+// epoch != 0: granted by that balancing epoch, its fetch is outstanding, do
+// not probe. The entry is removed when an authoritative transfer covers it.
+// If the epoch closes first (abandoned, errored, fetch frame lost) the data
+// never came: epoch is zeroed in place and the entry becomes a repair.
+//
+// epoch == 0: a fault ate part of the balance handshake — the OpBalance
+// itself (the bounds then grew with no fetch attached) or the OpFetch /
+// transfer of a grant. Some of the tuples may still sit in another AEU's
+// tree, so the AEU walks its peers with repair fetches. The entry clears
+// when an authoritative transfer covers it, or when every peer has been
+// probed and every probe's payload has landed — at that point any data any
+// peer held for the range has been extracted and linked here, so serving it
+// is sound even if the range turns out to be genuinely empty.
+type awaitedRange struct {
 	obj    routing.ObjectID
 	lo, hi uint64
 	epoch  uint64
-	from   uint32 // AEU the fetch was addressed to — where the data still is
-}
-
-// recRange is a key range this AEU owns (per the routing tables) without
-// being sure it holds the data, because a fault ate part of the balance
-// handshake: the OpBalance itself (bounds reconciliation then picks the
-// range up with no fetch attached), or the OpFetch / transfer of a granted
-// range (the epoch then closes with the pending range unsatisfied). Either
-// way some of the tuples may still sit in another AEU's tree. Answering for
-// the range would serve misses for keys that exist, and writes accepted
-// into it would collide with the live copy when a later transfer finally
-// lands — so commands touching it defer (expiring honestly at their
-// deadlines) while the AEU walks its peers with repair fetches. The range
-// clears when an authoritative transfer covers it, or when every peer has
-// been probed and every probe's payload has landed — at that point any data
-// any peer held for the range has been extracted and linked here, so
-// serving it is sound even if the range turns out to be genuinely empty.
-type recRange struct {
-	obj    routing.ObjectID
-	lo, hi uint64
-	// from is the most likely holder, probed first: the fetch target
-	// recorded in the pending range when one existed, else the adjacent
-	// previous owner (ordered ownership keeps AEU ranges contiguous, so
-	// reconciled growth low of the old bounds came from ID-1 and growth
-	// high of them from ID+1).
+	// from is the most likely holder, probed first: the AEU the balance
+	// fetch was addressed to, else the adjacent previous owner (ordered
+	// ownership keeps AEU ranges contiguous, so growth low of the old bounds
+	// came from ID-1 and growth high of them from ID+1).
 	from  uint32
 	tries uint8 // probes sent so far (walk position)
 	acks  uint8 // probe transfers landed so far
@@ -285,8 +272,7 @@ type AEU struct {
 
 	// Balancing state.
 	pendingFetches map[uint64]int // epoch -> outstanding transfers
-	pendingRanges  []pendingRange
-	recovering     []recRange // adopted ranges whose data never arrived
+	awaited        []awaitedRange // owned ranges whose data has not arrived
 	deferred       []command.Command
 	requeue        []command.Command
 	epochDone      func(aeu uint32, obj routing.ObjectID, epoch uint64)
@@ -309,6 +295,7 @@ type AEU struct {
 	ckptReq     atomic.Pointer[CkptRequest]
 
 	stop     atomic.Bool
+	iter     uint64 // steps taken; paces the iteration-counted duties
 	timeline *Timeline
 	peers    []*AEU
 

@@ -84,17 +84,8 @@ func newHarnessRouting(t testing.TB, topo *topology.Topology, n int, domain uint
 	return h
 }
 
-// step runs one synchronous AEU iteration: drain + process + transfers.
-func (h *harness) step(i int) {
-	a := h.aeus[i]
-	h.router.Drain(a.ID, a.classify)
-	a.drainRequeue()
-	a.processGroups()
-	if a.mailCnt.Load() > 0 {
-		a.receiveTransfers()
-	}
-	a.Outbox().Flush()
-}
+// step runs one synchronous iteration of AEU i's loop.
+func (h *harness) step(i int) { h.aeus[i].Step() }
 
 func TestLookupAndUpsertProcessing(t *testing.T) {
 	h := newHarness(t, topology.SingleNode(2), 2, 1000)

@@ -37,19 +37,19 @@ func (a *AEU) handleBalance(c command.Command) {
 	if p.Kind == routing.RangePartitioned {
 		p.prevLo, p.prevHi, p.prevEpoch = p.Lo, p.Hi, b.Epoch
 		p.prevHoles = p.prevHoles[:0]
-		for _, r := range a.recovering {
-			if r.obj == obj {
+		for _, r := range a.awaited {
+			if r.obj == obj && r.epoch == 0 {
 				p.prevHoles = append(p.prevHoles, keyRange{lo: r.lo, hi: r.hi})
 			}
 		}
-		a.noteUncoveredGrant(p, b)
+		a.noteUncoveredGrant(p, b.NewLo, b.NewHi, b.Fetches)
 		p.Lo, p.Hi = b.NewLo, b.NewHi
 		p.reconArmed = false
-		// Recovering ranges the new bounds no longer cover are foreign now:
-		// their keys forward to the new owner, whose own pending-range
-		// machinery repairs them. Probing for them here would steal the new
-		// owner's live data.
-		a.pruneRecovering(obj, b.NewLo, b.NewHi)
+		// Awaited ranges the new bounds no longer cover are foreign now:
+		// their keys forward to the new owner, whose own awaited entries
+		// repair them. Probing for them here would steal the new owner's
+		// live data.
+		a.pruneAwaited(obj, b.NewLo, b.NewHi)
 	}
 	if len(b.Fetches) == 0 {
 		a.ackEpoch(obj, b.Epoch)
@@ -58,7 +58,7 @@ func (a *AEU) handleBalance(c command.Command) {
 	a.pendingFetches[b.Epoch] += len(b.Fetches)
 	for _, f := range b.Fetches {
 		if p.Kind == routing.RangePartitioned {
-			a.pendingRanges = append(a.pendingRanges, pendingRange{
+			a.awaited = append(a.awaited, awaitedRange{
 				obj: obj, lo: f.Lo, hi: f.Hi, epoch: b.Epoch, from: f.From,
 			})
 		}
@@ -71,24 +71,26 @@ func (a *AEU) handleBalance(c command.Command) {
 	}
 }
 
-// noteUncoveredGrant marks as recovering every part of the bounds b is about
-// to install that this AEU has no data for and is not about to fetch: not
-// inside the current bounds, not in b's fetch list, not already recovering.
-// The balancer diffs against the routing table, so its fetch list tiles the
-// growth exactly when the previous cycle's OpBalance arrived here. When
-// that command was lost (and reconcileBounds has not yet caught up — it
-// needs two sweeps, counted in loop iterations) the table is ahead of
-// p.Lo/p.Hi and the difference would otherwise be adopted without data and
-// served as misses. Must run before p.Lo/p.Hi are overwritten.
-func (a *AEU) noteUncoveredGrant(p *Partition, b *command.Balance) {
-	covered := make([]keyRange, 0, 1+len(b.Fetches)+len(a.recovering))
+// noteUncoveredGrant opens a repair for every part of the bounds [newLo,
+// newHi] about to be installed that this AEU has no data for and is not
+// about to get: not inside the current bounds, not in the fetch list that
+// came with them (nil when reconciliation adopts them from the routing
+// table), not already awaited. The balancer diffs against the routing
+// table, so its fetch list tiles the growth exactly when the previous
+// cycle's OpBalance arrived here. When that command was lost the table is
+// ahead of p.Lo/p.Hi and the difference would otherwise be adopted without
+// data, served as misses, and accept writes that collide with the tuples —
+// still in the previous owner's tree — when a later cycle re-transfers the
+// range. Must run before p.Lo/p.Hi are overwritten.
+func (a *AEU) noteUncoveredGrant(p *Partition, newLo, newHi uint64, fetches []command.Fetch) {
+	covered := make([]keyRange, 0, 1+len(fetches)+len(a.awaited))
 	if p.Lo <= p.Hi {
 		covered = append(covered, keyRange{lo: p.Lo, hi: p.Hi})
 	}
-	for _, f := range b.Fetches {
+	for _, f := range fetches {
 		covered = append(covered, keyRange{lo: f.Lo, hi: f.Hi})
 	}
-	for _, r := range a.recovering {
+	for _, r := range a.awaited {
 		if r.obj == p.Object {
 			covered = append(covered, keyRange{lo: r.lo, hi: r.hi})
 		}
@@ -102,27 +104,27 @@ func (a *AEU) noteUncoveredGrant(p *Partition, b *command.Balance) {
 		if a.ID > 0 && (hi < p.Lo || int(from) >= len(a.peers)) {
 			from = a.ID - 1
 		}
-		dbg("aeu%d obj%d handleBalance epoch=%d UNCOVERED [%d,%d] -> recovering from aeu%d", a.ID, p.Object, b.Epoch, lo, hi, from)
-		a.recovering = append(a.recovering, recRange{obj: p.Object, lo: lo, hi: hi, from: from})
+		dbg("aeu%d obj%d new bounds [%d,%d] UNCOVERED [%d,%d] -> repair from aeu%d", a.ID, p.Object, newLo, newHi, lo, hi, from)
+		a.awaited = append(a.awaited, awaitedRange{obj: p.Object, lo: lo, hi: hi, from: from})
 	}
-	next := b.NewLo // lowest key of the new bounds not yet known covered
+	next := newLo // lowest key of the new bounds not yet known covered
 	for _, c := range covered {
-		if next > b.NewHi {
+		if next > newHi {
 			return
 		}
 		if c.hi < next {
 			continue
 		}
 		if c.lo > next {
-			gap(next, min(c.lo-1, b.NewHi))
+			gap(next, min(c.lo-1, newHi))
 		}
 		if c.hi == ^uint64(0) {
 			return
 		}
 		next = c.hi + 1
 	}
-	if next <= b.NewHi {
-		gap(next, b.NewHi)
+	if next <= newHi {
+		gap(next, newHi)
 	}
 }
 
@@ -148,8 +150,7 @@ func (a *AEU) handleFetch(c command.Command) {
 		})
 		return
 	}
-	if p.Kind == routing.RangePartitioned &&
-		(a.overlapsPending(f.Lo, f.Hi) || a.overlapsRecovering(obj, f.Lo, f.Hi)) {
+	if p.Kind == routing.RangePartitioned && a.overlapsAwaited(obj, f.Lo, f.Hi) {
 		// Part of the requested range is itself still in flight to this
 		// AEU (back-to-back balancing cycles, or a repair fetch healing a
 		// lost balance command): defer the fetch until the inbound
@@ -163,12 +164,9 @@ func (a *AEU) handleFetch(c command.Command) {
 	target := a.peer(requester)
 	sameNode := target.Node == a.Node
 
-	t := transfer{obj: obj, epoch: c.Tag, from: a.ID, lo: f.Lo, hi: f.Hi, auth: true}
+	t := transfer{obj: obj, epoch: c.Tag, from: a.ID, lo: f.Lo, hi: f.Hi, auth: true, src: p}
 	if p.Kind == routing.SizePartitioned {
 		t.det = p.Col.DetachTail(a.Core, f.Tuples)
-		t.srcCol = p
-		p.colXferGen.Add(1)
-		p.colInFlight.Add(1)
 	} else {
 		// The transfer is authoritative when this AEU's bounds covered the
 		// whole range just before extraction — then every tuple that exists
@@ -179,7 +177,7 @@ func (a *AEU) handleFetch(c command.Command) {
 		// a repair probe to an AEU that only holds orphans, or a fetch that
 		// raced a later cycle — may return a partial or empty payload, and
 		// the requester must keep probing before trusting the range.
-		// Ranges still recovering when that balance arrived are excepted:
+		// Ranges under repair when that balance arrived are excepted:
 		// the bounds claimed them but the data never came, and a trusted
 		// empty transfer would hand the gap to the next owner as settled.
 		t.auth = f.Lo >= p.Lo && f.Hi <= p.Hi ||
@@ -198,9 +196,6 @@ func (a *AEU) handleFetch(c command.Command) {
 			p.Hi = f.Lo - 1
 		}
 		ex := p.Tree.ExtractRange(a.Core, f.Lo, f.Hi)
-		t.srcRng = p
-		p.rngXferGen.Add(1)
-		p.rngInFlight.Add(1)
 		dbg("aeu%d obj%d handleFetch req=aeu%d [%d,%d] tag=%d extracted=%d auth=%v bounds [%d,%d]->[%d,%d]", a.ID, c.Object, c.Source, f.Lo, f.Hi, c.Tag, ex.Count(), t.auth, oldLo, oldHi, p.Lo, p.Hi)
 		if a.wal != nil {
 			// Log ownership of [lo, hi] hands off with the data: the
@@ -218,6 +213,8 @@ func (a *AEU) handleFetch(c command.Command) {
 			ex.Discard(a.Core, a.sessions[obj])
 		}
 	}
+	p.xferGen.Add(1)
+	p.inFlight.Add(1)
 	target.deliverTransfer(t)
 }
 
@@ -239,11 +236,8 @@ func (a *AEU) receiveTransfers() {
 			// stay in the source's store when linkable (nothing was copied
 			// out) — the conservation checker sees them there.
 			a.xferErrors.Inc()
-			if t.srcCol != nil {
-				t.srcCol.colInFlight.Add(-1)
-			}
-			if t.srcRng != nil {
-				t.srcRng.rngInFlight.Add(-1)
+			if t.src != nil {
+				t.src.inFlight.Add(-1)
 			}
 			a.completeFetch(t.obj, t.epoch)
 			continue
@@ -270,93 +264,74 @@ func (a *AEU) receiveTransfers() {
 				// Chunks live on another node: copy them over.
 				p.Col.CopyDetached(a.Core, t.det, a.mems.Free)
 			}
-			p.colXferGen.Add(1)
-			if t.srcCol != nil {
-				t.srcCol.colInFlight.Add(-1)
-			}
 		}
-		if t.srcRng != nil {
-			// Landed (even an empty payload arrives and completes here):
-			// bump the target generation, release the source's in-flight
-			// slot — the checkpoint bracket reads both.
-			p.rngXferGen.Add(1)
-			t.srcRng.rngInFlight.Add(-1)
+		// Landed (even an empty payload arrives and completes here): bump the
+		// target generation, release the source's in-flight slot — scans and
+		// the checkpoint bracket read both.
+		p.xferGen.Add(1)
+		if t.src != nil {
+			t.src.inFlight.Add(-1)
 		}
 		if p.Kind == routing.RangePartitioned {
 			dbg("aeu%d obj%d linked transfer [%d,%d] epoch=%d from=aeu%d auth=%v", a.ID, t.obj, t.lo, t.hi, t.epoch, t.from, t.auth)
 			if t.auth {
 				// The source held everything that exists for the range, so
-				// its landing satisfies any pending or recovering range it
-				// covers — balance fetches and repair fetches alike.
-				a.clearPendingRange(t.obj, t.lo, t.hi)
-				a.clearRecovering(t.obj, t.lo, t.hi)
+				// its landing satisfies any awaited range it covers —
+				// balance fetches and repair fetches alike.
+				a.clearAwaited(t.obj, t.lo, t.hi)
 			} else {
 				// A non-authoritative payload contributes data (Link is
 				// duplicate-safe) but proves nothing about other holders:
 				// count the answer and let the repair walk decide.
-				a.ackRecovering(t.obj, t.lo, t.hi)
+				a.ackProbe(t.obj, t.lo, t.hi)
 			}
 		}
 		a.completeFetch(t.obj, t.epoch)
 	}
 }
 
-// clearPendingRange removes [lo, hi] from obj's pending ranges, splitting
-// entries the landed transfer only partially covers. Marking satisfaction
-// per range (not per epoch) is what lets completeFetch tell delivered
-// ranges from lost ones when the epoch closes.
-func (a *AEU) clearPendingRange(obj routing.ObjectID, lo, hi uint64) {
-	if len(a.pendingRanges) == 0 {
+// clearAwaited removes [lo, hi] from obj's awaited ranges — an authoritative
+// transfer covering it landed — splitting entries the interval only
+// partially covers. Removing per range (not per epoch) is what lets
+// completeFetch tell delivered grants from lost ones when the epoch closes.
+// A repair healed this way counts, and releases the deferred queue so work
+// parked on it reprocesses; a grant's is released when its epoch completes.
+func (a *AEU) clearAwaited(obj routing.ObjectID, lo, hi uint64) {
+	if len(a.awaited) == 0 {
 		return
 	}
-	var kept []pendingRange
-	for _, r := range a.pendingRanges {
+	healed := false
+	var kept []awaitedRange
+	for _, r := range a.awaited {
 		if r.obj != obj || lo > r.hi || hi < r.lo {
 			kept = append(kept, r)
 			continue
 		}
+		healed = healed || r.epoch == 0
+		// Fragments stay with their epoch; a repair's restart their walk:
+		// acks were counted against the old interval and probes from here
+		// on use the new one.
 		if r.lo < lo {
-			kept = append(kept, pendingRange{obj: r.obj, lo: r.lo, hi: lo - 1, epoch: r.epoch, from: r.from})
+			kept = append(kept, awaitedRange{obj: obj, lo: r.lo, hi: lo - 1, epoch: r.epoch, from: r.from})
 		}
 		if r.hi > hi {
-			kept = append(kept, pendingRange{obj: r.obj, lo: hi + 1, hi: r.hi, epoch: r.epoch, from: r.from})
+			kept = append(kept, awaitedRange{obj: obj, lo: hi + 1, hi: r.hi, epoch: r.epoch, from: r.from})
 		}
 	}
-	a.pendingRanges = kept
+	a.awaited = kept
+	if healed {
+		dbg("aeu%d obj%d repair healed by transfer [%d,%d]", a.ID, obj, lo, hi)
+		a.repairs.Inc()
+		a.releaseDeferred()
+	}
 }
 
-// clearRecovering removes [lo, hi] from obj's recovering ranges (splitting
-// entries the interval only partially covers) and releases the deferred
-// queue so work parked on the healed range reprocesses.
-func (a *AEU) clearRecovering(obj routing.ObjectID, lo, hi uint64) {
-	if len(a.recovering) == 0 {
-		return
-	}
-	cleared := false
-	var kept []recRange
-	for _, r := range a.recovering {
-		if r.obj != obj || lo > r.hi || hi < r.lo {
-			kept = append(kept, r)
-			continue
-		}
-		cleared = true
-		// Fragments restart their walk: acks were counted against the old
-		// interval and probes from here on use the new one.
-		if r.lo < lo {
-			kept = append(kept, recRange{obj: r.obj, lo: r.lo, hi: lo - 1, from: r.from})
-		}
-		if r.hi > hi {
-			kept = append(kept, recRange{obj: r.obj, lo: hi + 1, hi: r.hi, from: r.from})
-		}
-	}
-	a.recovering = kept
-	if cleared {
-		dbg("aeu%d obj%d clearRecovering [%d,%d]", a.ID, obj, lo, hi)
-		a.repairs.Inc()
-		if len(a.deferred) > 0 {
-			a.requeue = append(a.requeue, a.deferred...)
-			a.deferred = a.deferred[:0]
-		}
+// releaseDeferred hands every deferred command back to the loop for
+// reprocessing: what it waited on may have landed, healed or moved away.
+func (a *AEU) releaseDeferred() {
+	if len(a.deferred) > 0 {
+		a.requeue = append(a.requeue, a.deferred...)
+		a.deferred = a.deferred[:0]
 	}
 }
 
@@ -370,42 +345,43 @@ func overlapsHoles(holes []keyRange, lo, hi uint64) bool {
 	return false
 }
 
-// ackRecovering records that a probe's transfer landed: the payload is
+// ackProbe records that a repair probe's transfer landed: the payload is
 // linked, but a non-authoritative source proves nothing about other copies,
 // so the range is only counted, not cleared — sendRepairs clears it once
 // every peer has answered.
-func (a *AEU) ackRecovering(obj routing.ObjectID, lo, hi uint64) {
-	for i := range a.recovering {
-		r := &a.recovering[i]
-		if r.obj == obj && r.lo == lo && r.hi == hi {
+func (a *AEU) ackProbe(obj routing.ObjectID, lo, hi uint64) {
+	for i := range a.awaited {
+		r := &a.awaited[i]
+		if r.epoch == 0 && r.obj == obj && r.lo == lo && r.hi == hi {
 			r.acks++
 		}
 	}
 }
 
-// pruneRecovering trims recovering ranges of obj to the bounds [lo, hi] just
+// pruneAwaited trims awaited ranges of obj to the bounds [lo, hi] just
 // adopted (balance command or reconciliation): parts outside are foreign
 // now, so their deferred commands must reprocess and forward to the owner.
-func (a *AEU) pruneRecovering(obj routing.ObjectID, lo, hi uint64) {
+// (Grants of older epochs were turned into repairs before either caller
+// gets here, so in practice only repairs are trimmed.)
+func (a *AEU) pruneAwaited(obj routing.ObjectID, lo, hi uint64) {
 	changed := false
-	kept := a.recovering[:0]
-	for _, r := range a.recovering {
+	kept := a.awaited[:0]
+	for _, r := range a.awaited {
 		if r.obj != obj || (r.lo >= lo && r.hi <= hi) {
 			kept = append(kept, r)
 			continue
 		}
 		changed = true
 		if nl, nh := max(r.lo, lo), min(r.hi, hi); nl <= nh {
-			dbg("aeu%d obj%d pruneRecovering [%d,%d]->[%d,%d]", a.ID, obj, r.lo, r.hi, nl, nh)
-			kept = append(kept, recRange{obj: r.obj, lo: nl, hi: nh, from: r.from})
+			dbg("aeu%d obj%d pruneAwaited [%d,%d]->[%d,%d]", a.ID, obj, r.lo, r.hi, nl, nh)
+			kept = append(kept, awaitedRange{obj: obj, lo: nl, hi: nh, epoch: r.epoch, from: r.from})
 		} else {
-			dbg("aeu%d obj%d pruneRecovering [%d,%d] dropped", a.ID, obj, r.lo, r.hi)
+			dbg("aeu%d obj%d pruneAwaited [%d,%d] dropped", a.ID, obj, r.lo, r.hi)
 		}
 	}
-	a.recovering = kept
-	if changed && len(a.deferred) > 0 {
-		a.requeue = append(a.requeue, a.deferred...)
-		a.deferred = a.deferred[:0]
+	a.awaited = kept
+	if changed {
+		a.releaseDeferred()
 	}
 }
 
@@ -422,73 +398,43 @@ func (a *AEU) completeFetch(obj routing.ObjectID, epoch uint64) {
 		return
 	}
 	delete(a.pendingFetches, epoch)
-	// Pending ranges whose transfer landed were already cleared; anything of
-	// this epoch still listed never got its data (the fetch was answered
-	// with an error, or the payload had nowhere to link). Keep the bounds —
-	// the routing tables already point here — but repair the gap instead of
+	// Grants whose transfer landed were already cleared; anything of this
+	// epoch still listed never got its data (the fetch was answered with an
+	// error, or the payload had nowhere to link). Keep the bounds — the
+	// routing tables already point here — but repair the gap instead of
 	// serving misses for keys that still sit at the source.
-	kept := a.pendingRanges[:0]
-	for _, r := range a.pendingRanges {
-		if r.epoch != epoch {
-			kept = append(kept, r)
-			continue
+	for i := range a.awaited {
+		if r := &a.awaited[i]; r.epoch == epoch {
+			dbg("aeu%d obj%d completeFetch epoch=%d UNSATISFIED [%d,%d] from=aeu%d -> repair", a.ID, r.obj, epoch, r.lo, r.hi, r.from)
+			r.epoch = 0
 		}
-		dbg("aeu%d obj%d completeFetch epoch=%d UNSATISFIED [%d,%d] from=aeu%d -> recovering", a.ID, r.obj, epoch, r.lo, r.hi, r.from)
-		a.recovering = append(a.recovering, recRange{obj: r.obj, lo: r.lo, hi: r.hi, from: r.from})
 	}
-	a.pendingRanges = kept
-	// Release deferred commands for reprocessing.
-	if len(a.deferred) > 0 {
-		a.requeue = append(a.requeue, a.deferred...)
-		a.deferred = a.deferred[:0]
-	}
+	a.releaseDeferred()
 	a.ackEpoch(obj, epoch)
 }
 
-// overlapsPending reports whether [lo, hi] intersects a range whose data
-// has not arrived yet.
+// overlapsAwaited reports whether [lo, hi] (a single key when lo == hi)
+// intersects a range of obj whose data has not arrived yet.
 //
 //eris:hotpath
-func (a *AEU) overlapsPending(lo, hi uint64) bool {
-	for _, r := range a.pendingRanges {
-		if lo <= r.hi && hi >= r.lo {
+func (a *AEU) overlapsAwaited(obj routing.ObjectID, lo, hi uint64) bool {
+	for i := range a.awaited {
+		if r := &a.awaited[i]; r.obj == obj && lo <= r.hi && hi >= r.lo {
 			return true
 		}
 	}
 	return false
 }
 
-// Settle runs one synchronous loop iteration without workload generation:
-// drain the inbox, process what arrived, absorb transfers, flush. The
-// engine calls it in rounds after the AEU goroutines exited, so that
-// balancing commands and partition payloads still in flight at shutdown —
-// including fault-parked acks and stalled transfers — are applied instead
-// of lost. It reports whether any work was done.
-func (a *AEU) Settle() bool {
-	busy := a.releaseHeldAcks()
-	if a.router.Drain(a.ID, a.classify) > 0 {
-		busy = true
+// grantOutstanding reports whether any awaited range still has its balance
+// fetch outstanding.
+func (a *AEU) grantOutstanding() bool {
+	for _, r := range a.awaited {
+		if r.epoch != 0 {
+			return true
+		}
 	}
-	if len(a.requeue) > 0 {
-		a.drainRequeue()
-		busy = true
-	}
-	if len(a.order) > 0 {
-		a.processGroups()
-		busy = true
-	}
-	if a.releaseStalled() {
-		busy = true
-	}
-	if a.mailCnt.Load() > 0 {
-		a.receiveTransfers()
-		busy = true
-	}
-	if a.reconcileBounds() {
-		busy = true
-	}
-	a.Outbox().Flush()
-	return busy
+	return false
 }
 
 // ackEpoch signals the balancer that this AEU finished the epoch. The
@@ -537,24 +483,18 @@ func (a *AEU) abandonStaleEpochs(current uint64) {
 		return
 	}
 	a.xferErrors.Inc()
-	kept := a.pendingRanges[:0]
-	for _, r := range a.pendingRanges {
-		if r.epoch >= current {
-			kept = append(kept, r)
-			continue
+	for i := range a.awaited {
+		if r := &a.awaited[i]; r.epoch != 0 && r.epoch < current {
+			// The grant stands (routing tables already point here) but its
+			// data never arrived — the fetch or transfer was eaten by a
+			// fault. Repair with a direct fetch rather than serving misses
+			// from the empty range while the tuples sit orphaned at the
+			// source.
+			dbg("aeu%d obj%d abandon epoch=%d UNSATISFIED [%d,%d] from=aeu%d -> repair", a.ID, r.obj, r.epoch, r.lo, r.hi, r.from)
+			r.epoch = 0
 		}
-		// The grant stands (routing tables already point here) but its data
-		// never arrived — the fetch or transfer was eaten by a fault. Repair
-		// with a direct fetch rather than serving misses from the empty
-		// range while the tuples sit orphaned at the source.
-		dbg("aeu%d obj%d abandon epoch=%d UNSATISFIED [%d,%d] from=aeu%d -> recovering", a.ID, r.obj, r.epoch, r.lo, r.hi, r.from)
-		a.recovering = append(a.recovering, recRange{obj: r.obj, lo: r.lo, hi: r.hi, from: r.from})
 	}
-	a.pendingRanges = kept
-	if len(a.deferred) > 0 {
-		a.requeue = append(a.requeue, a.deferred...)
-		a.deferred = a.deferred[:0]
-	}
+	a.releaseDeferred()
 }
 
 // handleError abandons the pending fetch slot a failed control command was
@@ -579,10 +519,10 @@ const reconcileEvery = 1024
 // never repeats across two sweeps. The high bound of the last owner is
 // left alone: the routing table cannot distinguish it from the domain end,
 // which only the balancer knows. It reports whether any partition was
-// realigned or newly flagged (Settle uses this to run another round).
+// realigned or newly flagged.
 func (a *AEU) reconcileBounds() bool {
 	repaired := a.sendRepairs()
-	if len(a.pendingFetches) > 0 || len(a.pendingRanges) > 0 || a.mailCnt.Load() > 0 {
+	if len(a.pendingFetches) > 0 || a.grantOutstanding() || a.mailCnt.Load() > 0 {
 		return repaired
 	}
 	progress := false
@@ -601,10 +541,10 @@ func (a *AEU) reconcileBounds() bool {
 		}
 		if p.reconArmed && p.reconLo == lo && p.reconHi == hi {
 			dbg("aeu%d obj%d reconcile adopt [%d,%d]->[%d,%d]", a.ID, p.Object, p.Lo, p.Hi, lo, hi)
-			a.noteRecoveryGrowth(p, lo, hi)
+			a.noteUncoveredGrant(p, lo, hi, nil)
 			p.Lo, p.Hi = lo, hi
 			p.reconArmed = false
-			a.pruneRecovering(p.Object, lo, hi)
+			a.pruneAwaited(p.Object, lo, hi)
 			a.boundsFixed.Inc()
 			progress = true
 			continue
@@ -632,33 +572,8 @@ func (a *AEU) assignedRange(p *Partition) (lo, hi uint64, ok bool) {
 	return lo, hi, true
 }
 
-// noteRecoveryGrowth marks the parts of the adopted bounds [lo, hi] that
-// the old bounds did not cover as recovering: the balance command granting
-// them was lost, so their tuples never transferred and still sit in the
-// adjacent previous owner's tree (ordered ownership keeps AEU ranges
-// contiguous, so growth on the low side came from AEU ID-1 and growth on
-// the high side from AEU ID+1). Without this, the AEU would serve misses
-// for keys that exist and accept writes that collide with the data when a
-// later cycle finally re-transfers the range.
-func (a *AEU) noteRecoveryGrowth(p *Partition, lo, hi uint64) {
-	if lo < p.Lo && a.ID > 0 {
-		end := hi
-		if p.Lo-1 < end {
-			end = p.Lo - 1
-		}
-		a.recovering = append(a.recovering, recRange{obj: p.Object, lo: lo, hi: end, from: a.ID - 1})
-	}
-	if hi > p.Hi && int(a.ID)+1 < len(a.peers) {
-		start := lo
-		if p.Hi+1 > start {
-			start = p.Hi + 1
-		}
-		a.recovering = append(a.recovering, recRange{obj: p.Object, lo: start, hi: hi, from: a.ID + 1})
-	}
-}
-
 // repairStallSweeps is how many reconcile sweeps a fully-probed but not
-// fully-acknowledged recovering range waits before restarting its walk: a
+// fully-acknowledged repair waits before restarting its walk: a
 // probe fetch can be eaten by the same faults that opened the gap, and
 // probes are idempotent (the repeat extract finds nothing, Link tolerates
 // overlap), so retrying until the rule-limited injector runs dry is safe.
@@ -676,9 +591,9 @@ func (a *AEU) maxProbes() uint8 {
 	return uint8(n - 1)
 }
 
-// probeTarget returns the try-th stop of a recovering range's walk: the
-// recorded likely holder first, then every other peer in ID order.
-func (a *AEU) probeTarget(r *recRange, try uint8) uint32 {
+// probeTarget returns the try-th stop of a repair's walk: the recorded
+// likely holder first, then every other peer in ID order.
+func (a *AEU) probeTarget(r *awaitedRange, try uint8) uint32 {
 	if try == 0 {
 		return r.from
 	}
@@ -695,25 +610,29 @@ func (a *AEU) probeTarget(r *recRange, try uint8) uint32 {
 	return r.from
 }
 
-// sendRepairs advances every recovering range's repair walk by one probe —
-// a zero-epoch fetch riding the regular transfer machinery (extract, ship,
-// link), so no balancer cycle is involved — and clears ranges whose walk
-// completed: every peer probed, every probe's payload landed. An
-// authoritative transfer short-circuits the walk in receiveTransfers.
+// sendRepairs advances the repair walk of every awaited range without an
+// outstanding balance fetch (epoch == 0) by one probe — a zero-epoch fetch
+// riding the regular transfer machinery (extract, ship, link), so no
+// balancer cycle is involved — and clears ranges whose walk completed:
+// every peer probed, every probe's payload landed. An authoritative
+// transfer short-circuits the walk in receiveTransfers.
 // Ranges the routing tables currently assign elsewhere are left untouched
 // (probing would steal the new owner's live data); the bounds prune on the
 // next balance or reconcile adoption disposes of them. It reports whether
 // any walk advanced.
 func (a *AEU) sendRepairs() bool {
-	if len(a.recovering) == 0 {
+	if len(a.awaited) == 0 {
 		return false
 	}
 	maxTries := a.maxProbes()
 	progress := false
 	cleared := false
-	kept := a.recovering[:0]
-	for i := range a.recovering {
-		r := a.recovering[i]
+	kept := a.awaited[:0]
+	for _, r := range a.awaited {
+		if r.epoch != 0 {
+			kept = append(kept, r)
+			continue
+		}
 		p := a.parts[r.obj]
 		if p == nil {
 			continue
@@ -753,35 +672,21 @@ func (a *AEU) sendRepairs() bool {
 			kept = append(kept, r)
 		}
 	}
-	a.recovering = kept
-	if cleared && len(a.deferred) > 0 {
-		a.requeue = append(a.requeue, a.deferred...)
-		a.deferred = a.deferred[:0]
+	a.awaited = kept
+	if cleared {
+		a.releaseDeferred()
 	}
 	return progress
 }
 
-// ColXferState returns this AEU's column-transfer generation and in-flight
-// payload count for obj (zero when it holds no partition of it). Client
-// scans sum the readings across AEUs before and after a fan-out: equal sums
-// with nothing in flight mean no rebalancing overlapped the scan, so every
-// tuple was observed exactly once.
-func (a *AEU) ColXferState(obj routing.ObjectID) (gen, inflight int64) {
+// XferState returns this AEU's transfer generation and in-flight payload
+// count for obj (zero when it holds no partition of it). Readers that need
+// a stable cut across AEUs — a column scan's fan-out, the checkpoint's image
+// collection — sum the readings before and after: equal sums with nothing in
+// flight mean no payload moved in between.
+func (a *AEU) XferState(obj routing.ObjectID) (gen, inflight int64) {
 	if p := a.parts[obj]; p != nil {
-		return p.colXferGen.Load(), p.colInFlight.Load()
-	}
-	return 0, 0
-}
-
-// RngXferState returns this AEU's range-transfer generation and in-flight
-// payload count for obj (zero when it holds no partition of it). The
-// engine's checkpoint collection brackets itself with the sums across
-// AEUs: equal sums with nothing in flight mean no range payload moved
-// while the images were cut, so every moved range is fully inside exactly
-// one image and no handoff record is pruned while its payload is afloat.
-func (a *AEU) RngXferState(obj routing.ObjectID) (gen, inflight int64) {
-	if p := a.parts[obj]; p != nil {
-		return p.rngXferGen.Load(), p.rngInFlight.Load()
+		return p.xferGen.Load(), p.inFlight.Load()
 	}
 	return 0, 0
 }

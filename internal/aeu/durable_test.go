@@ -180,7 +180,7 @@ func TestLinksSurviveDiscardedSnapshot(t *testing.T) {
 // generation and in-flight sums across every AEU.
 func rngSum(h *harness) (gen, inflight int64) {
 	for _, a := range h.aeus {
-		g, f := a.RngXferState(testObj)
+		g, f := a.XferState(testObj)
 		gen += g
 		inflight += f
 	}

@@ -33,108 +33,37 @@ const (
 	parkTimeout = time.Millisecond
 )
 
-// Run executes the AEU loop until Stop is called. It is the goroutine body
+// Run executes the AEU loop until Stop is called: Step, and the idle
+// strategy whenever a step found nothing to do. It is the goroutine body
 // the engine spawns per worker.
 //
 //eris:loop
 func (a *AEU) Run() {
-	iter := 0
 	idle := 0
 	for !a.stop.Load() {
-		iter++
-		a.iterations.Add(1)
-		busy := false
-
-		// Acks parked by the DelayEpochDone fault are released one loop
-		// round after they were produced.
-		if a.releaseHeldAcks() {
-			busy = true
-		}
-
-		// Durability housekeeping: release client acks whose WAL records
-		// are covered by an fsync, and serve a pending checkpoint-image
-		// request at this iteration boundary.
-		if a.wal != nil {
-			if a.releaseDurableAcks() {
-				busy = true
-			}
-			if a.serveCheckpoint() {
-				busy = true
-			}
-		}
-
-		// Stage 1+2: drain the incoming buffer, group commands by data
-		// object and type, then process the groups. Requeued commands
-		// (released deferrals) are checked against their deadline first —
-		// work that expired waiting out a transfer answers with an error
-		// instead of bouncing through another rebalance cycle.
-		drained := a.router.Drain(a.ID, a.classify)
-		a.drainRequeue()
-		if drained > 0 {
-			a.machine.AdvanceNS(a.Core, groupNSPerCommand*float64(drained))
-			busy = true
-		}
-		if len(a.order) > 0 {
-			a.processGroups()
-			busy = true
-		}
-
-		// Stage 3: balancing and transfer commands. Fault-stalled payloads
-		// re-enter the mailbox here, one round late.
-		if a.releaseStalled() {
-			busy = true
-		}
-		if a.mailCnt.Load() > 0 {
-			a.receiveTransfers()
-			busy = true
-		}
-		if iter%reconcileEvery == 0 {
-			a.reconcileBounds()
-			a.expireDeferred()
-		}
-
-		// Workload generation. An AEU whose virtual clock ran far ahead of
-		// the slowest core pauses generation (but keeps serving incoming
-		// commands): this bounds virtual-time skew without ever blocking
-		// the processing stage, which peers may be waiting on.
-		if a.generating() {
-			if iter%a.cfg.SkewCheckEvery == 0 {
-				a.updateSkew()
-			}
-			if !a.skewed {
-				if !a.Generator.Generate(a) {
-					a.genDone.Store(true)
-				}
-				busy = true
-			}
-		}
-
-		a.Outbox().Flush()
-
-		if busy {
+		if a.Step() {
 			idle = 0
-		} else {
-			// An idle AEU polls its buffers at full speed, but its virtual
-			// clock must not race ahead of the workers that still have
-			// work: advance only while this core is (close to) the
-			// slowest, so idle time tracks busy time instead of the real
-			// scheduler's whims.
-			min := a.machine.MinClock(0, topology.CoreID(a.router.NumAEUs()))
-			if a.machine.Clock(a.Core) <= min+int64(a.cfg.IdleLoopNS*1000) {
-				a.machine.AdvanceNS(a.Core, a.cfg.IdleLoopNS)
-			}
-			if idle++; idle < idleSpins || !a.quiescent() {
-				runtime.Gosched()
-				continue
-			}
-			idle = 0
-			if res := a.inbox.Park(parkTimeout, a.wakePending); res != routing.ParkAborted {
-				a.parks.Inc()
-				if res == routing.ParkTimedOut && a.wakePending() {
-					// Work was waiting and nobody announced it: the safety
-					// net, not the protocol, delivered this wake-up.
-					a.parkTimeouts.Inc()
-				}
+			continue
+		}
+		// An idle AEU polls its buffers at full speed, but its virtual clock
+		// must not race ahead of the workers that still have work: advance
+		// only while this core is (close to) the slowest, so idle time
+		// tracks busy time instead of the real scheduler's whims.
+		min := a.machine.MinClock(0, topology.CoreID(a.router.NumAEUs()))
+		if a.machine.Clock(a.Core) <= min+int64(a.cfg.IdleLoopNS*1000) {
+			a.machine.AdvanceNS(a.Core, a.cfg.IdleLoopNS)
+		}
+		if idle++; idle < idleSpins || !a.quiescent() {
+			runtime.Gosched()
+			continue
+		}
+		idle = 0
+		if res := a.inbox.Park(parkTimeout, a.wakePending); res != routing.ParkAborted {
+			a.parks.Inc()
+			if res == routing.ParkTimedOut && a.wakePending() {
+				// Work was waiting and nobody announced it: the safety
+				// net, not the protocol, delivered this wake-up.
+				a.parkTimeouts.Inc()
 			}
 		}
 	}
@@ -148,13 +77,105 @@ func (a *AEU) Run() {
 	a.Outbox().Flush()
 }
 
+// Step runs one iteration of the AEU loop on the caller's goroutine and
+// reports whether it found anything to do. It never blocks and never idles:
+// when and how to wait between steps is the runner's business (Run parks;
+// a deterministic single-goroutine runner would just pick the next AEU).
+//
+//eris:loop
+func (a *AEU) Step() bool { return a.step(false) }
+
+// Settle is Step without workload generation and with the bounds
+// reconciliation sweep forced instead of waiting for its iteration count.
+// The engine calls it in rounds after the AEU goroutines exited, so that
+// balancing commands and partition payloads still in flight at shutdown —
+// including fault-parked acks and stalled transfers — are applied instead
+// of lost.
+func (a *AEU) Settle() bool { return a.step(true) }
+
+// step is the loop body: the paper's three stages, then generation and the
+// outgoing flush.
+func (a *AEU) step(settle bool) bool {
+	a.iter++
+	a.iterations.Add(1)
+
+	// Acks parked by the DelayEpochDone fault are released one loop round
+	// after they were produced.
+	busy := a.releaseHeldAcks()
+
+	// Durability housekeeping: release client acks whose WAL records are
+	// covered by an fsync, and serve a pending checkpoint-image request at
+	// this iteration boundary.
+	if a.wal != nil {
+		if a.releaseDurableAcks() {
+			busy = true
+		}
+		if a.serveCheckpoint() {
+			busy = true
+		}
+	}
+
+	// Stage 1+2: drain the incoming buffer, group commands by data object
+	// and type, then process the groups. Requeued commands (released
+	// deferrals) are checked against their deadline first — work that
+	// expired waiting out a transfer answers with an error instead of
+	// bouncing through another rebalance cycle.
+	if drained := a.router.Drain(a.ID, a.classify); drained > 0 {
+		a.machine.AdvanceNS(a.Core, groupNSPerCommand*float64(drained))
+		busy = true
+	}
+	if len(a.requeue) > 0 {
+		a.drainRequeue()
+		busy = true
+	}
+	if len(a.order) > 0 {
+		a.processGroups()
+		busy = true
+	}
+
+	// Stage 3: balancing and transfer commands. Fault-stalled payloads
+	// re-enter the mailbox here, one round late.
+	if a.releaseStalled() {
+		busy = true
+	}
+	if a.mailCnt.Load() > 0 {
+		a.receiveTransfers()
+		busy = true
+	}
+	if settle || a.iter%reconcileEvery == 0 {
+		if a.reconcileBounds() {
+			busy = true
+		}
+		a.expireDeferred()
+	}
+
+	// Workload generation. An AEU whose virtual clock ran far ahead of the
+	// slowest core pauses generation (but keeps serving incoming commands):
+	// this bounds virtual-time skew without ever blocking the processing
+	// stage, which peers may be waiting on.
+	if !settle && a.generating() {
+		if a.iter%uint64(a.cfg.SkewCheckEvery) == 0 {
+			a.updateSkew()
+		}
+		if !a.skewed {
+			if !a.Generator.Generate(a) {
+				a.genDone.Store(true)
+			}
+			busy = true
+		}
+	}
+
+	a.Outbox().Flush()
+	return busy
+}
+
 // generating reports whether this AEU still has workload to generate.
 func (a *AEU) generating() bool { return a.Generator != nil && !a.genDone.Load() }
 
 // quiescent reports whether nothing but an outside producer can make the
 // next iteration busy: no self-driven work is queued here (deferred or
-// requeued commands, fault-held acks, open fetches, pending or recovering
-// ranges — all of which the loop itself retries or sweeps), and no AEU of
+// requeued commands, fault-held acks, open fetches, awaited ranges — all of
+// which the loop itself retries or sweeps), and no AEU of
 // the engine is generating workload. The second half keeps figure runs on
 // the polling loop: updateSkew gates generation on the slowest clock, so
 // while any generator lives every clock has to keep moving. Parked durable
@@ -162,7 +183,7 @@ func (a *AEU) generating() bool { return a.Generator != nil && !a.genDone.Load()
 // watermark that covers them.
 func (a *AEU) quiescent() bool {
 	if len(a.deferred) > 0 || len(a.requeue) > 0 || len(a.heldAcks) > 0 ||
-		len(a.pendingFetches) > 0 || len(a.pendingRanges) > 0 || len(a.recovering) > 0 {
+		len(a.pendingFetches) > 0 || len(a.awaited) > 0 {
 		return false
 	}
 	if a.generating() {
@@ -485,9 +506,8 @@ func (a *AEU) processMixed(k groupKey, g *group, p *Partition) {
 	}
 }
 
-// splitValid partitions keys into in-range, pending and foreign sets using
-// the partition bounds, the pending transfer ranges and the ranges still
-// recovering from a lost balance command.
+// splitValid partitions keys into in-range, deferred and foreign sets using
+// the partition bounds and the ranges whose data is still awaited.
 //
 //eris:hotpath
 func (a *AEU) splitValid(p *Partition, keys []uint64, valid *[]uint64, deferredIdx *[]int, foreign *[]uint64) {
@@ -495,45 +515,12 @@ func (a *AEU) splitValid(p *Partition, keys []uint64, valid *[]uint64, deferredI
 		switch {
 		case key < p.Lo || key > p.Hi:
 			*foreign = append(*foreign, key)
-		case a.inPendingRange(key) || a.inRecovering(p.Object, key):
+		case a.overlapsAwaited(p.Object, key, key):
 			*deferredIdx = append(*deferredIdx, i)
 		default:
 			*valid = append(*valid, key)
 		}
 	}
-}
-
-//eris:hotpath
-func (a *AEU) inPendingRange(key uint64) bool {
-	for _, r := range a.pendingRanges {
-		if key >= r.lo && key <= r.hi {
-			return true
-		}
-	}
-	return false
-}
-
-//eris:hotpath
-func (a *AEU) inRecovering(obj routing.ObjectID, key uint64) bool {
-	for _, r := range a.recovering {
-		if r.obj == obj && key >= r.lo && key <= r.hi {
-			return true
-		}
-	}
-	return false
-}
-
-// overlapsRecovering reports whether [lo, hi] intersects a range whose data
-// is still being repaired after a lost balance command.
-//
-//eris:hotpath
-func (a *AEU) overlapsRecovering(obj routing.ObjectID, lo, hi uint64) bool {
-	for _, r := range a.recovering {
-		if r.obj == obj && lo <= r.hi && hi >= r.lo {
-			return true
-		}
-	}
-	return false
 }
 
 //eris:hotpath
@@ -643,7 +630,7 @@ func (a *AEU) processUpserts(k groupKey, g *group, p *Partition) {
 		switch {
 		case kv.Key < p.Lo || kv.Key > p.Hi:
 			foreign = append(foreign, kv)
-		case a.inPendingRange(kv.Key) || a.inRecovering(p.Object, kv.Key):
+		case a.overlapsAwaited(p.Object, kv.Key, kv.Key):
 			pend = append(pend, kv)
 		default:
 			validKVs = append(validKVs, kv)
@@ -758,7 +745,7 @@ func (a *AEU) processIndexScans(g *group, p *Partition) {
 				hi = c.Keys[1]
 			}
 		}
-		if lo <= hi && (a.overlapsPending(lo, hi) || a.overlapsRecovering(p.Object, lo, hi)) {
+		if lo <= hi && a.overlapsAwaited(p.Object, lo, hi) {
 			// Part of the effective range was granted to this AEU but its
 			// tuples are still in transit (or still being repaired after a
 			// lost balance command); answering now would silently miss

@@ -173,12 +173,12 @@ func TestParkWakeSources(t *testing.T) {
 			stop := runLoop(t, a)
 			produce(t, func(p, round int) {
 				key := uint64(p*parkRounds + round)
-				src[p].rngInFlight.Add(1)
+				src[p].inFlight.Add(1)
 				a.deliverTransfer(transfer{
-					obj: testObj, from: 0, lo: key, hi: key, srcRng: &src[p],
+					obj: testObj, from: 0, lo: key, hi: key, src: &src[p],
 					kvs: []prefixtree.KV{{Key: key, Value: key + 1}},
 				})
-				for src[p].rngInFlight.Load() != 0 {
+				for src[p].inFlight.Load() != 0 {
 					runtime.Gosched()
 				}
 			})
@@ -281,7 +281,7 @@ func TestParkWakeSources(t *testing.T) {
 func TestNonQuiescentAEUKeepsPolling(t *testing.T) {
 	h := newHarness(t, topology.SingleNode(2), 2, 1000)
 	a := h.aeus[0]
-	a.recovering = append(a.recovering, recRange{obj: testObj, lo: 600, hi: 700, from: 1})
+	a.awaited = append(a.awaited, awaitedRange{obj: testObj, lo: 600, hi: 700, from: 1})
 	stop := runLoop(t, a)
 	for a.iterations.Load() < 4*reconcileEvery {
 		runtime.Gosched()

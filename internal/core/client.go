@@ -272,23 +272,25 @@ func (e *Engine) ScanCtx(ctx context.Context, id routing.ObjectID, pred colstore
 	// not at all. Bracket the fan-out with transfer-state stamps and retry
 	// until a scan saw a quiet window.
 	for attempt := 0; ; attempt++ {
-		gen1, inf1 := e.colXferStamp(id)
+		gen1, inf1 := e.xferStamp(id)
 		once, err := e.scanColumnOnce(ctx, id, pred)
 		if err != nil {
 			return agg, err
 		}
-		gen2, inf2 := e.colXferStamp(id)
+		gen2, inf2 := e.xferStamp(id)
 		if (gen1 == gen2 && inf1 == 0 && inf2 == 0) || attempt >= colScanRetries || ctx.Err() != nil {
 			return once, nil
 		}
 	}
 }
 
-// colXferStamp sums the column-transfer generation and in-flight payload
-// count of id across all AEUs.
-func (e *Engine) colXferStamp(id routing.ObjectID) (gen, inflight int64) {
+// xferStamp sums the transfer generation and in-flight payload count of id
+// across all AEUs. Generations only ever grow, so two equal stamps with zero
+// in flight at both readings prove no payload of id started, landed, or was
+// afloat in between — the bracket column scans and checkpoints retry on.
+func (e *Engine) xferStamp(id routing.ObjectID) (gen, inflight int64) {
 	for _, a := range e.aeus {
-		g, f := a.ColXferState(id)
+		g, f := a.XferState(id)
 		gen += g
 		inflight += f
 	}

@@ -23,8 +23,8 @@ func (e *Engine) Durable() *durable.Manager { return e.cfg.Durable }
 // partitions at an iteration boundary, rotating its WAL so the image's
 // stamp is its replay cut); on a quiescent engine they are cut directly.
 // Images are fuzzy across AEUs, so the collection is bracketed by the
-// per-partition transfer generation counters and retried until no payload
-// moved while it ran. Column transfers carry no log records, making the
+// per-object transfer stamps and retried until no payload moved while it
+// ran. Column transfers carry no log records, making the
 // bracket their only consistency mechanism. Range transfers do log
 // handoff/link pairs, but the bracket is still required: a checkpoint cut
 // with a range payload in flight could capture the source after its
@@ -60,10 +60,16 @@ func (e *Engine) Checkpoint() error {
 // images, failing when a column or range transfer overlapped the
 // collection.
 func (e *Engine) collectImages() (*durable.CheckpointData, error) {
-	gen1, inflight := e.xferSum()
-	if inflight != 0 {
+	// A payload afloat lands within an iteration or two of its target's
+	// loop; wait that out (scheduling can stretch it past any fixed number
+	// of short retries) instead of spending an attempt on it.
+	gen1, inflight := e.xferStampAll()
+	for waited := time.Duration(0); inflight != 0; waited += 200 * time.Microsecond {
+		if waited > imageWait {
+			return nil, fmt.Errorf("partition transfer in flight")
+		}
 		time.Sleep(200 * time.Microsecond)
-		return nil, fmt.Errorf("partition transfer in flight")
+		gen1, inflight = e.xferStampAll()
 	}
 	data := &durable.CheckpointData{AEUs: make([]durable.AEUImage, len(e.aeus))}
 	if e.loopsUp.Load() {
@@ -85,7 +91,7 @@ func (e *Engine) collectImages() (*durable.CheckpointData, error) {
 			data.AEUs[i] = a.SnapshotDurable()
 		}
 	}
-	gen2, inflight := e.xferSum()
+	gen2, inflight := e.xferStampAll()
 	if gen1 != gen2 || inflight != 0 {
 		return nil, fmt.Errorf("partition transfer overlapped the image collection")
 	}
@@ -102,24 +108,13 @@ func (e *Engine) collectImages() (*durable.CheckpointData, error) {
 	return data, nil
 }
 
-// xferSum sums the partition-transfer state over every (AEU, object)
-// pair — column-transfer counters for size objects, range-transfer
-// counters for range objects; the whole-engine version of the bracket
-// client scans use. Generations only ever grow, so two equal sums with
-// zero in flight at both readings prove no transfer started, landed, or
-// was afloat in between.
-func (e *Engine) xferSum() (gen, inflight int64) {
-	for id, meta := range e.objects {
-		for _, a := range e.aeus {
-			var g, f int64
-			if meta.kind == routing.SizePartitioned {
-				g, f = a.ColXferState(id)
-			} else {
-				g, f = a.RngXferState(id)
-			}
-			gen += g
-			inflight += f
-		}
+// xferStampAll is xferStamp summed over every object: the whole-engine
+// version of the bracket client scans use.
+func (e *Engine) xferStampAll() (gen, inflight int64) {
+	for id := range e.objects {
+		g, f := e.xferStamp(id)
+		gen += g
+		inflight += f
 	}
 	return gen, inflight
 }

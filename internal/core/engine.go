@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -433,16 +434,7 @@ func (e *Engine) Stop() {
 	// when the loops exited must be applied, or their keys (and the
 	// agreement between partition bounds and the routing table) would be
 	// lost with the buffers.
-	for round := 0; round < 16; round++ {
-		busy := false
-		for _, a := range e.aeus {
-			if a.Settle() {
-				busy = true
-			}
-		}
-		if !busy {
-			break
-		}
+	for round := 0; round < 16 && e.settleRound(); round++ {
 	}
 	e.loopsUp.Store(false)
 	if e.cfg.Durable != nil {
@@ -454,6 +446,37 @@ func (e *Engine) Stop() {
 		e.metricsRv.Close()
 		e.metricsRv = nil
 	}
+}
+
+// settleRound runs one Settle per AEU, each on its own goroutine, and
+// reports whether any of them did work. An AEU that finished its own keeps
+// draining its inbox until the last one has: a peer forwarding into a full
+// inbox would otherwise wait out the whole overflow backoff (2 048 spins,
+// most of them sleeps, per flushed buffer) for an owner that is not running.
+func (e *Engine) settleRound() bool {
+	var busy atomic.Bool
+	var settling atomic.Int32 // AEUs still inside their Settle of this round
+	settling.Store(int32(len(e.aeus)))
+	var wg sync.WaitGroup
+	for _, a := range e.aeus {
+		wg.Add(1)
+		go func(a *aeu.AEU) {
+			defer wg.Done()
+			if a.Settle() {
+				busy.Store(true)
+			}
+			settling.Add(-1)
+			for settling.Load() > 0 {
+				if !e.router.Inbox(a.ID).Pending() {
+					runtime.Gosched()
+				} else if a.Settle() {
+					busy.Store(true)
+				}
+			}
+		}(a)
+	}
+	wg.Wait()
+	return busy.Load()
 }
 
 // Close stops the engine and, with durability enabled, cuts a final

@@ -7,7 +7,10 @@ import (
 	"time"
 
 	"eris/internal/aeu"
+	"eris/internal/command"
 	"eris/internal/durable"
+	"eris/internal/prefixtree"
+	"eris/internal/routing"
 	"eris/internal/topology"
 	"eris/internal/workload"
 )
@@ -96,6 +99,70 @@ func TestStopWithEveryAEUParked(t *testing.T) {
 				time.Sleep(5 * time.Millisecond)
 			}
 		})
+	}
+}
+
+// TestStopSettlesFullInboxQuickly: the loops exit with every AEU but the last
+// holding a nearly full inbox of writes whose keys the last one owns, so the
+// settle rounds forward five inboxes' worth into one. A producer finding the
+// target's buffer full gives up only after 2 048 backoff spins per flushed
+// buffer; with the target settling alongside, it drains as they push and
+// Stop takes milliseconds (one AEU at a time it took a minute on 2 vCPUs).
+func TestStopSettlesFullInboxQuickly(t *testing.T) {
+	const (
+		workers    = 6
+		domain     = 1 << 16
+		inbox      = 32 << 10
+		perCmd     = 200
+		cmdsPerAEU = 9 // 9 x 200 x 16 B = 28.1 KiB of payload per producer
+	)
+	e, err := New(Config{
+		Topology: topology.SingleNode(workers),
+		Tree:     prefixtree.Config{KeyBits: 32, PrefixBits: 8},
+		Routing:  routing.Config{InBufBytes: inbox},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.CreateIndex(idxObj, domain); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// End the loops the way Stop does, then leave work behind them.
+	for _, a := range e.aeus {
+		a.Stop()
+	}
+	e.wg.Wait()
+	target := uint32(workers - 1)
+	key := uint64(domain) - 1 // the target's keys, from the top down
+	for src := uint32(0); src < target; src++ {
+		for c := 0; c < cmdsPerAEU; c++ {
+			kvs := make([]prefixtree.KV, perCmd)
+			for i := range kvs {
+				kvs[i] = prefixtree.KV{Key: key, Value: key + 1}
+				key--
+			}
+			e.router.Inject(src, &command.Command{
+				Op: command.OpUpsert, Object: uint32(idxObj), Source: src,
+				ReplyTo: command.NoReply, KVs: kvs,
+			})
+		}
+	}
+	if got := e.router.Owner(idxObj, key+1); got != target {
+		t.Fatalf("key %d belongs to aeu %d, want every injected key on aeu %d", key+1, got, target)
+	}
+
+	start := time.Now()
+	e.Stop()
+	took := time.Since(start)
+	const want = (workers - 1) * cmdsPerAEU * perCmd
+	if got := e.aeus[target].Partition(idxObj).Tree.Count(); got != want {
+		t.Fatalf("target holds %d tuples after Stop, want all %d forwarded", got, want)
+	}
+	if took > time.Second {
+		t.Fatalf("Stop took %v settling %d forwarded tuples into one %d KiB inbox, want < 1s", took, want, inbox>>10)
 	}
 }
 
