@@ -78,7 +78,7 @@ func main() {
 				return false
 			}
 			workload.FillBatch(hot, a.Rng, 0, buf)
-			a.Outbox().RouteLookup(1, buf, command.NoReply, 0)
+			a.Outbox().RouteLookup(1, buf, command.NoReply, 0, 0)
 			if loops++; loops%16 == 0 {
 				a.Outbox().RouteScan(2, scanPred, command.NoReply, 0)
 			}

@@ -117,7 +117,9 @@ func TestErisserveRemoteSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	werr := make(chan error, 1)
-	go func() { werr <- srv.Wait() }()
+	// Wait closes the stdout pipe, so the report is read to EOF (the
+	// server exiting) first; otherwise its last lines can be lost.
+	go func() { <-drained; werr <- srv.Wait() }()
 	select {
 	case err := <-werr:
 		if err != nil {
@@ -126,7 +128,6 @@ func TestErisserveRemoteSmoke(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("erisserve did not drain within 60s of SIGINT")
 	}
-	<-drained
 	tail := rest.String()
 	if !strings.Contains(tail, "draining...") || !strings.Contains(tail, "served 6 connections") {
 		t.Fatalf("erisserve drain report:\n%s", tail)
@@ -242,7 +243,9 @@ func TestErisserveOverloadSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	werr := make(chan error, 1)
-	go func() { werr <- srv.Wait() }()
+	// Wait closes the stdout pipe, so the report is read to EOF (the
+	// server exiting) first; otherwise its last lines can be lost.
+	go func() { <-drained; werr <- srv.Wait() }()
 	select {
 	case err := <-werr:
 		if err != nil {
@@ -251,7 +254,6 @@ func TestErisserveOverloadSmoke(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("erisserve did not drain within 60s of SIGINT")
 	}
-	<-drained
 	if !strings.Contains(rest.String(), "admission: ") {
 		t.Fatalf("erisserve drain report missing admission counters:\n%s", rest.String())
 	}

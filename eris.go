@@ -21,6 +21,7 @@
 package eris
 
 import (
+	"context"
 	"sort"
 	"time"
 
@@ -389,29 +390,29 @@ func (ix *Index) LoadDense(n uint64, valueOf func(key uint64) uint64) error {
 
 // Upsert inserts or overwrites pairs (engine must be started).
 func (ix *Index) Upsert(kvs []KV) error {
-	return ix.db.engine.Upsert(ix.id, kvs)
+	return ix.db.engine.UpsertCtx(context.Background(), ix.id, kvs)
 }
 
 // Lookup returns the found pairs for keys, sorted by key.
 func (ix *Index) Lookup(keys []uint64) ([]KV, error) {
-	return ix.db.engine.Lookup(ix.id, keys)
+	return ix.db.engine.LookupCtx(context.Background(), ix.id, keys)
 }
 
 // Delete removes keys (engine must be started); absent keys are ignored.
 func (ix *Index) Delete(keys []uint64) error {
-	return ix.db.engine.Delete(ix.id, keys)
+	return ix.db.engine.DeleteCtx(context.Background(), ix.id, keys)
 }
 
 // ScanRange aggregates values of keys in [lo, hi] matching pred.
 func (ix *Index) ScanRange(lo, hi uint64, pred Predicate) (ScanResult, error) {
-	return ix.db.engine.ScanRange(ix.id, lo, hi, pred)
+	return ix.db.engine.ScanRangeCtx(context.Background(), ix.id, lo, hi, pred)
 }
 
 // Rows materializes up to limit rows of [lo, hi] whose values match pred,
 // sorted by key. This is the building block for query processing on top of
 // the storage primitives (index-nested-loop joins and the like).
 func (ix *Index) Rows(lo, hi uint64, pred Predicate, limit int) ([]KV, error) {
-	return ix.db.engine.ScanRangeRows(ix.id, lo, hi, pred, limit)
+	return ix.db.engine.ScanRangeRowsCtx(context.Background(), ix.id, lo, hi, pred, limit)
 }
 
 // Column is a size-partitioned column object for full scans.
@@ -455,7 +456,7 @@ func (c *Column) LoadUniform(tuplesPerWorker int64, valueOf func(worker int, i i
 // Scan aggregates all values matching pred across every partition, using
 // multicast scan commands and scan sharing.
 func (c *Column) Scan(pred Predicate) (ScanResult, error) {
-	return c.db.engine.Scan(c.id, pred)
+	return c.db.engine.ScanCtx(context.Background(), c.id, pred)
 }
 
 // Start launches the AEUs (and the balancer when enabled), then brings up

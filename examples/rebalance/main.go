@@ -107,6 +107,6 @@ func (g *lookupGen) Generate(a *aeu.AEU) bool {
 		return false
 	}
 	workload.FillBatch(g.keys, a.Rng, elapsed, g.buf)
-	a.Outbox().RouteLookup(1, g.buf, command.NoReply, 0)
+	a.Outbox().RouteLookup(1, g.buf, command.NoReply, 0, 0)
 	return true
 }

@@ -58,7 +58,7 @@ func main() {
 			}
 			keys := make([]uint64, 256)
 			workload.FillBatch(workload.Uniform{Domain: 1 << 16}, a.Rng, 0, keys)
-			a.Outbox().RouteLookup(1, keys, command.NoReply, 0)
+			a.Outbox().RouteLookup(1, keys, command.NoReply, 0, 0)
 			return true
 		})
 	})

@@ -312,7 +312,6 @@ type AEU struct {
 	scratch struct {
 		valid       []uint64
 		foreign     []uint64
-		deferredIdx []int
 		values      []uint64
 		found       []bool
 		validKVs    []prefixtree.KV
@@ -355,6 +354,10 @@ type groupKey struct {
 	replyTo int32
 	tag     uint64
 	source  uint32
+	// deadline (unix nanoseconds, 0 = none) keys point-op groups only:
+	// commands with different deadlines never share a batch, so
+	// forwarding, deferral and expiry apply one deadline to all members.
+	deadline uint64
 }
 
 type group struct {
@@ -365,22 +368,7 @@ type group struct {
 	// are decoded zero-copy, so the retained scans' Keys must not alias
 	// the inbox buffer.
 	scanKeys []uint64
-	// deadline is the batch deadline (unix nanoseconds, 0 = none) while
-	// every member agrees on it; deferral and forwarding preserve it.
-	// NoReply batches coalesce commands from all sources, so members MAY
-	// disagree: the first disagreement materializes dls with one deadline
-	// per member (keys first, then kvs), and the group is processed as
-	// per-deadline sub-batches — expiry must only ever answer members
-	// that actually carry a passed deadline, never the whole batch.
-	deadline uint64
-	dls      []uint64
 }
-
-// mixedDeadlines reports whether the group's members disagree on their
-// deadline (dls materialized).
-//
-//eris:hotpath
-func (g *group) mixedDeadlines() bool { return len(g.dls) > 0 }
 
 // New creates an AEU pinned to core id of the machine.
 func New(r *routing.Router, mems *mem.System, id uint32, cfg Config) *AEU {

@@ -92,7 +92,7 @@ func TestLookupAndUpsertProcessing(t *testing.T) {
 	// Route upserts from AEU 0; keys land on both partitions.
 	ob := h.aeus[0].Outbox()
 	kvs := []prefixtree.KV{{Key: 10, Value: 100}, {Key: 600, Value: 6000}}
-	ob.RouteUpsert(testObj, kvs, command.NoReply, 0)
+	ob.RouteUpsert(testObj, kvs, command.NoReply, 0, 0)
 	ob.Flush()
 	h.step(0)
 	h.step(1)
@@ -113,7 +113,7 @@ func TestLookupAndUpsertProcessing(t *testing.T) {
 			mu.Unlock()
 		})
 	}
-	ob.RouteLookup(testObj, []uint64{10, 600, 999}, ClientReply, 7)
+	ob.RouteLookup(testObj, []uint64{10, 600, 999}, ClientReply, 7, 0)
 	ob.Flush()
 	h.step(0)
 	h.step(1)
@@ -134,7 +134,7 @@ func TestLookupAndUpsertProcessing(t *testing.T) {
 func TestOpsCounted(t *testing.T) {
 	h := newHarness(t, topology.SingleNode(2), 2, 1000)
 	ob := h.aeus[1].Outbox()
-	ob.RouteLookup(testObj, []uint64{1, 2, 3, 501}, command.NoReply, 0)
+	ob.RouteLookup(testObj, []uint64{1, 2, 3, 501}, command.NoReply, 0, 0)
 	ob.Flush()
 	h.step(0)
 	h.step(1)
@@ -379,7 +379,7 @@ func TestRunLoopEndToEnd(t *testing.T) {
 			for i := range keys {
 				keys[i] = uint64(a.Rng.Int63n(4000))
 			}
-			a.Outbox().RouteLookup(testObj, keys, command.NoReply, 0)
+			a.Outbox().RouteLookup(testObj, keys, command.NoReply, 0, 0)
 			return true
 		})
 	}

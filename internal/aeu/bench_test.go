@@ -39,7 +39,7 @@ func BenchmarkDrainClassifyLookup64(b *testing.B) {
 	}
 	a0 := h.aeus[0]
 	for i := 0; i < 16; i++ { // warm buffers and scratch
-		src.RouteLookup(testObj, keys, command.NoReply, 0)
+		src.RouteLookup(testObj, keys, command.NoReply, 0, 0)
 		src.Flush()
 		h.router.Drain(a0.ID, a0.classify)
 		a0.processGroups()
@@ -48,7 +48,7 @@ func BenchmarkDrainClassifyLookup64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src.RouteLookup(testObj, keys, command.NoReply, 0)
+		src.RouteLookup(testObj, keys, command.NoReply, 0, 0)
 		src.Flush()
 		h.router.Drain(a0.ID, a0.classify)
 		a0.processGroups()
@@ -66,7 +66,7 @@ func BenchmarkLookupLoop64x4(b *testing.B) {
 		keys[i] = uint64(i*1021) % (1 << 14)
 	}
 	for i := 0; i < 16; i++ {
-		ob.RouteLookup(testObj, keys, command.NoReply, 0)
+		ob.RouteLookup(testObj, keys, command.NoReply, 0, 0)
 		ob.Flush()
 		for j := range h.aeus {
 			h.step(j)
@@ -76,7 +76,7 @@ func BenchmarkLookupLoop64x4(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ob.RouteLookup(testObj, keys, command.NoReply, 0)
+		ob.RouteLookup(testObj, keys, command.NoReply, 0, 0)
 		ob.Flush()
 		for j := range h.aeus {
 			h.step(j)
@@ -93,7 +93,7 @@ func BenchmarkUpsertLoop64x4(b *testing.B) {
 		kvs[i] = prefixtree.KV{Key: uint64(i*1021) % (1 << 14), Value: uint64(i)}
 	}
 	for i := 0; i < 16; i++ {
-		ob.RouteUpsert(testObj, kvs, command.NoReply, 0)
+		ob.RouteUpsert(testObj, kvs, command.NoReply, 0, 0)
 		ob.Flush()
 		for j := range h.aeus {
 			h.step(j)
@@ -103,7 +103,7 @@ func BenchmarkUpsertLoop64x4(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ob.RouteUpsert(testObj, kvs, command.NoReply, 0)
+		ob.RouteUpsert(testObj, kvs, command.NoReply, 0, 0)
 		ob.Flush()
 		for j := range h.aeus {
 			h.step(j)

@@ -154,13 +154,55 @@ func TestLiveDeadlineSurvivesDeferral(t *testing.T) {
 	}
 }
 
-// TestMixedDeadlineGroupExpiresOnlyCarriers batches two NoReply upserts
-// from different sources into one coalesced group: one carries an already
-// passed deadline, the other none. The group must be processed as
-// per-deadline sub-batches so that, after deferral across a transfer,
-// only the deadline-carrying member expires (the bug: mergeDeadline
-// stamped the earliest non-zero deadline on the whole group, so the
-// deadline-free write expired with it and was silently lost).
+// TestForwardKeepsDeadline sends each point op, carrying a deadline, to an
+// AEU whose partition does not cover its keys: the command forwarded to the
+// owner must keep the issuer's op, reply address, tag and deadline, so the
+// owner can still expire it and answer the right request.
+func TestForwardKeepsDeadline(t *testing.T) {
+	future := uint64(time.Now().Add(time.Hour).UnixNano())
+	for _, tc := range []struct {
+		name string
+		cmd  command.Command
+	}{
+		{"lookup", command.Command{Op: command.OpLookup, Keys: []uint64{10, 20}}},
+		{"delete", command.Command{Op: command.OpDelete, Keys: []uint64{10, 20}}},
+		{"upsert", command.Command{Op: command.OpUpsert, KVs: []prefixtree.KV{{Key: 10, Value: 1}, {Key: 20, Value: 2}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, topology.SingleNode(2), 2, 1000)
+			a1 := h.aeus[1] // owns [500, 999]; keys 10 and 20 belong to AEU 0
+			c := tc.cmd
+			c.Object, c.Source, c.ReplyTo, c.Tag, c.Deadline = uint32(testObj), 1, ClientReply, 9, future
+			a1.classify(c)
+			a1.processGroups()
+			a1.Outbox().Flush()
+			if n := a1.forwards.Load(); n != 2 {
+				t.Fatalf("forwards = %d, want 2", n)
+			}
+
+			var got []command.Command
+			h.router.Drain(0, func(c command.Command) { got = append(got, c.Clone()) })
+			if len(got) != 1 {
+				t.Fatalf("owner received %d commands, want 1", len(got))
+			}
+			f := got[0]
+			if f.Op != c.Op || f.ReplyTo != ClientReply || f.Tag != 9 || f.Deadline != future {
+				t.Fatalf("forwarded %v: replyTo %d tag %d deadline %d, want %v: %d %d %d",
+					f.Op, f.ReplyTo, f.Tag, f.Deadline, c.Op, ClientReply, 9, future)
+			}
+			if len(f.Keys)+len(f.KVs) != 2 {
+				t.Fatalf("forwarded batch lost members: keys %v kvs %v", f.Keys, f.KVs)
+			}
+		})
+	}
+}
+
+// TestMixedDeadlineGroupExpiresOnlyCarriers sends two NoReply upserts from
+// different sources: one carries an already passed deadline, the other
+// none. After deferral across a transfer only the deadline-carrying one
+// may expire (the bug: a coalesced batch carried the earliest non-zero
+// deadline of its members, so the deadline-free write expired with it and
+// was silently lost).
 func TestMixedDeadlineGroupExpiresOnlyCarriers(t *testing.T) {
 	h := newHarness(t, topology.SingleNode(2), 2, 1000)
 	a1 := h.aeus[1]
@@ -177,15 +219,14 @@ func TestMixedDeadlineGroupExpiresOnlyCarriers(t *testing.T) {
 		ReplyTo: command.NoReply, Deadline: past,
 		KVs: []prefixtree.KV{{Key: 460, Value: 9}},
 	})
-	// NoReply zeroes tag and source in the group key: both commands share
-	// one group despite their different deadlines.
-	if len(a1.order) != 1 {
-		t.Fatalf("groups = %d, want 1 coalesced group", len(a1.order))
+	// NoReply zeroes tag and source in the group key, but the deadline
+	// stays in it: commands with different deadlines never share a group.
+	if len(a1.order) != 2 {
+		t.Fatalf("groups = %d, want 2 per-deadline groups", len(a1.order))
 	}
 	a1.processGroups()
-	// Both keys sit in the pending range, but the members disagree on the
-	// deadline: they must be deferred as two uniform commands, not one
-	// merged one.
+	// Both keys sit in the pending range: they must be deferred as two
+	// commands with their own deadlines, not one merged one.
 	if len(a1.deferred) != 2 {
 		t.Fatalf("deferred = %d, want 2 per-deadline commands", len(a1.deferred))
 	}

@@ -34,8 +34,8 @@ func TestDurableServePathSteadyStateAllocs(t *testing.T) {
 		kvs[i] = prefixtree.KV{Key: keys[i], Value: uint64(i)}
 	}
 	run := func() {
-		src.RouteUpsert(testObj, kvs, command.NoReply, 0)
-		src.RouteDelete(testObj, keys[:8], command.NoReply, 0)
+		src.RouteUpsert(testObj, kvs, command.NoReply, 0, 0)
+		src.RouteBatch(command.OpDelete, testObj, keys[:8], nil, command.NoReply, 0, 0)
 		src.Flush()
 		h.router.Drain(a0.ID, a0.classify)
 		a0.processGroups()

@@ -171,8 +171,8 @@ func TestServePathSteadyStateAllocs(t *testing.T) {
 		kvs[i] = prefixtree.KV{Key: keys[i], Value: uint64(i)}
 	}
 	run := func() {
-		src.RouteLookup(testObj, keys, command.NoReply, 0)
-		src.RouteUpsert(testObj, kvs, command.NoReply, 0)
+		src.RouteLookup(testObj, keys, command.NoReply, 0, 0)
+		src.RouteUpsert(testObj, kvs, command.NoReply, 0, 0)
 		// Shared pass covering every filter kernel: the selection-bitmap
 		// path, zone-map pruning and full-accept all run per cycle.
 		src.RouteScan(colObj, colstore.Predicate{Op: colstore.Less, Operand: 100}, command.NoReply, 0)

@@ -225,7 +225,7 @@ func (a *AEU) updateSkew() {
 func (a *AEU) classify(c command.Command) {
 	switch c.Op {
 	case command.OpLookup, command.OpUpsert, command.OpDelete:
-		k := groupKey{obj: routing.ObjectID(c.Object), op: c.Op, replyTo: c.ReplyTo, tag: c.Tag, source: c.Source}
+		k := groupKey{obj: routing.ObjectID(c.Object), op: c.Op, replyTo: c.ReplyTo, tag: c.Tag, source: c.Source, deadline: c.Deadline}
 		if c.ReplyTo == command.NoReply {
 			// Results are consumed locally: commands from all sources can
 			// share one batch.
@@ -236,28 +236,8 @@ func (a *AEU) classify(c command.Command) {
 			k.tag = a.noCoSeq
 		}
 		g := a.group(k)
-		before := len(g.keys) + len(g.kvs)
-		if !g.mixedDeadlines() && before > 0 && c.Deadline != g.deadline {
-			// First disagreement: NoReply coalescing batched commands from
-			// different sources with different deadlines. Materialize the
-			// per-member deadlines so expiry can answer exactly the members
-			// whose deadline passed — merging would let one stale member
-			// expire the whole batch, silently dropping deadline-free
-			// writes. Mixed batches are rare (cross-source coalescing only),
-			// so the extra bookkeeping stays off the common path.
-			for i := 0; i < before; i++ {
-				g.dls = append(g.dls, g.deadline)
-			}
-		}
 		g.keys = append(g.keys, c.Keys...)
 		g.kvs = append(g.kvs, c.KVs...)
-		if g.mixedDeadlines() {
-			after := len(g.keys) + len(g.kvs)
-			for i := before; i < after; i++ {
-				g.dls = append(g.dls, c.Deadline)
-			}
-		}
-		g.deadline = mergeDeadline(g.deadline, c.Deadline)
 	case command.OpScan:
 		k := groupKey{obj: routing.ObjectID(c.Object), op: c.Op}
 		if a.cfg.NoCoalesce {
@@ -301,16 +281,6 @@ func (a *AEU) rejectUnserved(c command.Command) {
 			fmt.Errorf("aeu %d: unserved op %v", a.ID, c.Op),
 		)
 	}
-}
-
-// mergeDeadline combines batch deadlines: the earliest non-zero one wins.
-//
-//eris:hotpath
-func mergeDeadline(cur, next uint64) uint64 {
-	if next != 0 && (cur == 0 || next < cur) {
-		return next
-	}
-	return cur
 }
 
 // answeredOf is how many request units a definitive failure of c settles,
@@ -411,8 +381,6 @@ func (a *AEU) releaseGroup(k groupKey, g *group) {
 	g.kvs = g.kvs[:0]
 	g.scans = g.scans[:0]
 	g.scanKeys = g.scanKeys[:0]
-	g.deadline = 0
-	g.dls = g.dls[:0]
 	a.groupFree = append(a.groupFree, g)
 }
 
@@ -424,13 +392,6 @@ func (a *AEU) processGroups() {
 	for _, k := range a.order {
 		g := a.groups[k]
 		p := a.parts[k.obj]
-		if g.mixedDeadlines() {
-			// Members disagree on their deadline: split into per-deadline
-			// sub-batches so deferral and expiry stay per-member.
-			a.processMixed(k, g, p)
-			a.releaseGroup(k, g)
-			continue
-		}
 		if p == nil {
 			// The AEU holds no partition of this object (e.g. freshly
 			// rebalanced away); forward everything.
@@ -458,98 +419,73 @@ func (a *AEU) processGroups() {
 	a.order = a.order[:0]
 }
 
-// processMixed executes a group whose members carry different deadlines by
-// partitioning it into per-deadline sub-batches and dispatching each through
-// the uniform-deadline path. Only NoReply cross-source coalescing produces
-// such groups, so the sub-group allocation is off the steady-state path.
+// admit is the prologue every point-op group shares. It splits the batch
+// against p: members outside p's bounds (stale routing) are re-routed to
+// their current owner, members whose range is granted here but still
+// awaited are deferred until the data lands, and the rest are returned for
+// execution. A group carries keys (lookup, delete) or kvs (upsert), so one
+// of the results is always empty.
 //
 //eris:hotpath
-func (a *AEU) processMixed(k groupKey, g *group, p *Partition) {
-	subs := map[uint64]*group{} //eris:allowalloc mixed-deadline sub-batching happens only for NoReply cross-source coalescing, off the steady-state path
-	var order []uint64
-	sub := func(dl uint64) *group { //eris:allowalloc see above: off the steady-state path
-		sg := subs[dl]
-		if sg == nil {
-			sg = &group{deadline: dl}
-			subs[dl] = sg
-			order = append(order, dl)
-		}
-		return sg
-	}
-	for i, key := range g.keys {
-		sg := sub(g.dls[i])
-		sg.keys = append(sg.keys, key)
-	}
-	for i, kv := range g.kvs {
-		sg := sub(g.dls[len(g.keys)+i])
-		sg.kvs = append(sg.kvs, kv)
-	}
-	for _, dl := range order {
-		sg := subs[dl]
-		if p == nil {
-			a.forwardGroup(k, sg)
-			continue
-		}
-		start := a.machine.Clock(a.Core)
-		switch k.op {
-		case command.OpLookup:
-			a.processLookups(k, sg, p)
-		case command.OpUpsert:
-			a.processUpserts(k, sg, p)
-		case command.OpDelete:
-			a.processDeletes(k, sg, p)
-		}
-		elapsed := a.machine.Clock(a.Core) - start
-		p.cmdTimePS.Add(elapsed)
-		p.cmdCount.Add(1)
-		a.groupNS.Observe(elapsed / 1000)
-	}
-}
-
-// splitValid partitions keys into in-range, deferred and foreign sets using
-// the partition bounds and the ranges whose data is still awaited.
-//
-//eris:hotpath
-func (a *AEU) splitValid(p *Partition, keys []uint64, valid *[]uint64, deferredIdx *[]int, foreign *[]uint64) {
-	for i, key := range keys {
+func (a *AEU) admit(k groupKey, g *group, p *Partition) ([]uint64, []prefixtree.KV) {
+	valid, foreign := a.scratch.valid[:0], a.scratch.foreign[:0]
+	validKVs, foreignKVs := a.scratch.validKVs[:0], a.scratch.foreignKVs[:0]
+	// Deferred members outlive the loop iteration, so they get fresh
+	// slices, never group batches or scratch (rare: only while an inbound
+	// transfer is open).
+	var pend []uint64
+	var pendKVs []prefixtree.KV
+	for _, key := range g.keys {
 		switch {
 		case key < p.Lo || key > p.Hi:
-			*foreign = append(*foreign, key)
+			foreign = append(foreign, key)
 		case a.overlapsAwaited(p.Object, key, key):
-			*deferredIdx = append(*deferredIdx, i)
+			pend = append(pend, key)
 		default:
-			*valid = append(*valid, key)
+			valid = append(valid, key)
 		}
+	}
+	for _, kv := range g.kvs {
+		switch {
+		case kv.Key < p.Lo || kv.Key > p.Hi:
+			foreignKVs = append(foreignKVs, kv)
+		case a.overlapsAwaited(p.Object, kv.Key, kv.Key):
+			pendKVs = append(pendKVs, kv)
+		default:
+			validKVs = append(validKVs, kv)
+		}
+	}
+	a.scratch.valid, a.scratch.foreign = valid, foreign
+	a.scratch.validKVs, a.scratch.foreignKVs = validKVs, foreignKVs
+
+	if n := len(foreign) + len(foreignKVs); n > 0 {
+		a.machine.AdvanceNS(a.Core, forwardNSPerKey*float64(n))
+		a.forward(k, foreign, foreignKVs)
+	}
+	if n := len(pend) + len(pendKVs); n > 0 {
+		a.deferred = append(a.deferred, command.Command{
+			Op: k.op, Object: uint32(k.obj), Source: k.source,
+			ReplyTo: k.replyTo, Tag: k.tag, Keys: pend, KVs: pendKVs, Deadline: k.deadline,
+		})
+		a.deferredCnt.Add(int64(n))
+	}
+	return valid, validKVs
+}
+
+// forward re-routes point-op members to their current owner under the
+// group's reply address, tag and deadline.
+//
+//eris:hotpath
+func (a *AEU) forward(k groupKey, keys []uint64, kvs []prefixtree.KV) {
+	if n := len(keys) + len(kvs); n > 0 {
+		a.Outbox().RouteBatch(k.op, k.obj, keys, kvs, k.replyTo, k.tag, k.deadline)
+		a.forwards.Add(int64(n))
 	}
 }
 
 //eris:hotpath
 func (a *AEU) processLookups(k groupKey, g *group, p *Partition) {
-	valid := a.scratch.valid[:0]
-	foreign := a.scratch.foreign[:0]
-	deferredIdx := a.scratch.deferredIdx[:0]
-	a.splitValid(p, g.keys, &valid, &deferredIdx, &foreign)
-	a.scratch.valid, a.scratch.foreign, a.scratch.deferredIdx = valid, foreign, deferredIdx
-
-	if len(foreign) > 0 {
-		// Invalid commands (stale routing): re-route to the new owner.
-		a.machine.AdvanceNS(a.Core, forwardNSPerKey*float64(len(foreign)))
-		a.Outbox().RouteLookupDeadline(k.obj, foreign, k.replyTo, k.tag, g.deadline)
-		a.forwards.Add(int64(len(foreign)))
-	}
-	if len(deferredIdx) > 0 {
-		// Deferred commands outlive the loop iteration: clone, never alias
-		// group batches or scratch.
-		keys := make([]uint64, len(deferredIdx)) //eris:allowalloc deferred commands outlive the iteration and must own their keys; deferral is a transfer-window edge case
-		for i, idx := range deferredIdx {
-			keys[i] = g.keys[idx]
-		}
-		a.deferred = append(a.deferred, command.Command{
-			Op: command.OpLookup, Object: uint32(k.obj), Source: k.source,
-			ReplyTo: k.replyTo, Tag: k.tag, Keys: keys, Deadline: g.deadline,
-		})
-		a.deferredCnt.Add(int64(len(keys)))
-	}
+	valid, _ := a.admit(k, g, p)
 	if len(valid) == 0 {
 		return
 	}
@@ -577,33 +513,9 @@ func (a *AEU) processLookups(k groupKey, g *group, p *Partition) {
 	a.reply(k, kvs, len(valid))
 }
 
-// processDeletes mirrors processLookups: split by validity, forward stale
-// keys, defer keys whose range is in transit, delete the rest.
-//
 //eris:hotpath
 func (a *AEU) processDeletes(k groupKey, g *group, p *Partition) {
-	valid := a.scratch.valid[:0]
-	foreign := a.scratch.foreign[:0]
-	deferredIdx := a.scratch.deferredIdx[:0]
-	a.splitValid(p, g.keys, &valid, &deferredIdx, &foreign)
-	a.scratch.valid, a.scratch.foreign, a.scratch.deferredIdx = valid, foreign, deferredIdx
-
-	if len(foreign) > 0 {
-		a.machine.AdvanceNS(a.Core, forwardNSPerKey*float64(len(foreign)))
-		a.Outbox().RouteDeleteDeadline(k.obj, foreign, k.replyTo, k.tag, g.deadline)
-		a.forwards.Add(int64(len(foreign)))
-	}
-	if len(deferredIdx) > 0 {
-		keys := make([]uint64, len(deferredIdx)) //eris:allowalloc deferred commands outlive the iteration and must own their keys; deferral is a transfer-window edge case
-		for i, idx := range deferredIdx {
-			keys[i] = g.keys[idx]
-		}
-		a.deferred = append(a.deferred, command.Command{
-			Op: command.OpDelete, Object: uint32(k.obj), Source: k.source,
-			ReplyTo: k.replyTo, Tag: k.tag, Keys: keys, Deadline: g.deadline,
-		})
-		a.deferredCnt.Add(int64(len(keys)))
-	}
+	valid, _ := a.admit(k, g, p)
 	if len(valid) == 0 {
 		return
 	}
@@ -621,34 +533,7 @@ func (a *AEU) processDeletes(k groupKey, g *group, p *Partition) {
 
 //eris:hotpath
 func (a *AEU) processUpserts(k groupKey, g *group, p *Partition) {
-	validKVs := a.scratch.validKVs[:0]
-	foreign := a.scratch.foreignKVs[:0]
-	// pend feeds a deferred command that outlives the iteration, so it is
-	// freshly allocated (rare: only during an inbound transfer).
-	var pend []prefixtree.KV
-	for _, kv := range g.kvs {
-		switch {
-		case kv.Key < p.Lo || kv.Key > p.Hi:
-			foreign = append(foreign, kv)
-		case a.overlapsAwaited(p.Object, kv.Key, kv.Key):
-			pend = append(pend, kv)
-		default:
-			validKVs = append(validKVs, kv)
-		}
-	}
-	a.scratch.validKVs, a.scratch.foreignKVs = validKVs, foreign
-	if len(foreign) > 0 {
-		a.machine.AdvanceNS(a.Core, forwardNSPerKey*float64(len(foreign)))
-		a.Outbox().RouteUpsertDeadline(k.obj, foreign, k.replyTo, k.tag, g.deadline)
-		a.forwards.Add(int64(len(foreign)))
-	}
-	if len(pend) > 0 {
-		a.deferred = append(a.deferred, command.Command{
-			Op: command.OpUpsert, Object: uint32(k.obj), Source: k.source,
-			ReplyTo: k.replyTo, Tag: k.tag, KVs: pend, Deadline: g.deadline,
-		})
-		a.deferredCnt.Add(int64(len(pend)))
-	}
+	_, validKVs := a.admit(k, g, p)
 	if len(validKVs) == 0 {
 		return
 	}
@@ -808,42 +693,28 @@ func (a *AEU) processIndexScans(g *group, p *Partition) {
 //
 //eris:hotpath
 func (a *AEU) forwardGroup(k groupKey, g *group) {
-	switch k.op {
-	case command.OpLookup:
-		if len(g.keys) > 0 {
-			a.Outbox().RouteLookupDeadline(k.obj, g.keys, k.replyTo, k.tag, g.deadline)
-			a.forwards.Add(int64(len(g.keys)))
-		}
-	case command.OpUpsert:
-		if len(g.kvs) > 0 {
-			a.Outbox().RouteUpsertDeadline(k.obj, g.kvs, k.replyTo, k.tag, g.deadline)
-			a.forwards.Add(int64(len(g.kvs)))
-		}
-	case command.OpDelete:
-		if len(g.keys) > 0 {
-			a.Outbox().RouteDeleteDeadline(k.obj, g.keys, k.replyTo, k.tag, g.deadline)
-			a.forwards.Add(int64(len(g.keys)))
-		}
-	case command.OpScan:
-		// A scan reaching a non-holder saw a stale multicast bitmap; the
-		// data lives elsewhere. Answer with an empty result carrying no
-		// coverage so the issuer detects the gap and retries, instead of
-		// waiting for a reply that will never come.
-		for _, c := range g.scans {
-			if c.ReplyTo == command.NoReply {
-				continue
-			}
-			rk := groupKey{obj: routing.ObjectID(c.Object), replyTo: c.ReplyTo, tag: c.Tag, source: c.Source}
-			if c.Limit > 0 {
-				a.reply(rk, nil, 1)
-			} else {
-				kvs := append(a.scratch.replyKVs[:0], prefixtree.KV{})
-				a.scratch.replyKVs = kvs
-				a.reply(rk, kvs, 1)
-			}
-		}
-		a.forwards.Add(int64(len(g.scans)))
+	if k.op != command.OpScan {
+		a.forward(k, g.keys, g.kvs)
+		return
 	}
+	// A scan reaching a non-holder saw a stale multicast bitmap; the data
+	// lives elsewhere. Answer with an empty result carrying no coverage so
+	// the issuer detects the gap and retries, instead of waiting for a
+	// reply that will never come.
+	for _, c := range g.scans {
+		if c.ReplyTo == command.NoReply {
+			continue
+		}
+		rk := groupKey{obj: routing.ObjectID(c.Object), replyTo: c.ReplyTo, tag: c.Tag, source: c.Source}
+		if c.Limit > 0 {
+			a.reply(rk, nil, 1)
+		} else {
+			kvs := append(a.scratch.replyKVs[:0], prefixtree.KV{})
+			a.scratch.replyKVs = kvs
+			a.reply(rk, kvs, 1)
+		}
+	}
+	a.forwards.Add(int64(len(g.scans)))
 }
 
 // reply routes a result to the requester or the engine's client callback.

@@ -55,7 +55,7 @@ func repairs(a *AEU) []awaitedRange {
 // seed upserts kvs through the routing layer and lets every AEU absorb them.
 func (h *harness) seed(t *testing.T, kvs []prefixtree.KV) {
 	t.Helper()
-	h.aeus[0].Outbox().RouteUpsert(testObj, kvs, command.NoReply, 0)
+	h.aeus[0].Outbox().RouteUpsert(testObj, kvs, command.NoReply, 0, 0)
 	h.aeus[0].Outbox().Flush()
 	h.settleAll(t, 20)
 }
@@ -120,7 +120,7 @@ func TestReconcileRepairHealsLostBalance(t *testing.T) {
 
 	// A lookup for the recovering range must be deferred, not answered
 	// from the still-empty tree.
-	a1.Outbox().RouteLookup(testObj, []uint64{260}, ClientReply, 1)
+	a1.Outbox().RouteLookup(testObj, []uint64{260}, ClientReply, 1, 0)
 	a1.Outbox().Flush()
 	a1.Settle()
 	mu.Lock()
@@ -223,7 +223,7 @@ func TestBalanceAfterLostBalanceRepairsGap(t *testing.T) {
 
 	// A lookup into the gap must wait for the repair, not read the empty
 	// tree.
-	a1.Outbox().RouteLookup(testObj, []uint64{260}, ClientReply, 1)
+	a1.Outbox().RouteLookup(testObj, []uint64{260}, ClientReply, 1, 0)
 	a1.Outbox().Flush()
 	a1.Settle()
 	mu.Lock()
@@ -469,8 +469,8 @@ func TestAwaitedRangesArePerObject(t *testing.T) {
 		t.Fatalf("awaited = %+v: want key 450 awaited for object A only", a1.awaited)
 	}
 
-	a1.Outbox().RouteLookup(testObj, []uint64{450}, ClientReply, 1)
-	a1.Outbox().RouteLookup(objB, []uint64{450}, ClientReply, 2)
+	a1.Outbox().RouteLookup(testObj, []uint64{450}, ClientReply, 1, 0)
+	a1.Outbox().RouteLookup(objB, []uint64{450}, ClientReply, 2, 0)
 	a1.Outbox().Flush()
 	a1.Step()
 	mu.Lock()
@@ -605,7 +605,7 @@ func TestSettleIsStep(t *testing.T) {
 		Balance: &command.Balance{Epoch: 1, NewLo: 400, NewHi: 999,
 			Fetches: []command.Fetch{{From: 0, Lo: 400, Hi: 499}}},
 	})
-	a1.Outbox().RouteLookup(testObj, []uint64{420}, ClientReply, 1)
+	a1.Outbox().RouteLookup(testObj, []uint64{420}, ClientReply, 1, 0)
 	a1.Outbox().Flush()
 	if !a1.Settle() || len(a1.deferred) != 1 {
 		t.Fatalf("lookup into the granted range: deferred = %d, want 1", len(a1.deferred))

@@ -110,45 +110,92 @@ func deadlineOf(ctx context.Context) uint64 {
 	return 0
 }
 
-// Lookup synchronously looks up keys in an index object and returns the
-// found pairs. The engine must be started.
-func (e *Engine) Lookup(id routing.ObjectID, keys []uint64) ([]prefixtree.KV, error) {
-	return e.LookupCtx(context.Background(), id, keys)
+// call is the bracket every synchronous client call shares: it registers
+// want answer units under a fresh tag, injects each command at the AEU its
+// Source names with the client reply address, the tag and ctx's deadline
+// stamped on, and waits until every unit is answered. No commands means
+// nothing to wait for.
+func (e *Engine) call(ctx context.Context, want int, cmds []command.Command) (*pendingOp, error) {
+	if len(cmds) == 0 {
+		return &pendingOp{}, nil
+	}
+	tag, p, err := e.newPending(want)
+	if err != nil {
+		return nil, err
+	}
+	deadline := deadlineOf(ctx)
+	for i := range cmds {
+		c := &cmds[i]
+		c.ReplyTo, c.Tag, c.Deadline = aeu.ClientReply, tag, deadline
+		e.router.Inject(c.Source, c)
+	}
+	if err := e.await(ctx, p, tag); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
-// LookupCtx is Lookup bounded by ctx: its deadline rides the issued
-// commands (so the AEUs can expire deferred work) and cancels the wait.
-func (e *Engine) LookupCtx(ctx context.Context, id routing.ObjectID, keys []uint64) ([]prefixtree.KV, error) {
+// index validates a call named what on object id: the engine must be
+// started and id must be an index.
+func (e *Engine) index(what string, id routing.ObjectID) (*objectMeta, error) {
 	if !e.started {
-		return nil, fmt.Errorf("core: Lookup before Start")
+		return nil, fmt.Errorf("core: %s before Start", what)
 	}
 	meta := e.objects[id]
 	if meta == nil || meta.kind != routing.RangePartitioned {
 		return nil, fmt.Errorf("core: object %d is not an index", id)
 	}
-	// Split by owner (the client does its own routing-table lookup).
-	byOwner := make(map[uint32][]uint64)
-	for _, k := range keys {
-		if k >= meta.domain {
-			return nil, fmt.Errorf("core: key %d outside domain %d", k, meta.domain)
-		}
-		o := e.router.Owner(id, k)
-		byOwner[o] = append(byOwner[o], k)
-	}
-	if len(byOwner) == 0 {
-		return nil, nil
-	}
-	tag, p, err := e.newPending(len(keys))
+	return meta, nil
+}
+
+// pointCall is the one path of the point operations: validate the batch
+// against index id, split it by owner (the client does its own
+// routing-table lookup) and run one command per owner as a single call.
+// keys carries a lookup or delete batch, kvs an upsert batch.
+func (e *Engine) pointCall(ctx context.Context, what string, op command.Op, id routing.ObjectID, keys []uint64, kvs []prefixtree.KV) (*pendingOp, error) {
+	meta, err := e.index(what, id)
 	if err != nil {
 		return nil, err
 	}
-	for owner, ks := range byOwner {
-		e.router.Inject(owner, &command.Command{
-			Op: command.OpLookup, Object: uint32(id), Source: owner,
-			ReplyTo: aeu.ClientReply, Tag: tag, Keys: ks, Deadline: deadlineOf(ctx),
-		})
+	n := len(keys)
+	if op == command.OpUpsert {
+		n = len(kvs)
 	}
-	if err := e.await(ctx, p, tag); err != nil {
+	var cmds []command.Command
+	at := map[uint32]int{} // owner -> its command in cmds
+	for i := 0; i < n; i++ {
+		var key uint64
+		if op == command.OpUpsert {
+			key = kvs[i].Key
+		} else {
+			key = keys[i]
+		}
+		if key >= meta.domain {
+			return nil, fmt.Errorf("core: key %d outside domain %d", key, meta.domain)
+		}
+		o := e.router.Owner(id, key)
+		j, ok := at[o]
+		if !ok {
+			j = len(cmds)
+			at[o] = j
+			cmds = append(cmds, command.Command{Op: op, Object: uint32(id), Source: o})
+		}
+		if op == command.OpUpsert {
+			cmds[j].KVs = append(cmds[j].KVs, kvs[i])
+		} else {
+			cmds[j].Keys = append(cmds[j].Keys, key)
+		}
+	}
+	return e.call(ctx, n, cmds)
+}
+
+// LookupCtx synchronously looks up keys in an index object and returns the
+// found pairs sorted by key. ctx's deadline rides the issued commands (so
+// the AEUs can expire deferred work) and bounds the wait. The engine must
+// be started.
+func (e *Engine) LookupCtx(ctx context.Context, id routing.ObjectID, keys []uint64) ([]prefixtree.KV, error) {
+	p, err := e.pointCall(ctx, "Lookup", command.OpLookup, id, keys, nil)
+	if err != nil {
 		return nil, err
 	}
 	out := flatten(p.replies)
@@ -156,81 +203,18 @@ func (e *Engine) LookupCtx(ctx context.Context, id routing.ObjectID, keys []uint
 	return out, nil
 }
 
-// Upsert synchronously inserts or overwrites pairs in an index object.
-func (e *Engine) Upsert(id routing.ObjectID, kvs []prefixtree.KV) error {
-	return e.UpsertCtx(context.Background(), id, kvs)
-}
-
-// UpsertCtx is Upsert bounded by ctx; see LookupCtx.
+// UpsertCtx synchronously inserts or overwrites pairs in an index object;
+// ctx as in LookupCtx.
 func (e *Engine) UpsertCtx(ctx context.Context, id routing.ObjectID, kvs []prefixtree.KV) error {
-	if !e.started {
-		return fmt.Errorf("core: Upsert before Start")
-	}
-	meta := e.objects[id]
-	if meta == nil || meta.kind != routing.RangePartitioned {
-		return fmt.Errorf("core: object %d is not an index", id)
-	}
-	byOwner := make(map[uint32][]prefixtree.KV)
-	for _, kv := range kvs {
-		if kv.Key >= meta.domain {
-			return fmt.Errorf("core: key %d outside domain %d", kv.Key, meta.domain)
-		}
-		o := e.router.Owner(id, kv.Key)
-		byOwner[o] = append(byOwner[o], kv)
-	}
-	if len(byOwner) == 0 {
-		return nil
-	}
-	tag, p, err := e.newPending(len(kvs))
-	if err != nil {
-		return err
-	}
-	for owner, part := range byOwner {
-		e.router.Inject(owner, &command.Command{
-			Op: command.OpUpsert, Object: uint32(id), Source: owner,
-			ReplyTo: aeu.ClientReply, Tag: tag, KVs: part, Deadline: deadlineOf(ctx),
-		})
-	}
-	return e.await(ctx, p, tag)
+	_, err := e.pointCall(ctx, "Upsert", command.OpUpsert, id, nil, kvs)
+	return err
 }
 
-// Delete synchronously removes keys from an index object; keys that are
-// not present are ignored.
-func (e *Engine) Delete(id routing.ObjectID, keys []uint64) error {
-	return e.DeleteCtx(context.Background(), id, keys)
-}
-
-// DeleteCtx is Delete bounded by ctx; see LookupCtx.
+// DeleteCtx synchronously removes keys from an index object; keys that are
+// not present are ignored. ctx as in LookupCtx.
 func (e *Engine) DeleteCtx(ctx context.Context, id routing.ObjectID, keys []uint64) error {
-	if !e.started {
-		return fmt.Errorf("core: Delete before Start")
-	}
-	meta := e.objects[id]
-	if meta == nil || meta.kind != routing.RangePartitioned {
-		return fmt.Errorf("core: object %d is not an index", id)
-	}
-	byOwner := make(map[uint32][]uint64)
-	for _, k := range keys {
-		if k >= meta.domain {
-			return fmt.Errorf("core: key %d outside domain %d", k, meta.domain)
-		}
-		o := e.router.Owner(id, k)
-		byOwner[o] = append(byOwner[o], k)
-	}
-	if len(byOwner) == 0 {
-		return nil
-	}
-	tag, p, err := e.newPending(len(keys))
-	if err != nil {
-		return err
-	}
-	for owner, ks := range byOwner {
-		e.router.Inject(owner, &command.Command{
-			Op: command.OpDelete, Object: uint32(id), Source: owner,
-			ReplyTo: aeu.ClientReply, Tag: tag, Keys: ks, Deadline: deadlineOf(ctx),
-		})
-	}
-	return e.await(ctx, p, tag)
+	_, err := e.pointCall(ctx, "Delete", command.OpDelete, id, keys, nil)
+	return err
 }
 
 // ScanAggregate is the result of a synchronous scan: how many values
@@ -240,28 +224,48 @@ type ScanAggregate struct {
 	Sum     uint64
 }
 
-// Scan synchronously runs a filtered scan over an object, aggregating
-// across all partitions. Index objects delegate to ScanRange over the full
-// domain, so they share its exactness guarantee under active balancing.
-func (e *Engine) Scan(id routing.ObjectID, pred colstore.Predicate) (ScanAggregate, error) {
-	return e.ScanCtx(context.Background(), id, pred)
+// Scan retries: how often a scan whose fan-out overlapped a balancing step
+// is re-issued before giving up, and the pause between attempts. The
+// overlap is transient — it ends as soon as the in-flight transfer lands —
+// so the backoff is short.
+const (
+	scanRetries = 64
+	scanBackoff = 200 * time.Microsecond
+)
+
+// retryScan is the retry loop of both scan kinds: it re-runs once until an
+// attempt reports a result it can trust, pausing scanBackoff in between.
+// An untrusted aggregate is never returned: running out of attempts is an
+// error, and so is ctx ending first (ErrDeadlineExceeded). what names the
+// scan in errors.
+func retryScan(ctx context.Context, what string, once func() (agg ScanAggregate, trusted bool, err error)) (ScanAggregate, error) {
+	for attempt := 0; ; attempt++ {
+		agg, trusted, err := once()
+		if err != nil || trusted {
+			return agg, err
+		}
+		if attempt >= scanRetries {
+			return ScanAggregate{}, fmt.Errorf("core: %s found no consistent cut in %d attempts", what, attempt+1)
+		}
+		select {
+		case <-ctx.Done():
+			return ScanAggregate{}, fmt.Errorf("core: %s: %w", what, ErrDeadlineExceeded)
+		case <-time.After(scanBackoff):
+		}
+	}
 }
 
-// colScanRetries bounds how often a column scan re-runs its fan-out when
-// rebalancing overlapped it; bursts of balance cycles are short, so a
-// handful of retries normally finds a quiet window well before the
-// context deadline does.
-const colScanRetries = 32
-
-// ScanCtx is Scan bounded by ctx; see LookupCtx.
+// ScanCtx synchronously runs a filtered scan over an object, aggregating
+// across all partitions; ctx as in LookupCtx. Index objects delegate to
+// ScanRangeCtx over the full domain, so they share its exactness guarantee
+// under active balancing.
 func (e *Engine) ScanCtx(ctx context.Context, id routing.ObjectID, pred colstore.Predicate) (ScanAggregate, error) {
-	var agg ScanAggregate
 	if !e.started {
-		return agg, fmt.Errorf("core: Scan before Start")
+		return ScanAggregate{}, fmt.Errorf("core: Scan before Start")
 	}
 	meta := e.objects[id]
 	if meta == nil {
-		return agg, fmt.Errorf("core: unknown object %d", id)
+		return ScanAggregate{}, fmt.Errorf("core: unknown object %d", id)
 	}
 	if meta.kind == routing.RangePartitioned {
 		return e.ScanRangeCtx(ctx, id, 0, meta.domain-1, pred)
@@ -269,19 +273,17 @@ func (e *Engine) ScanCtx(ctx context.Context, id routing.ObjectID, pred colstore
 	// The fan-out samples each AEU's partition at a different moment, so a
 	// tail detached from one AEU after its reply and linked at another
 	// before that one's reply is counted twice — or, parked in a mailbox,
-	// not at all. Bracket the fan-out with transfer-state stamps and retry
-	// until a scan saw a quiet window.
-	for attempt := 0; ; attempt++ {
+	// not at all. Only a fan-out bracketed by two equal transfer stamps
+	// with nothing in flight is trusted. The predicate's value bounds ride
+	// the command (see colstore.SpecOf) for zone-map pruning.
+	spec := colstore.SpecOf(pred)
+	scan := command.Command{Op: command.OpScan, Object: uint32(id), Pred: pred, Keys: []uint64{spec.Lo, spec.Hi}}
+	return retryScan(ctx, fmt.Sprintf("column scan of object %d", id), func() (ScanAggregate, bool, error) {
 		gen1, inf1 := e.xferStamp(id)
-		once, err := e.scanColumnOnce(ctx, id, pred)
-		if err != nil {
-			return agg, err
-		}
+		agg, _, err := e.scanOnce(ctx, scan, e.router.Holders(id, nil))
 		gen2, inf2 := e.xferStamp(id)
-		if (gen1 == gen2 && inf1 == 0 && inf2 == 0) || attempt >= colScanRetries || ctx.Err() != nil {
-			return once, nil
-		}
-	}
+		return agg, gen1 == gen2 && inf1 == 0 && inf2 == 0, err
+	})
 }
 
 // xferStamp sums the transfer generation and in-flight payload count of id
@@ -297,115 +299,25 @@ func (e *Engine) xferStamp(id routing.ObjectID) (gen, inflight int64) {
 	return gen, inflight
 }
 
-// scanColumnOnce runs one column-scan fan-out over the current holders and
-// aggregates the replies.
-func (e *Engine) scanColumnOnce(ctx context.Context, id routing.ObjectID, pred colstore.Predicate) (ScanAggregate, error) {
-	var agg ScanAggregate
-	targets := e.router.Holders(id, nil)
-	if len(targets) == 0 {
-		return agg, nil
+// multicast sends a copy of the scan command to every target and waits for
+// one reply from each.
+func (e *Engine) multicast(ctx context.Context, scan command.Command, targets []uint32) (*pendingOp, error) {
+	cmds := make([]command.Command, len(targets))
+	for i, owner := range targets {
+		cmds[i] = scan
+		cmds[i].Source = owner
 	}
-	tag, p, err := e.newPending(len(targets))
+	return e.call(ctx, len(targets), cmds)
+}
+
+// scanOnce runs one aggregate scan fan-out and sums the {matched, sum}
+// heads of the replies. Index replies follow the head with the key
+// interval they inspected; those are returned as cover.
+func (e *Engine) scanOnce(ctx context.Context, scan command.Command, targets []uint32) (agg ScanAggregate, cover []prefixtree.KV, err error) {
+	p, err := e.multicast(ctx, scan, targets)
 	if err != nil {
-		return agg, err
+		return agg, nil, err
 	}
-	vlo, vhi, vok := pred.Bounds()
-	if !vok {
-		vlo, vhi = 1, 0
-	}
-	for _, owner := range targets {
-		e.router.Inject(owner, &command.Command{
-			Op: command.OpScan, Object: uint32(id), Source: owner,
-			ReplyTo: aeu.ClientReply, Tag: tag, Pred: pred,
-			Keys: []uint64{vlo, vhi}, Deadline: deadlineOf(ctx),
-		})
-	}
-	if err := e.await(ctx, p, tag); err != nil {
-		return agg, err
-	}
-	for _, kvs := range p.replies {
-		if len(kvs) > 0 {
-			agg.Matched += kvs[0].Key
-			agg.Sum += kvs[0].Value
-		}
-	}
-	return agg, nil
-}
-
-// Scan cover retries: how often a range scan whose replies left a gap in
-// (or overlapped) the requested range is re-issued before giving up, and
-// the pause between attempts. Gaps are transient — they close as soon as
-// the in-flight balancing step lands — so the backoff is short.
-const (
-	scanCoverRetries = 64
-	scanCoverBackoff = 200 * time.Microsecond
-)
-
-// ScanRange synchronously scans an index object over [lo, hi] (inclusive),
-// aggregating values matching pred. The result is exact even while the
-// load balancer is moving partition bounds: every reply reports the key
-// interval it actually inspected, and the scan is re-issued until the
-// intervals tile the requested range exactly (no gap, no double count).
-func (e *Engine) ScanRange(id routing.ObjectID, lo, hi uint64, pred colstore.Predicate) (ScanAggregate, error) {
-	return e.ScanRangeCtx(context.Background(), id, lo, hi, pred)
-}
-
-// ScanRangeCtx is ScanRange bounded by ctx; see LookupCtx. The cover-retry
-// loop also stops at the deadline instead of burning its full retry budget.
-func (e *Engine) ScanRangeCtx(ctx context.Context, id routing.ObjectID, lo, hi uint64, pred colstore.Predicate) (ScanAggregate, error) {
-	var agg ScanAggregate
-	if !e.started {
-		return agg, fmt.Errorf("core: ScanRange before Start")
-	}
-	meta := e.objects[id]
-	if meta == nil || meta.kind != routing.RangePartitioned {
-		return agg, fmt.Errorf("core: object %d is not an index", id)
-	}
-	if hi > meta.domain-1 {
-		hi = meta.domain - 1
-	}
-	if lo > hi {
-		return agg, nil
-	}
-	for attempt := 0; ; attempt++ {
-		agg, covered, err := e.scanRangeOnce(ctx, id, lo, hi, pred)
-		if err != nil || covered {
-			return agg, err
-		}
-		if attempt >= scanCoverRetries {
-			return agg, fmt.Errorf("core: range scan over [%d, %d] found no consistent cover in %d attempts", lo, hi, attempt+1)
-		}
-		select {
-		case <-ctx.Done():
-			return agg, fmt.Errorf("core: range scan over [%d, %d]: %w", lo, hi, ErrDeadlineExceeded)
-		case <-time.After(scanCoverBackoff):
-		}
-	}
-}
-
-// scanRangeOnce issues one multicast range scan and reports whether the
-// reply coverage tiled [lo, hi] exactly; only then is agg trustworthy.
-func (e *Engine) scanRangeOnce(ctx context.Context, id routing.ObjectID, lo, hi uint64, pred colstore.Predicate) (ScanAggregate, bool, error) {
-	var agg ScanAggregate
-	targets := e.rangeTargets(id)
-	if len(targets) == 0 {
-		return agg, false, nil
-	}
-	tag, p, err := e.newPending(len(targets))
-	if err != nil {
-		return agg, false, err
-	}
-	for _, owner := range targets {
-		e.router.Inject(owner, &command.Command{
-			Op: command.OpScan, Object: uint32(id), Source: owner,
-			ReplyTo: aeu.ClientReply, Tag: tag, Pred: pred, Keys: []uint64{lo, hi},
-			Deadline: deadlineOf(ctx),
-		})
-	}
-	if err := e.await(ctx, p, tag); err != nil {
-		return agg, false, err
-	}
-	var cover []prefixtree.KV // Key=lo, Value=hi of one inspected interval
 	for _, kvs := range p.replies {
 		if len(kvs) == 0 {
 			continue
@@ -414,7 +326,29 @@ func (e *Engine) scanRangeOnce(ctx context.Context, id routing.ObjectID, lo, hi 
 		agg.Sum += kvs[0].Value
 		cover = append(cover, kvs[1:]...)
 	}
-	return agg, coversExactly(cover, lo, hi), nil
+	return agg, cover, nil
+}
+
+// ScanRangeCtx synchronously scans an index object over [lo, hi]
+// (inclusive), aggregating values matching pred; ctx as in LookupCtx. The
+// result is exact even while the load balancer is moving partition bounds:
+// every reply reports the key interval it actually inspected, and the scan
+// is re-issued until the intervals tile the requested range exactly (no
+// gap, no double count).
+func (e *Engine) ScanRangeCtx(ctx context.Context, id routing.ObjectID, lo, hi uint64, pred colstore.Predicate) (ScanAggregate, error) {
+	meta, err := e.index("ScanRange", id)
+	if err != nil {
+		return ScanAggregate{}, err
+	}
+	hi = min(hi, meta.domain-1)
+	if lo > hi {
+		return ScanAggregate{}, nil
+	}
+	scan := command.Command{Op: command.OpScan, Object: uint32(id), Pred: pred, Keys: []uint64{lo, hi}}
+	return retryScan(ctx, fmt.Sprintf("range scan over [%d, %d]", lo, hi), func() (ScanAggregate, bool, error) {
+		agg, cover, err := e.scanOnce(ctx, scan, e.rangeTargets(id))
+		return agg, coversExactly(cover, lo, hi), err
+	})
 }
 
 // coversExactly reports whether the intervals tile [lo, hi] with no gap
@@ -448,43 +382,22 @@ func (e *Engine) rangeTargets(id routing.ObjectID) []uint32 {
 	return targets
 }
 
-// ScanRangeRows materializes up to limit matching rows of an index range
+// ScanRangeRowsCtx materializes up to limit matching rows of an index range
 // scan over [lo, hi] (inclusive), sorted by key — the query-processing
-// primitive for intermediate results. Unlike the aggregate ScanRange, rows
-// mode is best effort while a balancing step is in flight: rows of a range
-// whose transfer has not landed yet may be missing from the result.
-func (e *Engine) ScanRangeRows(id routing.ObjectID, lo, hi uint64, pred colstore.Predicate, limit int) ([]prefixtree.KV, error) {
-	return e.ScanRangeRowsCtx(context.Background(), id, lo, hi, pred, limit)
-}
-
-// ScanRangeRowsCtx is ScanRangeRows bounded by ctx; see LookupCtx.
+// primitive for intermediate results; ctx as in LookupCtx. Unlike the
+// aggregate ScanRangeCtx, rows mode is best effort while a balancing step
+// is in flight: rows of a range whose transfer has not landed yet may be
+// missing from the result.
 func (e *Engine) ScanRangeRowsCtx(ctx context.Context, id routing.ObjectID, lo, hi uint64, pred colstore.Predicate, limit int) ([]prefixtree.KV, error) {
-	if !e.started {
-		return nil, fmt.Errorf("core: ScanRangeRows before Start")
+	if _, err := e.index("ScanRangeRows", id); err != nil {
+		return nil, err
 	}
 	if limit <= 0 {
 		return nil, fmt.Errorf("core: ScanRangeRows needs a positive limit")
 	}
-	meta := e.objects[id]
-	if meta == nil || meta.kind != routing.RangePartitioned {
-		return nil, fmt.Errorf("core: object %d is not an index", id)
-	}
-	targets := e.rangeTargets(id)
-	if len(targets) == 0 {
-		return nil, nil
-	}
-	tag, p, err := e.newPending(len(targets))
+	scan := command.Command{Op: command.OpScan, Object: uint32(id), Pred: pred, Keys: []uint64{lo, hi}, Limit: uint32(limit)}
+	p, err := e.multicast(ctx, scan, e.rangeTargets(id))
 	if err != nil {
-		return nil, err
-	}
-	for _, owner := range targets {
-		e.router.Inject(owner, &command.Command{
-			Op: command.OpScan, Object: uint32(id), Source: owner,
-			ReplyTo: aeu.ClientReply, Tag: tag, Pred: pred,
-			Keys: []uint64{lo, hi}, Limit: uint32(limit), Deadline: deadlineOf(ctx),
-		})
-	}
-	if err := e.await(ctx, p, tag); err != nil {
 		return nil, err
 	}
 	rows := flatten(p.replies)

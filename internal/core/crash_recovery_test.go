@@ -295,7 +295,7 @@ func TestCheckpointDuringBalance(t *testing.T) {
 			kvs := []prefixtree.KV{
 				{Key: uint64(rng.Intn(crInitialN)), Value: uint64(i)},
 			}
-			_ = e.Upsert(crIdx, kvs)
+			_ = e.UpsertCtx(context.Background(), crIdx, kvs)
 		}
 	}()
 

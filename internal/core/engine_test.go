@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -54,7 +56,7 @@ func TestEngineLifecycleAndClientOps(t *testing.T) {
 	}
 
 	// Lookup found and missing keys.
-	kvs, err := e.Lookup(idxObj, []uint64{5, 999, 1500})
+	kvs, err := e.LookupCtx(context.Background(), idxObj, []uint64{5, 999, 1500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +65,10 @@ func TestEngineLifecycleAndClientOps(t *testing.T) {
 	}
 
 	// Upsert then re-read.
-	if err := e.Upsert(idxObj, []prefixtree.KV{{Key: 1500, Value: 77}, {Key: 5, Value: 11}}); err != nil {
+	if err := e.UpsertCtx(context.Background(), idxObj, []prefixtree.KV{{Key: 1500, Value: 77}, {Key: 5, Value: 11}}); err != nil {
 		t.Fatal(err)
 	}
-	kvs, err = e.Lookup(idxObj, []uint64{5, 1500})
+	kvs, err = e.LookupCtx(context.Background(), idxObj, []uint64{5, 1500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +77,7 @@ func TestEngineLifecycleAndClientOps(t *testing.T) {
 	}
 
 	// Column scan: values 0..499 per AEU, 4 AEUs.
-	agg, err := e.Scan(colObj, colstore.Predicate{Op: colstore.Less, Operand: 100})
+	agg, err := e.ScanCtx(context.Background(), colObj, colstore.Predicate{Op: colstore.Less, Operand: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +86,7 @@ func TestEngineLifecycleAndClientOps(t *testing.T) {
 	}
 
 	// Index range scan.
-	ragg, err := e.ScanRange(idxObj, 10, 19, colstore.Predicate{Op: colstore.All})
+	ragg, err := e.ScanRangeCtx(context.Background(), idxObj, 10, 19, colstore.Predicate{Op: colstore.All})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +95,7 @@ func TestEngineLifecycleAndClientOps(t *testing.T) {
 	}
 
 	// Row-returning index scan (query-processing primitive).
-	rows, err := e.ScanRangeRows(idxObj, 10, 19, colstore.Predicate{Op: colstore.All}, 100)
+	rows, err := e.ScanRangeRowsCtx(context.Background(), idxObj, 10, 19, colstore.Predicate{Op: colstore.All}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,14 +103,14 @@ func TestEngineLifecycleAndClientOps(t *testing.T) {
 		t.Fatalf("rows = %+v", rows)
 	}
 	// The limit caps the materialized result.
-	rows, err = e.ScanRangeRows(idxObj, 0, 999, colstore.Predicate{Op: colstore.All}, 5)
+	rows, err = e.ScanRangeRowsCtx(context.Background(), idxObj, 0, 999, colstore.Predicate{Op: colstore.All}, 5)
 	if err != nil || len(rows) != 5 {
 		t.Fatalf("limited rows = %d, %v", len(rows), err)
 	}
-	if _, err := e.ScanRangeRows(idxObj, 0, 9, colstore.Predicate{}, 0); err == nil {
+	if _, err := e.ScanRangeRowsCtx(context.Background(), idxObj, 0, 9, colstore.Predicate{}, 0); err == nil {
 		t.Fatal("zero limit accepted")
 	}
-	if _, err := e.ScanRangeRows(colObj, 0, 9, colstore.Predicate{}, 5); err == nil {
+	if _, err := e.ScanRangeRowsCtx(context.Background(), colObj, 0, 9, colstore.Predicate{}, 5); err == nil {
 		t.Fatal("rows scan on column accepted")
 	}
 	e.Stop()
@@ -130,7 +132,7 @@ func TestEngineErrors(t *testing.T) {
 	if err := e.CreateIndex(idxObj, 1000); err == nil {
 		t.Error("duplicate object accepted")
 	}
-	if _, err := e.Lookup(idxObj, []uint64{1}); err == nil {
+	if _, err := e.LookupCtx(context.Background(), idxObj, []uint64{1}); err == nil {
 		t.Error("lookup before start accepted")
 	}
 	if err := e.Start(); err != nil {
@@ -139,11 +141,52 @@ func TestEngineErrors(t *testing.T) {
 	if err := e.CreateColumn(colObj); err == nil {
 		t.Error("DDL after start accepted")
 	}
-	if _, err := e.Lookup(colObj, []uint64{1}); err == nil {
+	if _, err := e.LookupCtx(context.Background(), colObj, []uint64{1}); err == nil {
 		t.Error("lookup on unknown object accepted")
 	}
-	if _, err := e.Lookup(idxObj, []uint64{5000}); err == nil {
+	if _, err := e.LookupCtx(context.Background(), idxObj, []uint64{5000}); err == nil {
 		t.Error("out-of-domain key accepted")
+	}
+}
+
+// TestScanRetryNeverReturnsUntrustedAggregate feeds the retry loop shared
+// by column and range scans an attempt that never sees a quiet window, as
+// a fan-out that always overlaps a transfer would: the scan must fail
+// instead of returning the overlapped aggregate, and a ctx that ends
+// mid-retry must fail it with ErrDeadlineExceeded.
+func TestScanRetryNeverReturnsUntrustedAggregate(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration // 0 = no deadline
+	}{
+		{"attempts_exhausted", 0},
+		{"deadline_mid_retry", 2 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			if tc.timeout > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, tc.timeout)
+				defer cancel()
+			}
+			attempts := 0
+			agg, err := retryScan(ctx, "test scan", func() (ScanAggregate, bool, error) {
+				attempts++
+				return ScanAggregate{Matched: 7, Sum: 7}, false, nil
+			})
+			if err == nil || agg != (ScanAggregate{}) {
+				t.Fatalf("never-quiet scan returned (%+v, %v), want an error and no value", agg, err)
+			}
+			if tc.timeout == 0 {
+				if errors.Is(err, ErrDeadlineExceeded) || attempts != scanRetries+1 {
+					t.Fatalf("err %v after %d attempts, want the retry budget of %d spent", err, attempts, scanRetries+1)
+				}
+				return
+			}
+			if !errors.Is(err, ErrDeadlineExceeded) || attempts > scanRetries {
+				t.Fatalf("err %v after %d attempts, want ErrDeadlineExceeded before the budget ran out", err, attempts)
+			}
+		})
 	}
 }
 

@@ -51,7 +51,7 @@ func (g *LookupGenerator) Generate(a *aeu.AEU) bool {
 		return false
 	}
 	workload.FillBatch(g.Keys, a.Rng, elapsed, g.buf)
-	a.Outbox().RouteLookup(g.Object, g.buf, command.NoReply, 0)
+	a.Outbox().RouteLookup(g.Object, g.buf, command.NoReply, 0, 0)
 	return true
 }
 
@@ -92,7 +92,7 @@ func (g *UpsertGenerator) Generate(a *aeu.AEU) bool {
 	for i, k := range g.keys {
 		g.buf[i] = prefixtree.KV{Key: k, Value: k}
 	}
-	a.Outbox().RouteUpsert(g.Object, g.buf, command.NoReply, 0)
+	a.Outbox().RouteUpsert(g.Object, g.buf, command.NoReply, 0, 0)
 	return true
 }
 
@@ -217,7 +217,7 @@ func (g *RawRoutingGenerator) Generate(a *aeu.AEU) bool {
 		for i := range g.buf {
 			g.buf[i] = uint64(a.Rng.Int63n(int64(g.Domain)))
 		}
-		a.Outbox().RouteLookup(g.Object, g.buf, command.NoReply, 0)
+		a.Outbox().RouteLookup(g.Object, g.buf, command.NoReply, 0, 0)
 	}
 	return true
 }
@@ -254,6 +254,6 @@ func (g *DynamicLookupGenerator) Generate(a *aeu.AEU) bool {
 		return false
 	}
 	workload.FillBatch(g.Schedule, a.Rng, elapsed, g.buf)
-	a.Outbox().RouteLookup(g.Object, g.buf, command.NoReply, 0)
+	a.Outbox().RouteLookup(g.Object, g.buf, command.NoReply, 0, 0)
 	return true
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -38,11 +39,11 @@ func TestStopWithInFlightOps(t *testing.T) {
 				var err error
 				switch i % 3 {
 				case 0:
-					_, err = e.Lookup(idxObj, keys)
+					_, err = e.LookupCtx(context.Background(), idxObj, keys)
 				case 1:
-					err = e.Upsert(idxObj, []prefixtree.KV{{Key: uint64(w*1000 + i), Value: 1}})
+					err = e.UpsertCtx(context.Background(), idxObj, []prefixtree.KV{{Key: uint64(w*1000 + i), Value: 1}})
 				default:
-					err = e.Delete(idxObj, []uint64{uint64(w*1000 + i - 1)})
+					err = e.DeleteCtx(context.Background(), idxObj, []uint64{uint64(w*1000 + i - 1)})
 				}
 				if err != nil {
 					if !errors.Is(err, ErrClosed) {
@@ -71,10 +72,10 @@ func TestStopWithInFlightOps(t *testing.T) {
 	}
 
 	// New calls are refused immediately.
-	if _, err := e.Lookup(idxObj, []uint64{1}); !errors.Is(err, ErrClosed) {
+	if _, err := e.LookupCtx(context.Background(), idxObj, []uint64{1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Lookup after Stop = %v, want ErrClosed", err)
 	}
-	if err := e.Upsert(idxObj, []prefixtree.KV{{Key: 1, Value: 1}}); !errors.Is(err, ErrClosed) {
+	if err := e.UpsertCtx(context.Background(), idxObj, []prefixtree.KV{{Key: 1, Value: 1}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Upsert after Stop = %v, want ErrClosed", err)
 	}
 

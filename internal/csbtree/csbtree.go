@@ -212,23 +212,6 @@ func (t *Tree) LookupBatchSorted(keys []uint64, owners []uint32) {
 	}
 }
 
-// Range appends to dst every entry whose key range intersects [lo, hi]
-// (inclusive) and returns the result; used for routing multicast range
-// scans to all owning AEUs.
-func (t *Tree) Range(dst []Entry, lo, hi uint64) []Entry {
-	if hi < lo {
-		return dst
-	}
-	i := t.lookupIndex(lo)
-	for ; i < len(t.leaves); i++ {
-		if t.leaves[i].Low > hi {
-			break
-		}
-		dst = append(dst, t.leaves[i])
-	}
-	return dst
-}
-
 // Validate checks internal consistency against the entry array; used by
 // tests and debug builds.
 func (t *Tree) Validate() error {
@@ -302,18 +285,4 @@ func (f *Flat) LookupBatchSorted(keys []uint64, owners []uint32) {
 		}
 		owners[i] = f.entries[idx].Owner
 	}
-}
-
-// Range appends intersecting entries, as Tree.Range.
-func (f *Flat) Range(dst []Entry, lo, hi uint64) []Entry {
-	if hi < lo {
-		return dst
-	}
-	for i := flatLookup(f.entries, lo); i < len(f.entries); i++ {
-		if f.entries[i].Low > hi {
-			break
-		}
-		dst = append(dst, f.entries[i])
-	}
-	return dst
 }

@@ -118,54 +118,6 @@ func TestRandomBoundariesProperty(t *testing.T) {
 	}
 }
 
-func TestRange(t *testing.T) {
-	entries := []Entry{{0, 0}, {100, 1}, {200, 2}, {300, 3}}
-	tr := MustBuild(entries)
-	got := tr.Range(nil, 150, 250)
-	if len(got) != 2 || got[0].Owner != 1 || got[1].Owner != 2 {
-		t.Errorf("Range(150,250) = %+v", got)
-	}
-	got = tr.Range(nil, 0, ^uint64(0))
-	if len(got) != 4 {
-		t.Errorf("full range returned %d entries", len(got))
-	}
-	got = tr.Range(nil, 100, 100)
-	if len(got) != 1 || got[0].Owner != 1 {
-		t.Errorf("point range = %+v", got)
-	}
-	if got := tr.Range(nil, 10, 5); got != nil {
-		t.Errorf("inverted range = %+v", got)
-	}
-	// Range starting inside an entry includes that entry.
-	got = tr.Range(nil, 250, 260)
-	if len(got) != 1 || got[0].Owner != 2 {
-		t.Errorf("inner range = %+v", got)
-	}
-}
-
-func TestRangeMatchesFlat(t *testing.T) {
-	entries := uniformEntries(333)
-	tr := MustBuild(entries)
-	fl, _ := BuildFlat(entries)
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 500; i++ {
-		a, b := rng.Uint64(), rng.Uint64()
-		if a > b {
-			a, b = b, a
-		}
-		g1 := tr.Range(nil, a, b)
-		g2 := fl.Range(nil, a, b)
-		if len(g1) != len(g2) {
-			t.Fatalf("Range(%d,%d): tree %d entries, flat %d", a, b, len(g1), len(g2))
-		}
-		for j := range g1 {
-			if g1[j] != g2[j] {
-				t.Fatalf("Range(%d,%d)[%d]: %+v vs %+v", a, b, j, g1[j], g2[j])
-			}
-		}
-	}
-}
-
 func BenchmarkTreeLookup(b *testing.B) {
 	tr := MustBuild(uniformEntries(512))
 	rng := rand.New(rand.NewSource(1))

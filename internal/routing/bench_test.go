@@ -9,7 +9,6 @@ package routing
 import (
 	"testing"
 
-	"eris/internal/colstore"
 	"eris/internal/command"
 	"eris/internal/prefixtree"
 )
@@ -45,7 +44,7 @@ func BenchmarkRouteLookup64(b *testing.B) {
 	discard := func(command.Command) {}
 	// Warm buffers and scratch before measuring.
 	for i := 0; i < 32; i++ {
-		ob.RouteLookup(benchObj, keys, command.NoReply, 0)
+		ob.RouteLookup(benchObj, keys, command.NoReply, 0, 0)
 	}
 	ob.Flush()
 	drainAll(r, numAEUs, discard)
@@ -53,7 +52,7 @@ func BenchmarkRouteLookup64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ob.RouteLookup(benchObj, keys, command.NoReply, 0)
+		ob.RouteLookup(benchObj, keys, command.NoReply, 0, 0)
 		if i%16 == 15 {
 			ob.Flush()
 			drainAll(r, numAEUs, discard)
@@ -74,7 +73,7 @@ func BenchmarkRouteUpsert64(b *testing.B) {
 	}
 	discard := func(command.Command) {}
 	for i := 0; i < 32; i++ {
-		ob.RouteUpsert(benchObj, kvs, command.NoReply, 0)
+		ob.RouteUpsert(benchObj, kvs, command.NoReply, 0, 0)
 	}
 	ob.Flush()
 	drainAll(r, numAEUs, discard)
@@ -82,7 +81,7 @@ func BenchmarkRouteUpsert64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ob.RouteUpsert(benchObj, kvs, command.NoReply, 0)
+		ob.RouteUpsert(benchObj, kvs, command.NoReply, 0, 0)
 		if i%16 == 15 {
 			ob.Flush()
 			drainAll(r, numAEUs, discard)
@@ -138,23 +137,4 @@ func BenchmarkOwnerPerKey(b *testing.B) {
 		}
 	}
 	_ = sink
-}
-
-func BenchmarkRangeScanSplit(b *testing.B) {
-	const numAEUs = 16
-	r := benchRouter(b, numAEUs)
-	ob := r.Outbox(0)
-	discard := func(command.Command) {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ob.RouteRangeScan(benchObj, 1<<10, 1<<19, colstore.Predicate{Op: colstore.All}, command.NoReply, 0)
-		if i%16 == 15 {
-			ob.Flush()
-			drainAll(r, numAEUs, discard)
-		}
-	}
-	b.StopTimer()
-	ob.Flush()
-	drainAll(r, numAEUs, discard)
 }

@@ -28,7 +28,7 @@ func TestRouteLookupChunksToOutBufBytes(t *testing.T) {
 	for i := range keys {
 		keys[i] = uint64(i*9973) % (1 << 20)
 	}
-	emitted := ob.RouteLookup(1, keys, command.NoReply, 3)
+	emitted := ob.RouteLookup(1, keys, command.NoReply, 3, 0)
 	ob.Flush()
 
 	maxKeys := command.MaxLookupKeys(bufBytes)
@@ -83,7 +83,7 @@ func TestRouteUpsertChunksPreserveDuplicateOrder(t *testing.T) {
 	for _, kv := range kvs {
 		want[kv.Key] = kv.Value
 	}
-	emitted := ob.RouteUpsert(1, kvs, command.NoReply, 9)
+	emitted := ob.RouteUpsert(1, kvs, command.NoReply, 9, 0)
 	ob.Flush()
 
 	maxKVs := command.MaxUpsertKVs(bufBytes)
@@ -140,7 +140,7 @@ func TestDrainViewsAliasSafetyConcurrent(t *testing.T) {
 				// All keys land in AEU 0's partition and satisfy k%8 == 5.
 				keys[i] = (uint64(b*perBat+i)*8 + 5) % (1 << 19)
 			}
-			ob.RouteLookup(1, keys, command.NoReply, uint64(b))
+			ob.RouteLookup(1, keys, command.NoReply, uint64(b), 0)
 			ob.Flush()
 		}
 	}()
@@ -188,8 +188,8 @@ func TestRouteAndDrainSteadyStateAllocs(t *testing.T) {
 	}
 	sink := func(command.Command) {}
 	run := func() {
-		ob.RouteLookup(1, keys, command.NoReply, 0)
-		ob.RouteUpsert(1, kvs, command.NoReply, 0)
+		ob.RouteLookup(1, keys, command.NoReply, 0, 0)
+		ob.RouteUpsert(1, kvs, command.NoReply, 0, 0)
 		ob.Flush()
 		for aeu := uint32(0); aeu < 4; aeu++ {
 			r.Drain(aeu, sink)

@@ -10,7 +10,6 @@ import (
 
 	"eris/internal/colstore"
 	"eris/internal/command"
-	"eris/internal/csbtree"
 	"eris/internal/faults"
 	"eris/internal/mem"
 	"eris/internal/metrics"
@@ -57,16 +56,15 @@ type Outbox struct {
 	mcastAddr mem.Block
 
 	// groupKeys/groupKVs are per-target scratch for splitting batches;
-	// targets/owners/sortKeys/sortKVs/entScratch/holderScratch are the
-	// remaining route-split scratch, all reused across calls (the outbox
-	// is single-goroutine by construction).
+	// targets/owners/sortKeys/sortKVs/holderScratch are the remaining
+	// route-split scratch, all reused across calls (the outbox is
+	// single-goroutine by construction).
 	groupKeys     [][]uint64
 	groupKVs      [][]prefixtree.KV
 	targets       []uint32
 	owners        []uint32
 	sortKeys      []uint64
 	sortKVs       []prefixtree.KV
-	entScratch    []csbtree.Entry
 	holderScratch []uint32
 
 	// maxLookupKeys/maxUpsertKVs cap how many keys/KVs one routed command
@@ -162,161 +160,104 @@ func (o *Outbox) Send(to uint32, cmd *command.Command) {
 // linear merge; below it, per-key descents are cheaper than the sort.
 const sortedRouteMinKeys = 16
 
-// RouteLookup splits a key batch by owner and routes per-owner lookup
-// commands, chunked so no encoded command exceeds the outgoing buffer
-// capacity. It returns the number of commands emitted. Large batches are
-// sorted first and resolved against the partition table in one ordered
-// merge; the virtual cost charged is RouteNSPerKey per key either way, so
-// simulated results do not depend on the resolution strategy.
+// RouteLookup routes a lookup batch; see RouteBatch.
 //
 //eris:hotpath
-func (o *Outbox) RouteLookup(obj ObjectID, keys []uint64, replyTo int32, tag uint64) int {
-	return o.routeKeyBatch(command.OpLookup, obj, keys, replyTo, tag, 0)
+func (o *Outbox) RouteLookup(obj ObjectID, keys []uint64, replyTo int32, tag, deadline uint64) int {
+	return o.RouteBatch(command.OpLookup, obj, keys, nil, replyTo, tag, deadline)
 }
 
-// RouteLookupDeadline is RouteLookup with a request deadline (absolute
-// unix nanoseconds, 0 = none) stamped on the routed commands, so a
-// forwarded batch keeps its issuer's time budget.
+// RouteUpsert routes an upsert batch; see RouteBatch.
 //
 //eris:hotpath
-func (o *Outbox) RouteLookupDeadline(obj ObjectID, keys []uint64, replyTo int32, tag, deadline uint64) int {
-	return o.routeKeyBatch(command.OpLookup, obj, keys, replyTo, tag, deadline)
+func (o *Outbox) RouteUpsert(obj ObjectID, kvs []prefixtree.KV, replyTo int32, tag, deadline uint64) int {
+	return o.RouteBatch(command.OpUpsert, obj, nil, kvs, replyTo, tag, deadline)
 }
 
-// RouteDelete splits a key batch by owner and routes per-owner delete
-// commands, chunked like RouteLookup.
+// RouteBatch splits a point-operation batch — keys for a lookup or delete,
+// kvs for an upsert — by owner and routes per-owner commands, chunked so no
+// encoded command exceeds the outgoing buffer capacity. The request
+// deadline (absolute unix nanoseconds, 0 = none) is stamped on every routed
+// command, so a forwarded batch keeps its issuer's time budget. It returns
+// the number of commands emitted. Large batches are sorted first and
+// resolved against the partition table in one ordered merge; the sort is
+// stable, so duplicate upsert keys keep their last-write-wins order. The
+// virtual cost charged is RouteNSPerKey per key either way, so simulated
+// results do not depend on the resolution strategy.
 //
 //eris:hotpath
-func (o *Outbox) RouteDelete(obj ObjectID, keys []uint64, replyTo int32, tag uint64) int {
-	return o.routeKeyBatch(command.OpDelete, obj, keys, replyTo, tag, 0)
-}
-
-// RouteDeleteDeadline is RouteDelete with a request deadline; see
-// RouteLookupDeadline.
-//
-//eris:hotpath
-func (o *Outbox) RouteDeleteDeadline(obj ObjectID, keys []uint64, replyTo int32, tag, deadline uint64) int {
-	return o.routeKeyBatch(command.OpDelete, obj, keys, replyTo, tag, deadline)
-}
-
-// routeKeyBatch is the shared owner-split/chunk body of the key-batch
-// routed operations (lookup, delete).
-//
-//eris:hotpath
-func (o *Outbox) routeKeyBatch(op command.Op, obj ObjectID, keys []uint64, replyTo int32, tag, deadline uint64) int {
-	table := o.r.object(obj).ranged
-	m := o.r.machine
-	m.AdvanceNS(o.core(), o.r.cfg.RouteNSPerKey*float64(len(keys)))
-	o.routedKeys.Add(int64(len(keys)))
-	if len(keys) == 0 {
+func (o *Outbox) RouteBatch(op command.Op, obj ObjectID, keys []uint64, kvs []prefixtree.KV, replyTo int32, tag, deadline uint64) int {
+	upsert := op == command.OpUpsert
+	n := len(keys)
+	if upsert {
+		n = len(kvs)
+	}
+	o.r.machine.AdvanceNS(o.core(), o.r.cfg.RouteNSPerKey*float64(n))
+	o.routedKeys.Add(int64(n))
+	if n == 0 {
 		return 0
 	}
 
-	routed := keys
-	if len(keys) >= sortedRouteMinKeys {
-		o.sortKeys = append(o.sortKeys[:0], keys...)
-		slices.Sort(o.sortKeys)
-		routed = o.sortKeys
-	}
-	owners := o.resolveOwners(table, routed)
-
-	o.targets = o.targets[:0]
-	for i, k := range routed {
-		to := owners[i]
-		if len(o.groupKeys[to]) == 0 {
-			o.targets = append(o.targets, to)
+	sorted := n >= sortedRouteMinKeys
+	if upsert {
+		if sorted {
+			o.sortKVs = append(o.sortKVs[:0], kvs...)
+			slices.SortStableFunc(o.sortKVs, compareKeys)
+			kvs = o.sortKVs
 		}
-		o.groupKeys[to] = append(o.groupKeys[to], k)
-	}
-	emitted := 0
-	for _, to := range o.targets {
-		batch := o.groupKeys[to]
-		for len(batch) > 0 {
-			n := min(len(batch), o.maxLookupKeys)
-			cmd := command.Command{
-				Op: op, Object: uint32(obj), Source: o.self,
-				ReplyTo: replyTo, Tag: tag, Keys: batch[:n], Deadline: deadline,
-			}
-			o.appendCmd(to, &cmd)
-			emitted++
-			batch = batch[n:]
-		}
-		o.groupKeys[to] = o.groupKeys[to][:0]
-	}
-	return emitted
-}
-
-// RouteUpsert splits a KV batch by owner and routes per-owner upserts,
-// chunked like RouteLookup. The sort used for batch owner resolution is
-// stable, so duplicate keys keep their last-write-wins order.
-//
-//eris:hotpath
-func (o *Outbox) RouteUpsert(obj ObjectID, kvs []prefixtree.KV, replyTo int32, tag uint64) int {
-	return o.RouteUpsertDeadline(obj, kvs, replyTo, tag, 0)
-}
-
-// RouteUpsertDeadline is RouteUpsert with a request deadline; see
-// RouteLookupDeadline.
-//
-//eris:hotpath
-func (o *Outbox) RouteUpsertDeadline(obj ObjectID, kvs []prefixtree.KV, replyTo int32, tag, deadline uint64) int {
-	table := o.r.object(obj).ranged
-	m := o.r.machine
-	m.AdvanceNS(o.core(), o.r.cfg.RouteNSPerKey*float64(len(kvs)))
-	o.routedKeys.Add(int64(len(kvs)))
-	if len(kvs) == 0 {
-		return 0
-	}
-
-	routed := kvs
-	if len(kvs) >= sortedRouteMinKeys {
-		o.sortKVs = append(o.sortKVs[:0], kvs...)
-		slices.SortStableFunc(o.sortKVs, func(a, b prefixtree.KV) int { //eris:allowalloc non-escaping comparator for the sorted-route fast path
-			return cmp.Compare(a.Key, b.Key)
-		})
-		routed = o.sortKVs
 		o.sortKeys = o.sortKeys[:0]
-		for _, kv := range routed {
+		for _, kv := range kvs {
 			o.sortKeys = append(o.sortKeys, kv.Key)
 		}
-		if cap(o.owners) < len(routed) {
-			o.owners = make([]uint32, len(routed)) //eris:allowalloc amortized owner-scratch growth, reused across batches
-		}
-		table.OwnersSorted(o.sortKeys, o.owners[:len(routed)])
-	} else {
-		if cap(o.owners) < len(routed) {
-			o.owners = make([]uint32, len(routed)) //eris:allowalloc amortized owner-scratch growth, reused across batches
-		}
-		for i, kv := range routed {
-			o.owners[i] = table.Owner(kv.Key)
-		}
+		keys = o.sortKeys
+	} else if sorted {
+		o.sortKeys = append(o.sortKeys[:0], keys...)
+		slices.Sort(o.sortKeys)
+		keys = o.sortKeys
 	}
+	owners := o.resolveOwners(o.r.object(obj).ranged, keys)
 
 	o.targets = o.targets[:0]
-	for i, kv := range routed {
-		to := o.owners[i]
-		if len(o.groupKVs[to]) == 0 {
+	for i, to := range owners {
+		if len(o.groupKeys[to])+len(o.groupKVs[to]) == 0 {
 			o.targets = append(o.targets, to)
 		}
-		o.groupKVs[to] = append(o.groupKVs[to], kv)
+		if upsert {
+			o.groupKVs[to] = append(o.groupKVs[to], kvs[i])
+		} else {
+			o.groupKeys[to] = append(o.groupKeys[to], keys[i])
+		}
+	}
+	chunk := o.maxLookupKeys
+	if upsert {
+		chunk = o.maxUpsertKVs
 	}
 	emitted := 0
 	for _, to := range o.targets {
-		batch := o.groupKVs[to]
-		for len(batch) > 0 {
-			n := min(len(batch), o.maxUpsertKVs)
+		gk, gkv := o.groupKeys[to], o.groupKVs[to]
+		for lo, size := 0, len(gk)+len(gkv); lo < size; lo += chunk {
+			hi := min(lo+chunk, size)
 			cmd := command.Command{
-				Op: command.OpUpsert, Object: uint32(obj), Source: o.self,
-				ReplyTo: replyTo, Tag: tag, KVs: batch[:n], Deadline: deadline,
+				Op: op, Object: uint32(obj), Source: o.self,
+				ReplyTo: replyTo, Tag: tag, Deadline: deadline,
+			}
+			if upsert {
+				cmd.KVs = gkv[lo:hi]
+			} else {
+				cmd.Keys = gk[lo:hi]
 			}
 			o.appendCmd(to, &cmd)
 			emitted++
-			batch = batch[n:]
 		}
-		o.groupKVs[to] = o.groupKVs[to][:0]
+		o.groupKeys[to], o.groupKVs[to] = gk[:0], gkv[:0]
 	}
 	return emitted
 }
+
+// compareKeys orders KVs by key for the stable sorted-route split.
+//
+//eris:hotpath
+func compareKeys(a, b prefixtree.KV) int { return cmp.Compare(a.Key, b.Key) }
 
 // resolveOwners fills the owner scratch for routed keys, choosing between
 // per-key descents and the sorted one-pass merge. routed must be sorted
@@ -339,40 +280,20 @@ func (o *Outbox) resolveOwners(table *RangeTable, routed []uint64) []uint32 {
 }
 
 // RouteScan multicasts a full scan of a size-partitioned object to every
-// holder. The multicast carries the predicate's inclusive value bounds as
-// Keys = [lo, hi] ([1, 0] when the predicate matches nothing), so each
-// receiving AEU prunes its blocks with its zone maps independently. It
-// returns the number of targets.
+// holder. The multicast carries the predicate's value bounds (see
+// colstore.SpecOf) as Keys = [lo, hi], so each receiving AEU prunes its
+// blocks with its zone maps independently. It returns the number of
+// targets.
 func (o *Outbox) RouteScan(obj ObjectID, pred colstore.Predicate, replyTo int32, tag uint64) int {
 	o.holderScratch = o.r.object(obj).bitmap.Holders(o.holderScratch[:0])
-	vlo, vhi, ok := pred.Bounds()
-	if !ok {
-		vlo, vhi = 1, 0
-	}
-	o.sortKeys = append(o.sortKeys[:0], vlo, vhi)
+	spec := colstore.SpecOf(pred)
+	o.sortKeys = append(o.sortKeys[:0], spec.Lo, spec.Hi)
 	cmd := command.Command{
 		Op: command.OpScan, Object: uint32(obj), Source: o.self,
 		ReplyTo: replyTo, Tag: tag, Pred: pred, Keys: o.sortKeys,
 	}
 	o.multicast(&cmd, o.holderScratch)
 	return len(o.holderScratch)
-}
-
-// RouteRangeScan multicasts an index range scan over [lo, hi] to the owning
-// AEUs of a range-partitioned object.
-func (o *Outbox) RouteRangeScan(obj ObjectID, lo, hi uint64, pred colstore.Predicate, replyTo int32, tag uint64) int {
-	o.entScratch = o.r.object(obj).ranged.Owners(o.entScratch[:0], lo, hi)
-	o.targets = o.targets[:0]
-	for _, e := range o.entScratch {
-		o.targets = append(o.targets, e.Owner)
-	}
-	o.sortKeys = append(o.sortKeys[:0], lo, hi)
-	cmd := command.Command{
-		Op: command.OpScan, Object: uint32(obj), Source: o.self,
-		ReplyTo: replyTo, Tag: tag, Pred: pred, Keys: o.sortKeys,
-	}
-	o.multicast(&cmd, o.targets)
-	return len(o.targets)
 }
 
 // multicast stores the command once in the multicast table and appends a

@@ -67,7 +67,7 @@ func TestRouteLookupSplitsByOwner(t *testing.T) {
 	ob := r.Outbox(0)
 	span := uint64(1 << 18)
 	keys := []uint64{1, span + 1, 2 * span, 3 * span, 5, 3*span + 7}
-	n := ob.RouteLookup(1, keys, command.NoReply, 42)
+	n := ob.RouteLookup(1, keys, command.NoReply, 42, 0)
 	if n != 4 {
 		t.Fatalf("routed to %d targets, want 4", n)
 	}
@@ -104,7 +104,7 @@ func TestRouteUpsert(t *testing.T) {
 	}
 	ob := r.Outbox(1)
 	kvs := []prefixtree.KV{{Key: 5, Value: 50}, {Key: 200, Value: 2000}}
-	ob.RouteUpsert(7, kvs, command.NoReply, 0)
+	ob.RouteUpsert(7, kvs, command.NoReply, 0, 0)
 	ob.Flush()
 	var got0, got1 []prefixtree.KV
 	r.Drain(0, func(c command.Command) { got0 = append(got0, c.KVs...) })
@@ -150,37 +150,6 @@ func TestMulticastScan(t *testing.T) {
 	}
 }
 
-func TestRouteRangeScan(t *testing.T) {
-	r := newRouter(t, 4, Config{})
-	if err := r.RegisterRange(3, uniformRanges(4)); err != nil {
-		t.Fatal(err)
-	}
-	ob := r.Outbox(0)
-	span := uint64(1 << 18)
-	// Range covering partitions 1 and 2 only.
-	n := ob.RouteRangeScan(3, span+5, 2*span+5, colstore.Predicate{Op: colstore.All}, command.NoReply, 0)
-	if n != 2 {
-		t.Fatalf("range scan hit %d targets, want 2", n)
-	}
-	ob.Flush()
-	for aeu := uint32(0); aeu < 4; aeu++ {
-		want := 0
-		if aeu == 1 || aeu == 2 {
-			want = 1
-		}
-		got := 0
-		r.Drain(aeu, func(c command.Command) {
-			got++
-			if len(c.Keys) != 2 || c.Keys[0] != span+5 || c.Keys[1] != 2*span+5 {
-				t.Errorf("aeu %d: scan bounds %v", aeu, c.Keys)
-			}
-		})
-		if got != want {
-			t.Errorf("aeu %d saw %d scans, want %d", aeu, got, want)
-		}
-	}
-}
-
 func TestAutoFlushOnFullBuffer(t *testing.T) {
 	r := newRouter(t, 2, Config{OutBufBytes: 128})
 	if err := r.RegisterRange(1, []csbtree.Entry{{Low: 0, Owner: 1}}); err != nil {
@@ -189,7 +158,7 @@ func TestAutoFlushOnFullBuffer(t *testing.T) {
 	ob := r.Outbox(0)
 	// Each lookup command is ~40 bytes; routing many must auto-flush.
 	for i := 0; i < 50; i++ {
-		ob.RouteLookup(1, []uint64{uint64(i)}, command.NoReply, 0)
+		ob.RouteLookup(1, []uint64{uint64(i)}, command.NoReply, 0, 0)
 	}
 	if ob.Stats().Flushes == 0 {
 		t.Fatal("no auto flush despite tiny buffer")
@@ -322,7 +291,7 @@ func TestFlushChargesRemoteTraffic(t *testing.T) {
 	}
 	e := r.Machine().StartEpoch()
 	ob := r.Outbox(0) // node 0
-	ob.RouteLookup(1, []uint64{1, 2, 3}, command.NoReply, 0)
+	ob.RouteLookup(1, []uint64{1, 2, 3}, command.NoReply, 0, 0)
 	ob.Flush()
 	if got := e.TotalLinkBytes(); got == 0 {
 		t.Error("remote flush produced no link traffic")
@@ -374,7 +343,7 @@ func TestManyAEUsAllToAll(t *testing.T) {
 				for j := range keys {
 					keys[j] = uint64(rng.Int63()) % (40 << 10)
 				}
-				ob.RouteLookup(1, keys, command.NoReply, 0)
+				ob.RouteLookup(1, keys, command.NoReply, 0, 0)
 			}
 			ob.Flush()
 		}(uint32(a))

@@ -91,7 +91,7 @@ func TestOutboxTouchedNoDuplicates(t *testing.T) {
 		// 64-byte buffer forces an auto-flush roughly every append.
 		for i := 0; i < 50; i++ {
 			keys := []uint64{uint64(i), span + uint64(i), 2*span + uint64(i), 3*span + uint64(i)}
-			ob.RouteLookup(1, keys, command.NoReply, 0)
+			ob.RouteLookup(1, keys, command.NoReply, 0, 0)
 			checkNoDuplicates(t, ob, "after RouteLookup")
 		}
 		if ob.Stats().Flushes == 0 {

@@ -50,7 +50,6 @@ const (
 type PartitionIndex interface {
 	Lookup(key uint64) uint32
 	LookupBatchSorted(keys []uint64, owners []uint32)
-	Range(dst []csbtree.Entry, lo, hi uint64) []csbtree.Entry
 	Len() int
 }
 
@@ -88,13 +87,6 @@ func NewFlatRangeTable(entries []csbtree.Entry) (*RangeTable, error) {
 //eris:hotpath
 func (rt *RangeTable) Owner(key uint64) uint32 {
 	return (*rt.idx.Load()).Lookup(key)
-}
-
-// Owners appends the entries intersecting [lo, hi] to dst.
-//
-//eris:hotpath
-func (rt *RangeTable) Owners(dst []csbtree.Entry, lo, hi uint64) []csbtree.Entry {
-	return (*rt.idx.Load()).Range(dst, lo, hi)
 }
 
 // OwnersSorted resolves the owner of every key of an ascending-sorted

@@ -174,7 +174,7 @@ func TestOverloadShedsAndPreservesAckedWrites(t *testing.T) {
 	if len(acked) == 0 {
 		t.Fatal("no writes were acked under overload; test proves nothing")
 	}
-	kvs, err := eng.Lookup(idxObj, append([]uint64(nil), acked...))
+	kvs, err := eng.LookupCtx(context.Background(), idxObj, append([]uint64(nil), acked...))
 	if err != nil {
 		t.Fatal(err)
 	}

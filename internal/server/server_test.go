@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -129,7 +130,7 @@ func TestServeConcurrentClients(t *testing.T) {
 				errs <- fmt.Errorf("client %d lookup: %w", cl, err)
 				return
 			}
-			want, err := eng.Lookup(idxObj, append([]uint64(nil), keys...))
+			want, err := eng.LookupCtx(context.Background(), idxObj, append([]uint64(nil), keys...))
 			if err != nil {
 				errs <- fmt.Errorf("client %d engine lookup: %w", cl, err)
 				return
@@ -218,7 +219,7 @@ func TestGracefulDrainLosesNoAckedWrites(t *testing.T) {
 	if len(keys) == 0 {
 		t.Fatal("no writes were acked before the drain; test proves nothing")
 	}
-	kvs, err := eng.Lookup(idxObj, append([]uint64(nil), keys...))
+	kvs, err := eng.LookupCtx(context.Background(), idxObj, append([]uint64(nil), keys...))
 	if err != nil {
 		t.Fatal(err)
 	}

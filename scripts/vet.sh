@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # vet.sh — the repo's lint gate, identical locally and in CI: gofmt,
 # go vet, the in-tree erisvet analyzer suite (see internal/analysis and
-# DESIGN.md "Static invariant enforcement"), and shellcheck over scripts/
-# when it is installed.
+# DESIGN.md "Static invariant enforcement"), vet and the smoke test of the
+# benchmark ledger module, and shellcheck over scripts/ when it is
+# installed.
 #
 # Deviation from the original plan: erisvet was meant to be built on a
 # pinned golang.org/x/tools/go/analysis, but the build environment is
@@ -28,6 +29,11 @@ go vet ./...
 
 echo "== erisvet"
 go run ./cmd/erisvet ./...
+
+# benchmarks/ is its own module: the steps above do not compile the ledger,
+# although it imports engine internals.
+echo "== benchmark ledger (vet + smoke test)"
+(cd benchmarks && go vet ./... && go test ./...)
 
 echo "== shellcheck"
 if command -v shellcheck >/dev/null 2>&1; then
