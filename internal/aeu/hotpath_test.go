@@ -159,10 +159,6 @@ func TestServePathSteadyStateAllocs(t *testing.T) {
 		vals[i] = uint64(i)
 	}
 	pc.Col.Append(a0.Core, vals)
-	// One tombstone forces the shared pass through the bitmap kernel's
-	// tombstone-masking branch as well (and allocates the del bitmap now,
-	// before the steady-state measurement).
-	pc.Col.Delete(a0.Core, 130)
 	src := h.aeus[1].Outbox()
 	keys := make([]uint64, 64)
 	kvs := make([]prefixtree.KV, 64)
@@ -173,8 +169,10 @@ func TestServePathSteadyStateAllocs(t *testing.T) {
 	run := func() {
 		src.RouteLookup(testObj, keys, command.NoReply, 0, 0)
 		src.RouteUpsert(testObj, kvs, command.NoReply, 0, 0)
-		// Shared pass covering every filter kernel: the selection-bitmap
-		// path, zone-map pruning and full-accept all run per cycle.
+		// Shared pass covering every block verdict: zone-map pruning,
+		// full-accept and evaluation all run per cycle, and the two
+		// identical predicates share one kernel run.
+		src.RouteScan(colObj, colstore.Predicate{Op: colstore.Less, Operand: 100}, command.NoReply, 0)
 		src.RouteScan(colObj, colstore.Predicate{Op: colstore.Less, Operand: 100}, command.NoReply, 0)
 		src.RouteScan(colObj, colstore.Predicate{Op: colstore.Greater, Operand: 500}, command.NoReply, 0)
 		src.RouteScan(colObj, colstore.Predicate{Op: colstore.Equal, Operand: 300}, command.NoReply, 0)
@@ -189,6 +187,11 @@ func TestServePathSteadyStateAllocs(t *testing.T) {
 	// by one slot per routed command.
 	for i := 0; i < 300; i++ {
 		run()
+	}
+	scanned, pruned, full := a0.colBlocksScanned.Load(), a0.colBlocksPruned.Load(), a0.colBlocksFullHit.Load()
+	run()
+	if a0.colBlocksScanned.Load() == scanned || a0.colBlocksPruned.Load() == pruned || a0.colBlocksFullHit.Load() == full {
+		t.Fatal("a serve cycle did not evaluate, prune and fully accept blocks")
 	}
 	if avg := testing.AllocsPerRun(200, run); avg != 0 {
 		t.Errorf("serve path allocates %.1f times per cycle, want 0", avg)

@@ -4,9 +4,12 @@ package colstore
 // clustered data (values correlated with position, so per-block value
 // ranges are tight) and uniform data (hashed values, so every block spans
 // the whole domain). Clustered data is where zone-map pruning pays off;
-// uniform data measures the raw filter kernel with pruning defeated.
+// uniform data measures the raw filter kernel with pruning defeated. The
+// shared/* sub-benchmarks time SharedScan, the pass that serves routed
+// column scans: one spec, and four specs of which two are identical.
 //
-// Run with -benchmem: the scan path must not allocate.
+// Run with -benchmem: the scan path must not allocate
+// (TestSharedScanSteadyStateAllocs asserts it).
 
 import (
 	"testing"
@@ -20,18 +23,10 @@ func benchColumn(b *testing.B, clustered bool) *Column {
 	b.Helper()
 	f := newFixture(b)
 	col := f.local(0, 4096)
-	buf := make([]uint64, 4096)
-	for base := 0; base < benchEntries; base += len(buf) {
-		for i := range buf {
-			v := uint64(base + i)
-			if !clustered {
-				v ^= v >> 33
-				v *= 0xff51afd7ed558ccd
-				v ^= v >> 33
-			}
-			buf[i] = v
-		}
-		col.Append(0, buf)
+	if clustered {
+		col.Append(0, seq(benchEntries))
+	} else {
+		col.Append(0, hashed(benchEntries))
 	}
 	return col
 }
@@ -43,6 +38,32 @@ func selPred(frac float64) Predicate {
 		n = 1
 	}
 	return Predicate{Op: Less, Operand: n}
+}
+
+// uniformPred returns a predicate matching roughly frac of a uniform
+// column: a threshold at frac of the u64 domain.
+func uniformPred(frac float64) Predicate {
+	if frac >= 1.0 {
+		return Predicate{Op: All}
+	}
+	return Predicate{Op: Less, Operand: uint64(float64(1<<63) * frac * 2)}
+}
+
+// benchShared times SharedScan passes over col, one spec per predicate.
+func benchShared(b *testing.B, col *Column, preds ...Predicate) {
+	specs := make([]ScanSpec, len(preds))
+	for i, p := range preds {
+		specs[i] = SpecOf(p)
+	}
+	aggs := make([]ScanAgg, len(specs))
+	var scratch ScanScratch
+	snap := col.Snapshot()
+	b.SetBytes(benchEntries * 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(aggs)
+		col.SharedScan(0, snap, specs, aggs, &scratch)
+	}
 }
 
 func BenchmarkColScanClustered(b *testing.B) {
@@ -70,6 +91,10 @@ func BenchmarkColScanClustered(b *testing.B) {
 			}
 		})
 	}
+	b.Run("shared/1", func(b *testing.B) { benchShared(b, col, selPred(0.1)) })
+	b.Run("shared/4", func(b *testing.B) {
+		benchShared(b, col, selPred(0.1), selPred(0.1), selPred(0.01), selPred(0.5))
+	})
 }
 
 func BenchmarkColScanUniform(b *testing.B) {
@@ -84,15 +109,9 @@ func BenchmarkColScanUniform(b *testing.B) {
 		{"sel=100%", 1.0},
 	} {
 		b.Run(sel.name, func(b *testing.B) {
-			// Uniform hashed values: a threshold at frac of the u64 domain
-			// matches ~frac of the values, and every block's zone map spans
-			// (nearly) the whole domain, so pruning cannot help.
-			var p Predicate
-			if sel.frac >= 1.0 {
-				p = Predicate{Op: All}
-			} else {
-				p = Predicate{Op: Less, Operand: uint64(float64(1<<63) * sel.frac * 2)}
-			}
+			// Every block's zone map spans (nearly) the whole domain, so
+			// pruning cannot help.
+			p := uniformPred(sel.frac)
 			b.SetBytes(benchEntries * 8)
 			b.ResetTimer()
 			var matched int64
@@ -103,17 +122,8 @@ func BenchmarkColScanUniform(b *testing.B) {
 			_ = matched
 		})
 	}
-}
-
-// BenchmarkColScanAllocs asserts the filtered-scan path does not allocate
-// (the -benchmem companion to the aeu serve-path AllocsPerRun guard).
-func BenchmarkColScanAllocs(b *testing.B) {
-	col := benchColumn(b, true)
-	snap := col.Snapshot()
-	p := selPred(0.01)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		col.ScanFiltered(0, snap, p)
-	}
+	b.Run("shared/1", func(b *testing.B) { benchShared(b, col, uniformPred(0.1)) })
+	b.Run("shared/4", func(b *testing.B) {
+		benchShared(b, col, uniformPred(0.1), uniformPred(0.1), uniformPred(0.01), uniformPred(0.5))
+	})
 }

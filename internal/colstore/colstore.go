@@ -1,31 +1,28 @@
 // Package colstore implements the block-wise column store that backs ERIS's
-// scan-oriented data objects (Section 4). A Column is a position-addressed
+// scan-oriented data objects (Section 4). A Column is an append-only
 // sequence of 64-bit values stored in fixed-size blocks, each carried by one
-// node-local mem.Block allocation. Every block maintains a zone map — the
-// min/max of its live values, a widen-only superset — plus a tombstone
-// bitmap with a deleted count and a wrapping sum, all updated incrementally
-// on append, upsert and delete.
+// node-local mem.Block allocation. Its data changes only by append and by
+// partition transfer, never in place. Every block keeps a zone map — the
+// min/max of its values — and their wrapping sum, updated as values are
+// appended.
 //
 // Scans are block-at-a-time: a predicate implies an inclusive value
 // interval (Predicate.Bounds), and each block's zone map decides, without
 // touching the values, whether the block is skipped (no overlap), accepted
 // whole (contained, matched/sum served from the block summary) or
-// evaluated. Evaluated blocks run a branch-light vectorized filter kernel
-// that materializes a selection bitmap (SharedScan) or aggregates directly
-// (ScanFiltered). Virtual time is charged per block touched: pruned and
-// full-hit blocks cost one zone check, only evaluated blocks stream their
-// bytes — so zone-map pruning shows up in the simulated fig-8-style cost
-// numbers exactly as it would on the real machine.
+// evaluated. Evaluated blocks run a branch-free aggregate kernel. SharedScan
+// and ScanFiltered share one block walk. Virtual time is charged per block
+// touched: pruned and full-hit blocks cost one zone check, only evaluated
+// blocks stream their bytes — so zone-map pruning shows up in the simulated
+// fig-8-style cost numbers exactly as it would on the real machine.
 //
 // Isolation for scan sharing comes from an MVCC-lite snapshot: the column's
-// appended-position count at command time bounds what a scan may see, so
-// appends never block or tear a running scan. Tombstoning and in-place
-// upserts are owner-side operations (the AEU that owns the partition);
-// they are serialized with scans by the column mutex.
+// value count at command time bounds what a scan may see, so appends never
+// block or tear a running scan.
 //
 // For load balancing, whole blocks move between AEUs by reference when both
-// live on the same node (the "link" mechanism) and are flattened/copied —
-// compacting tombstones away — across nodes otherwise.
+// live on the same node (the "link" mechanism) and are copied across nodes
+// otherwise.
 package colstore
 
 import (
@@ -64,113 +61,72 @@ type Free func(b mem.Block)
 // block is one fixed-size run of the column plus its incremental summary.
 //
 // Invariants (all maintained under the column mutex):
-//   - start is the column position of data[0]; blocks tile [0, count).
-//   - zmin/zmax bound every live value in the block (a widen-only
-//     superset: deletes do not narrow them).
-//   - sum is the exact wrapping sum of the live values.
-//   - dead counts set bits in del; del == nil means no tombstones.
+//   - data[:used] are the block's values; blocks tile the column in order.
+//   - zmin/zmax bound every value in the block. They are its exact min and
+//     max, except on the kept half of a split, where they stay a superset.
+//   - sum is the exact wrapping sum of the values.
 type block struct {
-	data  []uint64
-	del   []uint64 // tombstone bitmap, 1 bit per slot; nil until first delete
-	mem   mem.Block
-	start int64
-	used  int
-	dead  int
-	zmin  uint64
-	zmax  uint64
-	sum   uint64
+	data []uint64
+	mem  mem.Block
+	used int
+	zmin uint64
+	zmax uint64
+	sum  uint64
 }
 
-// delGet reports whether slot i is tombstoned.
+// add copies the head of values into the block's free slots, folding each
+// into the zone map and sum, and returns how many fit.
 //
 //eris:hotpath
-func (b *block) delGet(i int) bool {
-	return b.del != nil && b.del[i/64]&(1<<uint(i%64)) != 0
-}
-
-// noteInsert widens the zone map and sum for a newly live value.
-//
-//eris:hotpath
-func (b *block) noteInsert(v uint64) {
-	if v < b.zmin {
-		b.zmin = v
-	}
-	if v > b.zmax {
-		b.zmax = v
-	}
-	b.sum += v
-}
-
-// recompute rebuilds the zone map and sum from the live slots. The
-// incremental maps are widen-only (deletes never narrow them), so a block
-// that tombstoned its extremes carries a stale superset; transfers
-// recompute before handing a block over so the receiving AEU's scans
-// regain pruning and full-hit eligibility.
-//
-//eris:hotpath
-func (b *block) recompute() {
-	b.zmin, b.zmax, b.sum = ^uint64(0), 0, 0
-	for i := 0; i < b.used; i++ {
-		if b.delGet(i) {
-			continue
+func (b *block) add(values []uint64) int {
+	n := copy(b.data[b.used:], values)
+	for _, v := range values[:n] {
+		if v < b.zmin {
+			b.zmin = v
 		}
-		b.noteInsert(b.data[i])
+		if v > b.zmax {
+			b.zmax = v
+		}
+		b.sum += v
 	}
+	b.used += n
+	return n
 }
 
 // Column is one partition of a columnar data object.
 //
-// A Column is owned by a single AEU in ERIS; the mutex only matters for the
-// NUMA-agnostic shared baselines and for tests, where many workers append
-// to and scan one column concurrently. Scans hold the read lock for the
-// whole pass, so mutators are serialized against them.
+// A Column is owned by a single AEU in ERIS, which alone appends to it,
+// scans it and splices blocks in and out of it for transfers. The mutex
+// guards those splices against the balancer's concurrent Count/SizeTuples
+// reads (and lets tests append and scan from many goroutines). Scans hold
+// the read lock for the whole pass.
 type Column struct {
 	machine *numasim.Machine
 	cfg     Config
 	alloc   Alloc
-	release Free
 
 	mu     sync.RWMutex
 	blocks []block
-	count  int64 // appended positions present (the MVCC snapshot bound)
-	dead   int64 // tombstoned positions among them
+	count  int64 // values present (the MVCC snapshot bound)
 }
 
 // New creates an empty column whose blocks are placed by alloc.
-func New(machine *numasim.Machine, cfg Config, alloc Alloc, release Free) *Column {
-	cfg = cfg.withDefaults()
-	return &Column{machine: machine, cfg: cfg, alloc: alloc, release: release}
+func New(machine *numasim.Machine, cfg Config, alloc Alloc) *Column {
+	return &Column{machine: machine, cfg: cfg.withDefaults(), alloc: alloc}
 }
 
 // NewLocal creates a column allocating on one node's manager — the normal
 // AEU-owned partition.
 func NewLocal(machine *numasim.Machine, cfg Config, mgr *mem.Manager) *Column {
-	return New(machine, cfg, mgr.Alloc, mgr.Free)
+	return New(machine, cfg, mgr.Alloc)
 }
 
-// Count returns the number of live entries (appended minus tombstoned).
+// Count returns the number of values in the column.
 //
 //eris:hotpath
-func (c *Column) Count() int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.count - c.dead
-}
+func (c *Column) Count() int64 { return c.Snapshot() }
 
-// Bytes returns the simulated bytes held by the column's blocks.
-func (c *Column) Bytes() int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var sum int64
-	for i := range c.blocks {
-		sum += c.blocks[i].mem.Size
-	}
-	return sum
-}
-
-// Snapshot returns the position count to use as an MVCC read bound. It
-// counts appended positions, not live entries: tombstones stay visible to
-// position-bounded readers, which is what keeps the bound monotonic.
+// Snapshot returns the value count to use as an MVCC read bound.
 //
 //eris:hotpath
 func (c *Column) Snapshot() int64 {
@@ -179,15 +135,14 @@ func (c *Column) Snapshot() int64 {
 	return c.count
 }
 
-// newBlock allocates an empty block starting at column position start.
+// newBlock allocates an empty block.
 //
 //eris:hotpath
-func (c *Column) newBlock(start int64) block {
+func (c *Column) newBlock() block {
 	return block{
-		data:  make([]uint64, c.cfg.ChunkEntries), //eris:allowalloc block allocation amortized over ChunkEntries appends
-		mem:   c.alloc(int64(c.cfg.ChunkEntries) * 8),
-		start: start,
-		zmin:  ^uint64(0),
+		data: make([]uint64, c.cfg.ChunkEntries), //eris:allowalloc block allocation amortized over ChunkEntries appends
+		mem:  c.alloc(int64(c.cfg.ChunkEntries) * 8),
+		zmin: ^uint64(0),
 	}
 }
 
@@ -197,7 +152,7 @@ func (c *Column) newBlock(start int64) block {
 //eris:hotpath
 func (c *Column) tailBlock() *block {
 	if len(c.blocks) == 0 || c.blocks[len(c.blocks)-1].used == c.cfg.ChunkEntries {
-		c.blocks = append(c.blocks, c.newBlock(c.count))
+		c.blocks = append(c.blocks, c.newBlock())
 	}
 	return &c.blocks[len(c.blocks)-1]
 }
@@ -211,96 +166,11 @@ func (c *Column) Append(core topology.CoreID, values []uint64) {
 	defer c.mu.Unlock()
 	for len(values) > 0 {
 		b := c.tailBlock()
-		n := copy(b.data[b.used:], values)
+		n := b.add(values)
 		c.machine.Stream(core, b.mem.Home, int64(n)*8)
-		for _, v := range values[:n] {
-			b.noteInsert(v)
-		}
-		b.used += n
 		c.count += int64(n)
 		values = values[n:]
 	}
-}
-
-// blockOf returns the block containing position pos, or nil. Caller holds
-// a lock.
-//
-//eris:hotpath
-func (c *Column) blockOf(pos int64) *block {
-	lo, hi := 0, len(c.blocks)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if c.blocks[mid].start+int64(c.blocks[mid].used) <= pos {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(c.blocks) || pos < c.blocks[lo].start {
-		return nil
-	}
-	return &c.blocks[lo]
-}
-
-// Delete tombstones the value at position pos, updating the block's deleted
-// count and sum in place (the zone map is a widen-only superset and is not
-// narrowed). It reports whether a live entry was deleted.
-//
-//eris:hotpath
-func (c *Column) Delete(core topology.CoreID, pos int64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b := c.blockOf(pos)
-	if b == nil {
-		return false
-	}
-	i := int(pos - b.start)
-	if b.del == nil {
-		b.del = make([]uint64, (len(b.data)+63)/64) //eris:allowalloc first delete in a block allocates its bitmap once
-	}
-	w, bit := i/64, uint(i%64)
-	if b.del[w]&(1<<bit) != 0 {
-		return false
-	}
-	b.del[w] |= 1 << bit
-	b.dead++
-	c.dead++
-	b.sum -= b.data[i]
-	// One value read plus one bitmap word write.
-	c.machine.Stream(core, b.mem.Home, 16)
-	return true
-}
-
-// Upsert overwrites the value at position pos, reviving the slot if it was
-// tombstoned, and maintains the block's zone map, sum and deleted count
-// incrementally. It reports whether pos addressed an appended slot.
-//
-//eris:hotpath
-func (c *Column) Upsert(core topology.CoreID, pos int64, v uint64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b := c.blockOf(pos)
-	if b == nil {
-		return false
-	}
-	i := int(pos - b.start)
-	if b.delGet(i) {
-		b.del[i/64] &^= 1 << uint(i%64)
-		b.dead--
-		c.dead--
-		b.sum += v
-	} else {
-		b.sum += v - b.data[i]
-	}
-	b.data[i] = v
-	if v < b.zmin {
-		b.zmin = v
-	}
-	if v > b.zmax {
-		b.zmax = v
-	}
-	c.machine.Stream(core, b.mem.Home, 16)
-	return true
 }
 
 // Scan cost model: evaluated blocks pay bandwidth for their bytes plus
@@ -312,39 +182,6 @@ const (
 	scanComputeNSPerByte = 0.0125
 	zoneCheckNSPerBlock  = 2.0
 )
-
-// Scan streams all positions up to the snapshot bound through fn in
-// insertion order, charging sequential reads. fn receives each block's
-// visible slice, tombstoned slots included — this is the raw position-
-// oriented walk; filtered scans go through ScanFiltered or SharedScan.
-// fn must not call back into the column (the read lock is held).
-//
-//eris:hotpath
-func (c *Column) Scan(core topology.CoreID, snapshot int64, fn func(values []uint64)) int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var seen int64
-	for i := range c.blocks {
-		if seen >= snapshot {
-			break
-		}
-		b := &c.blocks[i]
-		n := int64(b.used)
-		if seen+n > snapshot {
-			n = snapshot - seen
-		}
-		if n <= 0 {
-			break
-		}
-		c.machine.Stream(core, b.mem.Home, n*8)
-		c.machine.AdvanceNS(core, float64(n*8)*scanComputeNSPerByte)
-		if fn != nil {
-			fn(b.data[:n])
-		}
-		seen += n
-	}
-	return seen
-}
 
 // Predicate is a push-down filter for scans.
 type Predicate struct {
@@ -451,12 +288,10 @@ type ScanStats struct {
 	BlocksFullHit int64 // blocks accepted whole from the block summary
 }
 
-// ScanScratch is the reusable per-caller state of SharedScan: the selection
-// bitmap and the per-scan verdict buffer. It grows to the largest block and
-// scan count seen and then stays allocation-free; one scratch must not be
-// shared by concurrent scans.
+// ScanScratch is the reusable per-caller state of SharedScan: the per-scan
+// verdict buffer. It grows to the largest scan count seen and then stays
+// allocation-free; one scratch must not be shared by concurrent scans.
 type ScanScratch struct {
-	bits     []uint64
 	verdicts []uint8
 }
 
@@ -469,11 +304,11 @@ const (
 
 // verdict classifies a block against one scan's bounds. visible is how many
 // of the block's slots the snapshot exposes; full acceptance requires the
-// whole block to be visible, because the summary covers all live slots.
+// whole block to be visible, because the summary covers all of its values.
 //
 //eris:hotpath
 func (b *block) verdict(s ScanSpec, visible int64) uint8 {
-	if b.used == b.dead || s.Lo > s.Hi || b.zmax < s.Lo || b.zmin > s.Hi {
+	if s.Lo > s.Hi || b.zmax < s.Lo || b.zmin > s.Hi {
 		return verdictSkip
 	}
 	if visible == int64(b.used) && b.zmin >= s.Lo && b.zmax <= s.Hi {
@@ -482,63 +317,11 @@ func (b *block) verdict(s ScanSpec, visible int64) uint8 {
 	return verdictEval
 }
 
-// predWord evaluates p over up to 64 values, returning one selection bit
-// per value plus the matched count and wrapping sum of the matching values.
-// The comparison loops are branch-free (borrow and xor-normalization
-// tricks) with the count and sum fused in as masked adds, so the kernel's
-// speed does not depend on the selectivity or the data order and no
-// per-match extraction pass is needed.
-//
-//eris:hotpath
-func predWord(p Predicate, vals []uint64) (w, matched, sum uint64) {
-	switch p.Op {
-	case All:
-		for _, v := range vals {
-			sum += v
-		}
-		if len(vals) == 64 {
-			return ^uint64(0), 64, sum
-		}
-		return uint64(1)<<uint(len(vals)) - 1, uint64(len(vals)), sum
-	case Less:
-		for j, v := range vals {
-			_, borrow := bits.Sub64(v, p.Operand, 0) // 1 iff v < operand
-			w |= borrow << uint(j)
-			matched += borrow
-			sum += v & (0 - borrow)
-		}
-	case Greater:
-		for j, v := range vals {
-			_, borrow := bits.Sub64(p.Operand, v, 0) // 1 iff v > operand
-			w |= borrow << uint(j)
-			matched += borrow
-			sum += v & (0 - borrow)
-		}
-	case Equal:
-		for j, v := range vals {
-			x := v ^ p.Operand
-			hit := 1 - (x|(0-x))>>63 // 1 iff v == operand
-			w |= hit << uint(j)
-			matched += hit
-			sum += v & (0 - hit)
-		}
-	case Between:
-		for j, v := range vals {
-			_, below := bits.Sub64(v, p.Operand, 0) // 1 iff v < lo
-			_, above := bits.Sub64(p.High, v, 0)    // 1 iff v > hi
-			hit := 1 - (below | above)
-			w |= hit << uint(j)
-			matched += hit
-			sum += v & (0 - hit)
-		}
-	}
-	return w, matched, sum
-}
-
-// aggValues is the aggregate-only kernel: the same branch-free comparisons
-// as predWord but without materializing selection bits, for passes over
-// blocks with no tombstones where nothing downstream needs the bitmap.
-// Dropping the bit-building removes a serial shift/or chain per value.
+// aggValues is the scan kernel: it returns the matched count and wrapping
+// sum of the values p accepts. The comparison loops are branch-free (borrow
+// and xor-normalization tricks) with the count and sum fused in as masked
+// adds, so the kernel's speed does not depend on the selectivity or the
+// data order.
 //
 //eris:hotpath
 func aggValues(p Predicate, vals []uint64) (matched, sum uint64) {
@@ -550,27 +333,27 @@ func aggValues(p Predicate, vals []uint64) (matched, sum uint64) {
 		return uint64(len(vals)), sum
 	case Less:
 		for _, v := range vals {
-			_, borrow := bits.Sub64(v, p.Operand, 0)
+			_, borrow := bits.Sub64(v, p.Operand, 0) // 1 iff v < operand
 			matched += borrow
 			sum += v & (0 - borrow)
 		}
 	case Greater:
 		for _, v := range vals {
-			_, borrow := bits.Sub64(p.Operand, v, 0)
+			_, borrow := bits.Sub64(p.Operand, v, 0) // 1 iff v > operand
 			matched += borrow
 			sum += v & (0 - borrow)
 		}
 	case Equal:
 		for _, v := range vals {
 			x := v ^ p.Operand
-			hit := 1 - (x|(0-x))>>63
+			hit := 1 - (x|(0-x))>>63 // 1 iff v == operand
 			matched += hit
 			sum += v & (0 - hit)
 		}
 	case Between:
 		for _, v := range vals {
-			_, below := bits.Sub64(v, p.Operand, 0)
-			_, above := bits.Sub64(p.High, v, 0)
+			_, below := bits.Sub64(v, p.Operand, 0) // 1 iff v < lo
+			_, above := bits.Sub64(p.High, v, 0)    // 1 iff v > hi
 			hit := 1 - (below | above)
 			matched += hit
 			sum += v & (0 - hit)
@@ -579,97 +362,51 @@ func aggValues(p Predicate, vals []uint64) (matched, sum uint64) {
 	return matched, sum
 }
 
-// filterBlock runs the vectorized filter kernel over one block's visible
-// values: it evaluates p 64 values at a time, masks tombstoned slots, and
-// returns the matched count and wrapping sum. When bm is non-nil the
-// selection bitmap is materialized into it word by word (bm must hold
-// (len(vals)+63)/64 words) so later consumers can reuse the surviving set.
-//
-//eris:hotpath
-func filterBlock(bm []uint64, vals []uint64, del []uint64, p Predicate) (matched, sum uint64) {
-	words := (len(vals) + 63) / 64
-	for w := 0; w < words; w++ {
-		base := w * 64
-		end := base + 64
-		if end > len(vals) {
-			end = len(vals)
-		}
-		word, m, s := predWord(p, vals[base:end])
-		if del != nil && del[w] != 0 {
-			// Tombstoned slots drop out of the selection; the fused count
-			// and sum included them, so recompute both from the surviving
-			// bits (the slow path — blocks without deletes never take it).
-			word &^= del[w]
-			m = uint64(bits.OnesCount64(word))
-			s = 0
-			for t := word; t != 0; t &= t - 1 {
-				s += vals[base+bits.TrailingZeros64(t)]
-			}
-		}
-		if bm != nil {
-			bm[w] = word
-		}
-		matched += m
-		sum += s
-	}
-	return matched, sum
-}
-
 // SharedScan is the morsel-driven shared pass: it walks the blocks once and
-// feeds every attached scan's aggregate. Per block, each scan's zone-map
-// verdict is computed first; the block's values are streamed only if at
-// least one scan must evaluate them, and consecutive scans with an
-// identical predicate share one kernel run. aggs[i] accumulates specs[i]'s
-// result (the caller zeroes it); scratch holds the selection bitmap and is
+// feeds every attached scan's aggregate. aggs[i] accumulates specs[i]'s
+// result (the caller zeroes it); scratch holds the verdict buffer and is
 // reused across calls.
-//
-// Virtual cost: one zone check per (block, scan); one byte stream plus one
-// per-byte compute charge per evaluated (block, kernel run). Pruned and
-// full-hit blocks never touch their values.
 //
 //eris:hotpath
 func (c *Column) SharedScan(core topology.CoreID, snapshot int64, specs []ScanSpec, aggs []ScanAgg, scratch *ScanScratch) ScanStats {
-	var stats ScanStats
-	if len(specs) == 0 {
-		return stats
-	}
 	if cap(scratch.verdicts) < len(specs) {
 		scratch.verdicts = make([]uint8, len(specs)) //eris:allowalloc amortized scan-scratch growth, reused across shared scans
 	}
-	verdicts := scratch.verdicts[:len(specs)]
+	stats, _ := c.walk(core, snapshot, specs, aggs, scratch.verdicts[:len(specs)])
+	return stats
+}
 
+// walk is the one block walk behind SharedScan and ScanFiltered. Per block,
+// each scan's zone-map verdict is computed first; the block's values are
+// streamed only if at least one scan must evaluate them, and consecutive
+// scans with an identical predicate share one kernel run. verdicts holds
+// one slot per spec. It returns the block outcomes and the positions
+// walked.
+//
+// Virtual cost: one zone check per (block, scan); one byte stream per
+// evaluated block plus one per-byte compute charge per kernel run. Pruned
+// and full-hit blocks never touch their values.
+//
+//eris:hotpath
+func (c *Column) walk(core topology.CoreID, snapshot int64, specs []ScanSpec, aggs []ScanAgg, verdicts []uint8) (stats ScanStats, seen int64) {
 	c.mu.RLock() //eris:allowblock column RWMutex write-locked only for bounded transfer splices; read side never waits on I/O
 	defer c.mu.RUnlock()
-	var seen int64
 	for bi := range c.blocks {
-		if seen >= snapshot {
-			break
-		}
 		b := &c.blocks[bi]
-		n := int64(b.used)
-		if seen+n > snapshot {
-			n = snapshot - seen
-		}
+		n := min(int64(b.used), snapshot-seen)
 		if n <= 0 {
 			break
 		}
 		c.machine.AdvanceNS(core, zoneCheckNSPerBlock*float64(len(specs)))
-		evals := 0
+		evals := false
 		for i := range specs {
-			v := b.verdict(specs[i], n)
-			verdicts[i] = v
-			if v == verdictEval {
-				evals++
-			}
+			verdicts[i] = b.verdict(specs[i], n)
+			evals = evals || verdicts[i] == verdictEval
 		}
-		if evals > 0 {
+		if evals {
 			// The block's values cross the memory system once per pass, no
 			// matter how many scans evaluate them.
 			c.machine.Stream(core, b.mem.Home, n*8)
-			words := (int(n) + 63) / 64
-			if cap(scratch.bits) < words {
-				scratch.bits = make([]uint64, words) //eris:allowalloc amortized scan-scratch growth, reused across shared scans
-			}
 		}
 		var prevPred Predicate
 		var prevM, prevS uint64
@@ -680,27 +417,22 @@ func (c *Column) SharedScan(core topology.CoreID, snapshot int64, specs []ScanSp
 				stats.BlocksPruned++
 			case verdictFull:
 				stats.BlocksFullHit++
-				aggs[i].Matched += uint64(b.used - b.dead)
+				aggs[i].Matched += uint64(b.used)
 				aggs[i].Sum += b.sum
 			default:
 				stats.BlocksScanned++
-				if havePrev && specs[i].Pred == prevPred {
-					// Identical predicate in the same shared pass: the
-					// surviving bitmap (and its aggregate) is reused.
-					aggs[i].Matched += prevM
-					aggs[i].Sum += prevS
-					continue
+				if !havePrev || specs[i].Pred != prevPred {
+					prevM, prevS = aggValues(specs[i].Pred, b.data[:n])
+					c.machine.AdvanceNS(core, float64(n*8)*scanComputeNSPerByte)
+					prevPred, havePrev = specs[i].Pred, true
 				}
-				m, s := filterBlock(scratch.bits[:(int(n)+63)/64], b.data[:n], b.del, specs[i].Pred)
-				c.machine.AdvanceNS(core, float64(n*8)*scanComputeNSPerByte)
-				aggs[i].Matched += m
-				aggs[i].Sum += s
-				prevPred, prevM, prevS, havePrev = specs[i].Pred, m, s, true
+				aggs[i].Matched += prevM
+				aggs[i].Sum += prevS
 			}
 		}
 		seen += n
 	}
-	return stats
+	return stats, seen
 }
 
 // ScanResult aggregates a filtered scan.
@@ -717,130 +449,59 @@ type ScanResult struct {
 
 // ScanFiltered runs one predicate over the column with zone-map pruning,
 // aggregating matched count and sum; this is the storage operation behind
-// the paper's scan data command. It needs no scratch (the single-predicate
-// kernel aggregates without materializing the selection bitmap), so it is
-// safe to call concurrently from many readers.
+// the paper's scan data command. It is a one-scan pass over SharedScan's
+// block walk that needs no scratch, so it is safe to call concurrently
+// from many readers.
 func (c *Column) ScanFiltered(core topology.CoreID, snapshot int64, p Predicate) ScanResult {
-	spec := SpecOf(p)
-	var res ScanResult
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var seen int64
-	for bi := range c.blocks {
-		if seen >= snapshot {
-			break
-		}
-		b := &c.blocks[bi]
-		n := int64(b.used)
-		if seen+n > snapshot {
-			n = snapshot - seen
-		}
-		if n <= 0 {
-			break
-		}
-		c.machine.AdvanceNS(core, zoneCheckNSPerBlock)
-		switch b.verdict(spec, n) {
-		case verdictSkip:
-			res.BlocksPruned++
-		case verdictFull:
-			res.BlocksFullHit++
-			res.Matched += int64(b.used - b.dead)
-			res.Sum += b.sum
-		default:
-			res.BlocksScanned++
-			c.machine.Stream(core, b.mem.Home, n*8)
-			c.machine.AdvanceNS(core, float64(n*8)*scanComputeNSPerByte)
-			var m, s uint64
-			if b.del == nil {
-				m, s = aggValues(p, b.data[:n])
-			} else {
-				m, s = filterBlock(nil, b.data[:n], b.del, p)
-			}
-			res.Matched += int64(m)
-			res.Sum += s
-		}
-		seen += n
+	specs := [1]ScanSpec{SpecOf(p)}
+	var aggs [1]ScanAgg
+	var verdicts [1]uint8
+	stats, seen := c.walk(core, snapshot, specs[:], aggs[:], verdicts[:])
+	return ScanResult{
+		Scanned: seen, Matched: int64(aggs[0].Matched), Sum: aggs[0].Sum,
+		BlocksScanned: stats.BlocksScanned, BlocksPruned: stats.BlocksPruned, BlocksFullHit: stats.BlocksFullHit,
 	}
-	res.Scanned = seen
-	return res
 }
 
 // Detached is a run of blocks detached from a column for a partition
 // transfer.
 type Detached struct {
 	blocks []block
-	count  int64 // positions
-	dead   int64 // tombstones among them
+	count  int64 // values
 }
 
-// Count returns the number of positions in the detached run (tombstones
-// included; they are compacted away by a cross-node copy).
+// Count returns the number of values in the detached run.
 //
 //eris:hotpath
 func (d *Detached) Count() int64 { return d.count }
 
-// DetachTail removes the last n positions from the column. Whole blocks
-// move by reference with their zone maps and tombstones; a partially
-// covered block is split by copying its tail into a fresh block (charged as
-// a local stream) whose summary is rebuilt from the copied slots.
+// DetachTail removes the last n values from the column. Whole blocks move
+// by reference with their zone maps; a partially covered block is split by
+// copying its tail into a fresh block (charged as a local stream) whose
+// summary is built from the copied values. The kept block's sum stays exact
+// by subtraction; its zone map stays a superset.
 func (c *Column) DetachTail(core topology.CoreID, n int64) *Detached {
 	c.mu.Lock() //eris:allowblock bounded pointer-splice critical section on the transfer path; no I/O under the lock
 	defer c.mu.Unlock()
-	d := &Detached{}
-	if n > c.count {
-		n = c.count
-	}
-	for n > 0 && len(c.blocks) > 0 {
+	n = min(n, c.count)
+	d := &Detached{count: n}
+	c.count -= n
+	for n > 0 {
 		last := &c.blocks[len(c.blocks)-1]
 		if int64(last.used) <= n {
-			// Unlink the whole block. A block carrying tombstones first
-			// re-derives its summary from the surviving slots: the
-			// widen-only zone map may be stale around deleted extremes,
-			// and handing over a tight one restores the new holder's
-			// pruning and full-hit eligibility (a linked block keeps the
-			// map forever; a copied one is compacted anyway).
-			if last.dead > 0 {
-				c.machine.Stream(core, last.mem.Home, int64(last.used)*8)
-				last.recompute()
-			}
 			d.blocks = append(d.blocks, *last)
-			d.count += int64(last.used)
-			d.dead += int64(last.dead)
 			n -= int64(last.used)
-			c.count -= int64(last.used)
-			c.dead -= int64(last.dead)
 			c.blocks = c.blocks[:len(c.blocks)-1]
 			continue
 		}
-		// Split: copy the tail of the block into a new block, moving the
-		// covered tombstones and rebuilding both summaries (the kept
-		// block's zone map stays as a superset; its sum and deleted count
-		// are exact by subtraction).
-		keep := int64(last.used) - n
-		split := c.newBlock(0) // start is assigned when the run is relinked
-		copy(split.data, last.data[keep:last.used])
-		split.used = int(n)
-		for i := 0; i < split.used; i++ {
-			if last.delGet(int(keep) + i) {
-				if split.del == nil {
-					split.del = make([]uint64, (len(split.data)+63)/64)
-				}
-				split.del[i/64] |= 1 << uint(i%64)
-				split.dead++
-			} else {
-				split.noteInsert(split.data[i])
-			}
-		}
+		keep := last.used - int(n)
+		split := c.newBlock()
+		split.add(last.data[keep:last.used])
 		c.machine.Stream(core, last.mem.Home, n*8)
 		c.machine.Stream(core, split.mem.Home, n*8)
-		last.used = int(keep)
+		last.used = keep
 		last.sum -= split.sum
-		last.dead -= split.dead
-		c.count -= n
-		c.dead -= int64(split.dead)
 		d.blocks = append(d.blocks, split)
-		d.count += n
-		d.dead += int64(split.dead)
 		n = 0
 	}
 	// Detached blocks come off the tail newest-first; restore order.
@@ -850,9 +511,9 @@ func (c *Column) DetachTail(core topology.CoreID, n int64) *Detached {
 	return d
 }
 
-// LinkDetached appends a detached run by reference, renumbering the linked
-// blocks' start positions. Every block must be homed on node (the caller's
-// local node): linking is only legal within one memory-management domain.
+// LinkDetached appends a detached run by reference. Every block must be
+// homed on node (the caller's local node): linking is only legal within one
+// memory-management domain.
 func (c *Column) LinkDetached(core topology.CoreID, node topology.NodeID, d *Detached) error {
 	for i := range d.blocks {
 		if d.blocks[i].mem.Home != node {
@@ -862,93 +523,53 @@ func (c *Column) LinkDetached(core topology.CoreID, node topology.NodeID, d *Det
 	}
 	c.mu.Lock() //eris:allowblock bounded pointer-splice critical section on the transfer path; no I/O under the lock
 	defer c.mu.Unlock()
-	for i := range d.blocks {
-		d.blocks[i].start = c.count
-		c.blocks = append(c.blocks, d.blocks[i])
-		c.count += int64(d.blocks[i].used)
-		c.dead += int64(d.blocks[i].dead)
-	}
-	d.blocks, d.count, d.dead = nil, 0, 0
+	c.blocks = append(c.blocks, d.blocks...)
+	c.count += d.count
+	d.blocks, d.count = nil, 0
 	return nil
 }
 
 // CopyDetached appends a detached run by value: the target AEU streams the
-// source blocks' live values into freshly allocated local blocks (the
-// cross-node "copy" transfer), compacting tombstones away, then releases
-// the source allocations.
+// source blocks' values into freshly allocated local blocks (the cross-node
+// "copy" transfer), then releases the source allocations.
 func (c *Column) CopyDetached(core topology.CoreID, d *Detached, releaseSrc Free) {
 	for i := range d.blocks {
-		src := &d.blocks[i]
-		if src.used > src.dead {
-			c.appendCopied(core, src)
-		}
-		releaseSrc(src.mem)
+		c.appendCopied(core, &d.blocks[i])
+		releaseSrc(d.blocks[i].mem)
 	}
-	d.blocks, d.count, d.dead = nil, 0, 0
+	d.blocks, d.count = nil, 0
 }
 
-// appendCopied streams one source block's live values into the column.
+// appendCopied streams one source block's values into the column.
 func (c *Column) appendCopied(core topology.CoreID, src *block) {
 	c.mu.Lock() //eris:allowblock bounded per-block copy on the transfer path; no I/O under the lock
 	defer c.mu.Unlock()
-	copied := 0
 	var home topology.NodeID
-	for i := 0; i < src.used; i++ {
-		if src.delGet(i) {
-			continue
-		}
+	for vals := src.data[:src.used]; len(vals) > 0; {
 		b := c.tailBlock()
-		v := src.data[i]
-		b.data[b.used] = v
-		b.noteInsert(v)
-		b.used++
-		c.count++
-		copied++
-		home = b.mem.Home
+		n := b.add(vals)
+		c.count += int64(n)
+		home, vals = b.mem.Home, vals[n:]
 	}
-	if copied > 0 {
-		// The copy loop reads the remote source and writes locally; the
-		// slower leg dominates, which StreamBetween models.
-		c.machine.StreamBetween(core, src.mem.Home, home, int64(copied)*8)
-	}
+	// The copy loop reads the remote source and writes locally; the slower
+	// leg dominates, which StreamBetween models.
+	c.machine.StreamBetween(core, src.mem.Home, home, int64(src.used)*8)
 }
 
-// Release frees all blocks of the column.
-func (c *Column) Release() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range c.blocks {
-		c.release(c.blocks[i].mem)
-	}
-	c.blocks, c.count, c.dead = nil, 0, 0
-}
-
-// Values copies the live visible entries into a slice; test and
-// small-result support, not a streaming path.
+// Values copies the visible values into a slice, charging their stream:
+// the checkpoint image of a column and test support, not a scan path.
 func (c *Column) Values(core topology.CoreID, snapshot int64) []uint64 {
 	out := make([]uint64, 0, snapshot)
 	c.mu.RLock() //eris:allowblock column RWMutex write-locked only for bounded transfer splices; read side never waits on I/O
 	defer c.mu.RUnlock()
-	var seen int64
 	for bi := range c.blocks {
-		if seen >= snapshot {
-			break
-		}
 		b := &c.blocks[bi]
-		n := int64(b.used)
-		if seen+n > snapshot {
-			n = snapshot - seen
-		}
+		n := min(int64(b.used), snapshot-int64(len(out)))
 		if n <= 0 {
 			break
 		}
 		c.machine.Stream(core, b.mem.Home, n*8)
-		for i := 0; i < int(n); i++ {
-			if !b.delGet(i) {
-				out = append(out, b.data[i])
-			}
-		}
-		seen += n
+		out = append(out, b.data[:n]...)
 	}
 	return out
 }

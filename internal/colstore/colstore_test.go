@@ -37,6 +37,19 @@ func seq(n int) []uint64 {
 	return out
 }
 
+// hashed returns n values spread over the whole u64 domain: a hash of the
+// position, so every block's zone map spans (nearly) the full range.
+func hashed(n int) []uint64 {
+	out := seq(n)
+	for i, v := range out {
+		v ^= v >> 33
+		v *= 0xff51afd7ed558ccd
+		v ^= v >> 33
+		out[i] = v
+	}
+	return out
+}
+
 func TestAppendScanRoundtrip(t *testing.T) {
 	f := newFixture(t)
 	col := f.local(0, 16)
@@ -58,11 +71,16 @@ func TestSnapshotIsolation(t *testing.T) {
 	col.Append(0, seq(50))
 	snap := col.Snapshot()
 	col.Append(0, seq(50))
-	if n := col.Scan(0, snap, nil); n != 50 {
-		t.Fatalf("scan at old snapshot saw %d entries, want 50", n)
-	}
-	if n := col.Scan(0, col.Snapshot(), nil); n != 100 {
-		t.Fatalf("scan at new snapshot saw %d entries, want 100", n)
+	for _, c := range []struct {
+		snap int64
+		want int
+	}{{snap, 50}, {col.Snapshot(), 100}} {
+		if n := len(col.Values(0, c.snap)); n != c.want {
+			t.Errorf("Values at snapshot %d saw %d entries, want %d", c.snap, n, c.want)
+		}
+		if r := col.ScanFiltered(0, c.snap, Predicate{Op: All}); r.Scanned != int64(c.want) || r.Matched != int64(c.want) {
+			t.Errorf("ScanFiltered at snapshot %d = %+v, want %d scanned and matched", c.snap, r, c.want)
+		}
 	}
 }
 
@@ -90,23 +108,41 @@ func TestScanFiltered(t *testing.T) {
 	}
 }
 
+// TestScanChargesBandwidth checks that reading a column's values charges
+// their bytes on the memory controller of the blocks' home node, and on the
+// links when the reading core sits on another node.
 func TestScanChargesBandwidth(t *testing.T) {
 	f := newFixture(t)
 	col := f.local(2, 1024)
-	col.Append(20, seq(4096)) // core 20 is on node 2: local append
-	e := f.machine.StartEpoch()
-	col.Scan(20, col.Snapshot(), nil)
-	if got := e.MCBytes(2); got != 4096*8 {
-		t.Errorf("MC bytes = %d, want %d", got, 4096*8)
-	}
-	if got := e.TotalLinkBytes(); got != 0 {
-		t.Errorf("local scan produced %d link bytes", got)
-	}
-	// Remote scan crosses links.
-	e2 := f.machine.StartEpoch()
-	col.Scan(0, col.Snapshot(), nil) // core 0 on node 0
-	if got := e2.TotalLinkBytes(); got != 4096*8 {
-		t.Errorf("remote scan link bytes = %d", got)
+	col.Append(20, hashed(4096)) // core 20 is on node 2: local append
+	// Every block spans (nearly) the whole domain, so this predicate
+	// evaluates every block and streams all of its bytes.
+	p := Predicate{Op: Less, Operand: 1 << 63}
+	for _, c := range []struct {
+		name string
+		read func(core topology.CoreID)
+	}{
+		{"Values", func(core topology.CoreID) { col.Values(core, col.Snapshot()) }},
+		{"ScanFiltered", func(core topology.CoreID) {
+			if r := col.ScanFiltered(core, col.Snapshot(), p); r.BlocksScanned != 4 {
+				t.Errorf("ScanFiltered evaluated %d blocks, want 4", r.BlocksScanned)
+			}
+		}},
+	} {
+		e := f.machine.StartEpoch()
+		c.read(20)
+		if got := e.MCBytes(2); got != 4096*8 {
+			t.Errorf("%s: MC bytes = %d, want %d", c.name, got, 4096*8)
+		}
+		if got := e.TotalLinkBytes(); got != 0 {
+			t.Errorf("%s: local read produced %d link bytes", c.name, got)
+		}
+		// A remote read crosses links.
+		e2 := f.machine.StartEpoch()
+		c.read(0) // core 0 on node 0
+		if got := e2.TotalLinkBytes(); got != 4096*8 {
+			t.Errorf("%s: remote read link bytes = %d", c.name, got)
+		}
 	}
 }
 
@@ -160,6 +196,38 @@ func TestDetachTailSplitsChunk(t *testing.T) {
 	}
 }
 
+// TestDetachTailSplitKeepsExactness detaches across a block boundary. The
+// kept block's zone map stays a superset of the values it still holds, so
+// scans over both halves must stay exact whether they prune, evaluate or
+// accept the kept block whole from its sum, which stays exact by
+// subtraction.
+func TestDetachTailSplitKeepsExactness(t *testing.T) {
+	f := newFixture(t)
+	src := f.local(0, 64)
+	src.Append(0, seq(160))     // blocks [0,63], [64,127], [128,159]
+	d := src.DetachTail(0, 100) // values [60,159]: split block 0 at 60
+	dst := f.local(0, 64)
+	if err := dst.LinkDetached(0, 0, d); err != nil {
+		t.Fatal(err)
+	}
+	if src.Count() != 60 || dst.Count() != 100 {
+		t.Fatalf("split detach left (%d, %d), want (60, 100)", src.Count(), dst.Count())
+	}
+	for _, p := range []Predicate{
+		{Op: All},
+		{Op: Between, Operand: 0, High: 63},  // contains the kept block's zone map
+		{Op: Between, Operand: 60, High: 63}, // only moved values; the kept block's max still overlaps
+		{Op: Greater, Operand: 150},
+	} {
+		checkScan(t, src, p)
+		checkScan(t, dst, p)
+	}
+	res := src.ScanFiltered(0, src.Snapshot(), Predicate{Op: Between, Operand: 0, High: 63})
+	if res.BlocksFullHit != 1 || res.Matched != 60 || res.Sum != 59*60/2 {
+		t.Fatalf("kept block = %+v, want one full hit of 60 values summing to %d", res, 59*60/2)
+	}
+}
+
 func TestDetachMoreThanCount(t *testing.T) {
 	f := newFixture(t)
 	col := f.local(0, 10)
@@ -202,22 +270,9 @@ func TestCopyDetachedCrossNode(t *testing.T) {
 	if e.TotalLinkBytes() == 0 {
 		t.Error("cross-node copy produced no link traffic")
 	}
-	// Source blocks were released.
-	if got := f.sys.Node(0).AllocatedBytes(); got != src.Bytes() {
-		t.Errorf("node 0 allocated %d, want %d (only the retained chunks)", got, src.Bytes())
-	}
-}
-
-func TestReleaseFreesAll(t *testing.T) {
-	f := newFixture(t)
-	col := f.local(0, 10)
-	col.Append(0, seq(100))
-	col.Release()
-	if got := f.sys.Node(0).AllocatedBytes(); got != 0 {
-		t.Errorf("allocated after release = %d", got)
-	}
-	if col.Count() != 0 {
-		t.Errorf("count after release = %d", col.Count())
+	// Source blocks were released: node 0 holds only the retained block.
+	if got := f.sys.Node(0).AllocatedBytes(); got != 10*8 {
+		t.Errorf("node 0 allocated %d, want %d (only the retained chunk)", got, 10*8)
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"eris/internal/topology"
 )
 
-// refScan is the oracle for filtered scans: a plain loop over the live
-// visible values applying Predicate.Matches.
+// refScan is the oracle for filtered scans: a plain loop over the visible
+// values applying Predicate.Matches.
 func refScan(col *Column, snapshot int64, p Predicate) (matched int64, sum uint64) {
 	for _, v := range col.Values(0, snapshot) {
 		if p.Matches(v) {
@@ -68,31 +68,6 @@ func TestScanPartialBlock(t *testing.T) {
 	}
 }
 
-func TestScanAllDeletedBlock(t *testing.T) {
-	f := newFixture(t)
-	col := f.local(0, 8)
-	col.Append(0, seq(16)) // two full blocks
-	for pos := int64(0); pos < 8; pos++ {
-		if !col.Delete(0, pos) {
-			t.Fatalf("delete %d failed", pos)
-		}
-	}
-	if got := col.Count(); got != 8 {
-		t.Fatalf("live count = %d, want 8", got)
-	}
-	// The all-deleted block must be pruned without evaluation, even though
-	// its (stale, superset) zone map still overlaps the predicate.
-	res := col.ScanFiltered(0, col.Snapshot(), Predicate{Op: Less, Operand: 8})
-	if res.Matched != 0 || res.Sum != 0 {
-		t.Fatalf("all-deleted block matched %d (sum %d)", res.Matched, res.Sum)
-	}
-	if res.BlocksPruned == 0 {
-		t.Fatalf("all-deleted block was not pruned: %+v", res)
-	}
-	checkScan(t, col, Predicate{Op: All})
-	checkScan(t, col, Predicate{Op: Between, Operand: 0, High: 15})
-}
-
 // TestScanBlockBoundaryPredicates pins the zone-map comparisons on
 // predicates that sit exactly on a block's min or max: off-by-one in a
 // skip/full-accept comparison flips the result at these points.
@@ -128,57 +103,18 @@ func TestScanBlockBoundaryPredicates(t *testing.T) {
 	}
 }
 
-func TestUpsertAfterDeleteReusesSlot(t *testing.T) {
-	f := newFixture(t)
-	col := f.local(0, 8)
-	col.Append(0, seq(8))
-	if !col.Delete(0, 3) {
-		t.Fatal("delete failed")
-	}
-	if col.Delete(0, 3) {
-		t.Fatal("double delete succeeded")
-	}
-	if got := col.Count(); got != 7 {
-		t.Fatalf("count after delete = %d", got)
-	}
-	checkScan(t, col, Predicate{Op: All})
-	checkScan(t, col, Predicate{Op: Equal, Operand: 3})
-
-	// Revive the slot with a new value; count, sum and zone map follow.
-	if !col.Upsert(0, 3, 100) {
-		t.Fatal("upsert failed")
-	}
-	if got := col.Count(); got != 8 {
-		t.Fatalf("count after revive = %d", got)
-	}
-	checkScan(t, col, Predicate{Op: All})
-	checkScan(t, col, Predicate{Op: Equal, Operand: 100})
-	checkScan(t, col, Predicate{Op: Equal, Operand: 3}) // the old value is gone
-
-	// Overwrite a live slot: the sum shifts, no count change.
-	if !col.Upsert(0, 0, 42) {
-		t.Fatal("overwrite failed")
-	}
-	checkScan(t, col, Predicate{Op: All})
-	if col.Upsert(0, 99, 1) || col.Delete(0, 99) {
-		t.Fatal("out-of-range position accepted")
-	}
-}
-
 // TestSharedScanManyPredicates checks a multi-scan shared pass (including
 // duplicate predicates, which share one kernel run) against the oracle.
 func TestSharedScanManyPredicates(t *testing.T) {
 	f := newFixture(t)
 	col := f.local(0, 16)
 	col.Append(0, seq(200))
-	col.Delete(0, 17)
-	col.Delete(0, 150)
 	preds := []Predicate{
 		{Op: All},
 		{Op: Less, Operand: 40},
 		{Op: Less, Operand: 40}, // duplicate: kernel-run reuse path
 		{Op: Between, Operand: 100, High: 160},
-		{Op: Equal, Operand: 17}, // deleted value
+		{Op: Equal, Operand: 17},
 		{Op: Greater, Operand: 198},
 	}
 	specs := make([]ScanSpec, len(preds))
@@ -198,13 +134,12 @@ func TestSharedScanManyPredicates(t *testing.T) {
 	}
 }
 
-// TestSharedScanSteadyStateAllocs guards the selection-bitmap kernel path:
-// after warm-up, shared passes must not allocate.
+// TestSharedScanSteadyStateAllocs guards the scan path: after warm-up,
+// neither a shared pass nor ScanFiltered may allocate.
 func TestSharedScanSteadyStateAllocs(t *testing.T) {
 	f := newFixture(t)
 	col := f.local(0, 64)
 	col.Append(0, seq(1000))
-	col.Delete(0, 70) // force the tombstone-masking kernel path too
 	specs := []ScanSpec{
 		SpecOf(Predicate{Op: Less, Operand: 500}),
 		SpecOf(Predicate{Op: Between, Operand: 100, High: 900}),
@@ -221,6 +156,9 @@ func TestSharedScanSteadyStateAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, run); avg != 0 {
 		t.Fatalf("SharedScan allocates %.1f times per pass in steady state", avg)
 	}
+	if avg := testing.AllocsPerRun(100, func() { col.ScanFiltered(0, snap, specs[0].Pred) }); avg != 0 {
+		t.Fatalf("ScanFiltered allocates %.1f times per pass", avg)
+	}
 }
 
 // TestDetachDuringSharedScans moves the partition tail (the balancer's
@@ -232,7 +170,6 @@ func TestDetachDuringSharedScans(t *testing.T) {
 	src := f.local(0, 16)
 	dst := f.local(0, 16)
 	src.Append(0, seq(500))
-	src.Delete(0, 123)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -269,17 +206,11 @@ func TestDetachDuringSharedScans(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// Conservation: every live tuple is in exactly one of the two columns.
-	if got := src.Count() + dst.Count(); got != 499 {
-		t.Fatalf("live tuples after transfers = %d, want 499", got)
+	// Conservation: every tuple is in exactly one of the two columns.
+	if got := src.Count() + dst.Count(); got != 500 {
+		t.Fatalf("tuples after transfers = %d, want 500", got)
 	}
-	wantM, wantS := int64(0), uint64(0)
-	for v := uint64(0); v < 250; v++ {
-		if v != 123 {
-			wantM++
-			wantS += v
-		}
-	}
+	wantM, wantS := int64(250), uint64(249*250/2)
 	sres := src.ScanFiltered(0, src.Snapshot(), Predicate{Op: Less, Operand: 250})
 	dres := dst.ScanFiltered(0, dst.Snapshot(), Predicate{Op: Less, Operand: 250})
 	if sres.Matched+dres.Matched != wantM || sres.Sum+dres.Sum != wantS {

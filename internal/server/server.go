@@ -443,15 +443,13 @@ func (c *conn) errMsg(err error) wire.Msg {
 
 // rejectCode classifies an error into the wire reject code its TError
 // carries (meaningful on version ≥ 2; harmless on version 1, whose frames
-// drop the byte).
+// drop the byte): wire.CodeForErr, plus the engine's own deadline error,
+// which the wire package does not know.
 func rejectCode(err error) uint8 {
-	switch {
-	case errors.Is(err, wire.ErrOverloaded):
-		return wire.CodeOverloaded
-	case errors.Is(err, wire.ErrDeadlineExceeded), errors.Is(err, core.ErrDeadlineExceeded):
+	if errors.Is(err, core.ErrDeadlineExceeded) {
 		return wire.CodeDeadlineExceeded
 	}
-	return wire.CodeGeneric
+	return wire.CodeForErr(err)
 }
 
 // writeLoop owns the socket's write side: it serializes queued response
