@@ -1,20 +1,16 @@
-// Command erisload drives a configurable lookup/upsert/scan workload
-// against an ERIS engine through the public API and reports throughput and
-// interconnect counters — a smoke/load-test tool for the storage engine.
-//
-// With -remote addr it instead drives the workload over the eriswire
-// protocol against a running erisserve: a connection pool of -conns
-// pipelined connections shared by -workers goroutines issuing batches of
-// 64 for -dur REAL seconds (in local mode -dur is virtual seconds).
+// Command erisload exercises a running erisserve for the correctness
+// harnesses: every mode records what the server answered over the
+// eriswire protocol and checks it. Throughput is the benchmark ledger's job (benchmarks/), and
+// eristop and erisbench drive an in-process engine.
 //
 // Usage:
 //
-//	erisload [-machine intel] [-workers N] [-keys 1048576] [-dur 0.002]
-//	         [-mix lookup|upsert|scan] [-balancer oneshot|maN] [-hot 0.25]
-//	erisload -remote 127.0.0.1:7807 [-conns 4] [-workers 16] [-dur 1]
-//	         [-mix lookup|upsert|scan] [-hot 0.25] [-overload] [-timeout 5ms]
+//	erisload -remote 127.0.0.1:7807 -check [-conns 4] [-workers 8] [-dur 1]
 //	erisload -remote 127.0.0.1:7807 -ackfile acks.txt [-dur 2]
 //	erisload -remote 127.0.0.1:7807 -ackfile acks.txt -verify
+//
+// -check runs a recorded mixed workload and checks offline that its
+// history is linearizable.
 //
 // The -ackfile pair is the kill -9 durability scenario: the first form
 // runs a striped upsert workload against a -datadir erisserve and records
@@ -22,17 +18,11 @@
 // killed — ends the run gracefully); after restarting the server on the
 // same data directory, the -verify form checks every recorded write
 // survived recovery.
-//
-// The -overload scenario stamps every request with a short deadline and
-// disables retries so admission-control rejections surface; the report
-// then shows goodput versus shed rate instead of failing on the first
-// wire.ErrOverloaded.
 package main
 
 import (
 	"bufio"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -42,139 +32,59 @@ import (
 	"sync/atomic"
 	"time"
 
-	"eris"
-	"eris/internal/aeu"
 	"eris/internal/client"
-	"eris/internal/core"
 	"eris/internal/histcheck"
 	"eris/internal/history"
-	"eris/internal/hwcounter"
-	"eris/internal/metrics"
 	"eris/internal/prefixtree"
 	"eris/internal/wire"
 	"eris/internal/workload"
 )
 
 func main() {
-	machine := flag.String("machine", "intel", "simulated machine: intel, amd, sgi, single")
-	workers := flag.Int("workers", 0, "AEU count; with -remote, load goroutines (0 = default)")
-	keys := flag.Uint64("keys", 1<<20, "key domain size")
-	dur := flag.Float64("dur", 0.002, "measured virtual seconds (real seconds with -remote)")
-	mix := flag.String("mix", "lookup", "workload: lookup, upsert, or scan; with -remote also mixed (read-mostly lookup/upsert/delete)")
-	balancer := flag.String("balancer", "", "load balancing algorithm (oneshot, maN; empty = off)")
-	hot := flag.Float64("hot", 0, "restrict lookups to the first fraction of the domain (0 = uniform)")
-	metricsAddr := flag.String("metricsaddr", "", "serve live engine metrics as JSON on this address (e.g. 127.0.0.1:0)")
-	remote := flag.String("remote", "", "drive a running erisserve at this address instead of an in-process engine")
-	conns := flag.Int("conns", 4, "pooled connections with -remote")
-	overload := flag.Bool("overload", false, "with -remote: overload scenario — per-request deadlines, no retries, shed requests tolerated; reports goodput vs shed rate")
-	timeout := flag.Duration("timeout", 0, "with -remote: per-request client timeout (0 = none; 5ms under -overload)")
-	check := flag.Bool("check", false, "with -remote: record every operation and verify the history is linearizable after the run; violations dump to results/")
+	remote := flag.String("remote", "", "address of the erisserve to drive")
+	conns := flag.Int("conns", 4, "pooled connections")
+	workers := flag.Int("workers", 0, "load goroutines (0 = two per connection)")
+	dur := flag.Float64("dur", 1, "workload seconds")
+	check := flag.Bool("check", false, "record a mixed workload and verify the history is linearizable after the run; violations dump to results/")
 	checkRing := flag.Int("checkring", 1<<16, "with -check: per-worker event ring capacity (on overflow only the history before the first dropped event is checked)")
-	ackFile := flag.String("ackfile", "", "with -remote: run a striped upsert workload recording every acknowledged write to this file; a dropped connection (server killed) ends the worker without failing the run")
-	verify := flag.Bool("verify", false, "with -remote -ackfile: look up every recorded acked write and exit non-zero if any is missing or older than its acked value")
+	ackFile := flag.String("ackfile", "", "run a striped upsert workload recording every acknowledged write to this file; a dropped connection (server killed) ends the worker without failing the run")
+	verify := flag.Bool("verify", false, "with -ackfile: look up every recorded acked write and exit non-zero if any is missing or older than its acked value")
 	flag.Parse()
 
-	if *verify {
-		if *remote == "" || *ackFile == "" {
-			log.Fatal("-verify requires -remote and -ackfile")
-		}
+	if *workers <= 0 {
+		*workers = 2 * *conns
+	}
+	switch {
+	case *remote == "":
+		log.Fatal("erisload needs -remote: it drives a running erisserve")
+	case *verify && *ackFile == "":
+		log.Fatal("-verify requires -ackfile")
+	case *verify:
 		runVerify(*remote, *conns, *ackFile)
-		return
-	}
-	if *ackFile != "" {
-		if *remote == "" {
-			log.Fatal("-ackfile requires -remote")
-		}
+	case *ackFile != "":
 		runAcked(*remote, *conns, *workers, *dur, *ackFile)
-		return
+	case *check:
+		runCheck(*remote, *conns, *workers, *dur, *checkRing)
+	default:
+		log.Fatal("erisload needs a mode: -check or -ackfile")
 	}
+}
 
-	if *remote != "" {
-		runRemote(*remote, *conns, *workers, *dur, *mix, *hot, *overload, *timeout, *check, *checkRing)
-		return
-	}
-	if *check {
-		log.Fatal("-check requires -remote: history recording wraps the wire client")
-	}
-
-	db, err := eris.Open(eris.Options{
-		Machine: *machine, Workers: *workers,
-		Balancer: *balancer, BalancerIntervalSec: *dur / 10,
-		MetricsAddr: *metricsAddr,
-	})
+// dialIndex opens a pool of conns connections to addr and returns it with
+// the first index object the server exports.
+func dialIndex(addr string, conns int) (*client.Pool, wire.ObjectInfo) {
+	pool, err := client.NewPool(addr, conns, client.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer db.Close()
-
-	const obj = 1
-	var keygen workload.KeyGen = workload.Uniform{Domain: *keys}
-	if *hot > 0 && *hot < 1 {
-		keygen = workload.HotRange{Lo: 0, Hi: uint64(float64(*keys) * *hot)}
-	}
-
-	switch *mix {
-	case "lookup", "upsert":
-		idx, err := db.CreateIndex("bench", *keys)
-		if err != nil {
-			log.Fatal(err)
+	for _, o := range pool.Get().Objects() {
+		if o.Kind == wire.KindIndex {
+			return pool, o
 		}
-		if *mix == "lookup" {
-			if err := idx.LoadDense(*keys, nil); err != nil {
-				log.Fatal(err)
-			}
-		}
-		db.Engine().SetGenerators(func(i int) aeu.Generator {
-			if *mix == "lookup" {
-				return &core.LookupGenerator{Object: obj, Keys: keygen, Batch: 64, DurationSec: *dur * 3}
-			}
-			return &core.UpsertGenerator{Object: obj, Keys: keygen, Batch: 64, DurationSec: *dur * 3}
-		})
-	case "scan":
-		col, err := db.CreateColumn("bench")
-		if err != nil {
-			log.Fatal(err)
-		}
-		per := int64(*keys) / int64(db.Engine().NumAEUs())
-		if err := col.LoadUniform(per, nil); err != nil {
-			log.Fatal(err)
-		}
-		db.Engine().SetGenerators(func(i int) aeu.Generator {
-			return &core.SelfScanGenerator{Object: obj, Pred: eris.PredAll(), DurationSec: *dur * 3}
-		})
-	default:
-		log.Fatalf("unknown mix %q", *mix)
 	}
-
-	if err := db.Start(); err != nil {
-		log.Fatal(err)
-	}
-	if addr := db.MetricsListenAddr(); addr != "" {
-		fmt.Printf("metrics: http://%s/metrics\n", addr)
-	}
-	session := hwcounter.Start(db.Engine().Machine())
-	before := db.MetricsSnapshot()
-	start := time.Now()
-	if err := db.Engine().WaitVirtual(*dur, 30*time.Minute); err != nil {
-		log.Fatal(err)
-	}
-	report := session.Report()
-	delta := db.MetricsSnapshot().Delta(before)
-	db.Close()
-
-	fmt.Printf("machine %s, %d AEUs, %s workload over %d keys\n",
-		*machine, db.Engine().NumAEUs(), *mix, *keys)
-	fmt.Print(report)
-	fmt.Printf("routing: %d inbox appends, %d swaps, %d overflows, %d outbox flushes, %d routed keys\n",
-		delta.SumCounters("routing.inbox.", ".appends"),
-		delta.SumCounters("routing.inbox.", ".swaps"),
-		delta.SumCounters("routing.inbox.", ".overflows"),
-		delta.SumCounters("routing.outbox.", ".flushes"),
-		delta.SumCounters("routing.outbox.", ".routed_keys"))
-	if cycles := db.Engine().Balancer().Cycles(); len(cycles) > 0 {
-		fmt.Printf("balancing cycles: %d\n", len(cycles))
-	}
-	fmt.Printf("(real time: %.1fs)\n", time.Since(start).Seconds())
+	pool.Close()
+	log.Fatalf("server at %s exports no index object", addr)
+	return nil, wire.ObjectInfo{}
 }
 
 // runAcked drives the durability workload for the kill -9 scenario: each
@@ -186,25 +96,8 @@ func main() {
 // that worker but keeps everything it had acked. A later -verify run
 // replays the file against the restarted server.
 func runAcked(addr string, conns, workers int, durSec float64, ackFile string) {
-	if workers <= 0 {
-		workers = 2 * conns
-	}
-	pool, err := client.NewPool(addr, conns, client.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	pool, obj := dialIndex(addr, conns)
 	defer pool.Close()
-	var obj wire.ObjectInfo
-	found := false
-	for _, o := range pool.Get().Objects() {
-		if o.Kind == wire.KindIndex {
-			obj, found = o, true
-			break
-		}
-	}
-	if !found {
-		log.Fatalf("server at %s exports no index object", addr)
-	}
 	if obj.Domain < uint64(2*workers) {
 		log.Fatalf("domain %d too small for %d striped workers", obj.Domain, workers)
 	}
@@ -298,22 +191,8 @@ func runVerify(addr string, conns int, ackFile string) {
 	}
 	f.Close()
 
-	pool, err := client.NewPool(addr, conns, client.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	pool, obj := dialIndex(addr, conns)
 	defer pool.Close()
-	var obj wire.ObjectInfo
-	found := false
-	for _, o := range pool.Get().Objects() {
-		if o.Kind == wire.KindIndex {
-			obj, found = o, true
-			break
-		}
-	}
-	if !found {
-		log.Fatalf("server at %s exports no index object", addr)
-	}
 
 	keys := make([]uint64, 0, len(want))
 	for k := range want {
@@ -349,237 +228,78 @@ func runVerify(addr string, conns int, ackFile string) {
 	fmt.Printf("verify %q: all %d acked writes survived\n", obj.Name, len(want))
 }
 
-// runRemote drives the workload over eriswire against a running erisserve.
-// The key domain comes from the server's handshake object table, so the
-// client needs no -keys flag; lookup/upsert target the first index object,
-// scan targets the first column (or falls back to index range scans).
-//
-// With overload set, every request carries a short deadline and retries
-// are disabled, so server rejections (wire.ErrOverloaded) and expiries
-// surface directly; they are counted as shed work instead of aborting the
-// run, and the report shows goodput versus shed rate.
-//
-// With check set, every operation is recorded into a per-worker history log
-// (plain ring-buffer appends — the verification itself runs offline after
-// the workload quiesced) and the history is checked for linearizability
-// against the sequential map model. The server's pre-existing contents are
-// unknown to the client, so keys start in the "unknown" state and the first
-// linearized read pins them. Violations dump a minimized reproducer to
-// results/ and the run exits non-zero.
-func runRemote(addr string, conns, workers int, durSec float64, mix string, hot float64, overload bool, timeout time.Duration, check bool, checkRing int) {
-	if workers <= 0 {
-		workers = 2 * conns
-	}
-	reg := metrics.NewRegistry()
-	opts := client.Options{Metrics: reg, DefaultTimeout: timeout}
-	if overload {
-		if opts.DefaultTimeout == 0 {
-			opts.DefaultTimeout = 5 * time.Millisecond
-		}
-		opts.OverloadRetries = -1 // count every rejection instead of hiding it behind retries
-	}
-	pool, err := client.NewPool(addr, conns, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
+// runCheck drives a read-mostly mixed workload over the first index — per
+// batch 2/8 upserts, 1/8 deletes, lookups otherwise, so the checker has
+// writes to order against reads — and records every operation into a
+// per-worker history log (plain ring-buffer appends; the verification
+// itself runs offline after the workload quiesced). The history is then
+// checked for linearizability against the sequential map model.
+func runCheck(addr string, conns, workers int, durSec float64, checkRing int) {
+	pool, obj := dialIndex(addr, conns)
 	defer pool.Close()
-
-	wantKind := wire.KindIndex
-	if mix == "scan" {
-		wantKind = wire.KindColumn
-	}
-	var obj wire.ObjectInfo
-	found := false
-	for _, o := range pool.Get().Objects() {
-		if o.Kind == wantKind {
-			obj, found = o, true
-			break
-		}
-	}
-	if !found && mix == "scan" {
-		// No column on the server: scan the first index by range instead.
-		for _, o := range pool.Get().Objects() {
-			if o.Kind == wire.KindIndex {
-				obj, found = o, true
-				break
-			}
-		}
-	}
-	if !found {
-		log.Fatalf("server at %s exports no suitable object for mix %q", addr, mix)
-	}
-
-	var keygen workload.KeyGen = workload.Uniform{Domain: obj.Domain}
-	if hot > 0 && hot < 1 {
-		keygen = workload.HotRange{Lo: 0, Hi: uint64(float64(obj.Domain) * hot)}
-	}
-
-	var rec *history.Recorder
-	if check {
-		rec = history.New(workers, checkRing)
-	}
+	keygen := workload.Uniform{Domain: obj.Domain}
+	rec := history.New(workers, checkRing)
 
 	const batch = 64
-	var ops, tuples, shed atomic.Uint64
+	var ops atomic.Uint64
 	deadline := time.Now().Add(time.Duration(durSec * float64(time.Second)))
 	var wg sync.WaitGroup
 	errc := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int, seed int64) {
+		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			keyBuf := make([]uint64, batch)
-			kvBuf := make([]prefixtree.KV, batch)
-			// With check, the worker binds one connection and records through
-			// it; the log is single-goroutine, like the connection.
-			var wc *history.WireClient
-			if check {
-				wc = history.NewWireClient(pool.Get(), obj.ID, rec.Client(w))
-			}
+			rng := rand.New(rand.NewSource(int64(w) + 1))
+			keys := make([]uint64, batch)
+			kvs := make([]prefixtree.KV, batch)
+			// The worker binds one connection and records through it; the
+			// log is single-goroutine, like the connection.
+			wc := history.NewWireClient(pool.Get(), obj.ID, rec.Client(w))
 			ctx := context.Background()
 			for time.Now().Before(deadline) {
-				c := pool.Get()
 				var err error
-				switch mix {
-				case "lookup":
-					for i := range keyBuf {
-						keyBuf[i] = keygen.Key(rng, 0)
+				switch rng.Intn(8) {
+				case 0, 1:
+					for i := range kvs {
+						kvs[i] = prefixtree.KV{Key: keygen.Key(rng, 0), Value: uint64(rng.Int63())}
 					}
-					var kvs []prefixtree.KV
-					if wc != nil {
-						kvs, err = wc.Lookup(ctx, keyBuf)
-					} else {
-						kvs, err = c.Lookup(obj.ID, keyBuf)
+					err = wc.Upsert(ctx, kvs)
+				case 2:
+					for i := range keys {
+						keys[i] = keygen.Key(rng, 0)
 					}
-					tuples.Add(uint64(len(kvs)))
-				case "upsert":
-					for i := range kvBuf {
-						kvBuf[i] = prefixtree.KV{Key: keygen.Key(rng, 0), Value: uint64(rng.Int63())}
-					}
-					if wc != nil {
-						err = wc.Upsert(ctx, kvBuf)
-					} else {
-						err = c.Upsert(obj.ID, kvBuf)
-					}
-					tuples.Add(batch)
-				case "mixed":
-					// Read-mostly mix over one object so the checker has
-					// writes to order against reads: 2/8 upsert, 1/8 delete.
-					switch rng.Intn(8) {
-					case 0, 1:
-						for i := range kvBuf {
-							kvBuf[i] = prefixtree.KV{Key: keygen.Key(rng, 0), Value: uint64(rng.Int63())}
-						}
-						if wc != nil {
-							err = wc.Upsert(ctx, kvBuf)
-						} else {
-							err = c.Upsert(obj.ID, kvBuf)
-						}
-						tuples.Add(batch)
-					case 2:
-						for i := range keyBuf {
-							keyBuf[i] = keygen.Key(rng, 0)
-						}
-						if wc != nil {
-							err = wc.Delete(ctx, keyBuf[:8])
-						} else {
-							err = c.Delete(obj.ID, keyBuf[:8])
-						}
-						tuples.Add(8)
-					default:
-						for i := range keyBuf {
-							keyBuf[i] = keygen.Key(rng, 0)
-						}
-						var kvs []prefixtree.KV
-						if wc != nil {
-							kvs, err = wc.Lookup(ctx, keyBuf)
-						} else {
-							kvs, err = c.Lookup(obj.ID, keyBuf)
-						}
-						tuples.Add(uint64(len(kvs)))
-					}
-				case "scan":
-					var agg client.ScanAggregate
-					if obj.Kind == wire.KindColumn {
-						if wc != nil {
-							agg, err = wc.ColScan(ctx, eris.PredAll())
-						} else {
-							agg, err = c.ColScan(obj.ID, eris.PredAll())
-						}
-					} else {
-						lo := keygen.Key(rng, 0)
-						if wc != nil {
-							agg, err = wc.ScanRange(ctx, lo, lo+999, eris.PredAll())
-						} else {
-							agg, err = c.ScanRange(obj.ID, lo, lo+999, eris.PredAll())
-						}
-					}
-					tuples.Add(agg.Matched)
+					err = wc.Delete(ctx, keys[:8])
 				default:
-					log.Fatalf("unknown mix %q", mix)
+					for i := range keys {
+						keys[i] = keygen.Key(rng, 0)
+					}
+					_, err = wc.Lookup(ctx, keys)
 				}
 				if err != nil {
-					if overload && (errors.Is(err, wire.ErrOverloaded) || errors.Is(err, wire.ErrDeadlineExceeded)) {
-						shed.Add(1)
-						continue
-					}
 					errc <- err
 					return
 				}
 				ops.Add(1)
 			}
-		}(w, int64(w)+1)
+		}(w)
 	}
 	wg.Wait()
 	select {
 	case err := <-errc:
-		log.Fatalf("remote workload: %v", err)
+		log.Fatalf("check workload: %v", err)
 	default:
 	}
-
-	snap := reg.Snapshot()
-	n := ops.Load()
-	fmt.Printf("remote %s: %s workload on object %q (domain %d), %d conns, %d workers\n",
-		addr, mix, obj.Name, obj.Domain, pool.Size(), workers)
-	fmt.Printf("%d batches (%d tuples) in %.2fs: %.0f batch/s, %.0f tuple/s\n",
-		n, tuples.Load(), durSec, float64(n)/durSec, float64(tuples.Load())/durSec)
-	fmt.Printf("client: %d requests, %d errors, %d connection errors\n",
-		snap.Counter("client.requests"), snap.Counter("client.errors"),
-		snap.Counter("client.conn_errors"))
-	if overload {
-		good, rejected := n, shed.Load()
-		total := good + rejected
-		pct := func(x uint64) float64 {
-			if total == 0 {
-				return 0
-			}
-			return 100 * float64(x) / float64(total)
-		}
-		fmt.Printf("overload: %d/%d batches served (%.1f%% goodput), %d shed or expired (%.1f%%), timeout %s\n",
-			good, total, pct(good), rejected, pct(rejected), opts.DefaultTimeout)
-		fmt.Printf("overload client counters: %d overloaded replies, %d timeouts, %d retries\n",
-			snap.Counter("client.overloaded"), snap.Counter("client.timeouts"),
-			snap.Counter("client.retries"))
-	}
-
-	if check {
-		verifyHistory(rec, mix, obj)
-	}
+	fmt.Printf("check workload on %q (domain %d): %d batches in %.2fs, %d conns, %d workers\n",
+		obj.Name, obj.Domain, ops.Load(), durSec, pool.Size(), workers)
+	verifyHistory(rec)
 }
 
 // verifyHistory runs the offline linearizability check over a recorded
-// remote workload and reports (or dumps and dies on) the outcome.
-func verifyHistory(rec *history.Recorder, mix string, obj wire.ObjectInfo) {
-	opts := histcheck.Options{
-		// The server's pre-existing contents are unknown: the first
-		// linearized read of each key pins its start state.
-		DefaultUnknown: true,
-		// A scan-only run performs no column writes, so every column scan
-		// with the same predicate must observe the identical aggregate no
-		// matter how blocks migrate meanwhile.
-		ColumnStatic: mix == "scan" && obj.Kind == wire.KindColumn,
-	}
+// workload and reports (or dumps and dies on) the outcome.
+func verifyHistory(rec *history.Recorder) {
+	// The server's pre-existing contents are unknown: the first linearized
+	// read of each key pins its start state.
+	opts := histcheck.Options{DefaultUnknown: true}
 	start := time.Now()
 	res := histcheck.Check(rec, opts)
 	fmt.Printf("history check: %d events (%d dropped), %d point ops, %d scans, %d column scans verified in %.2fs\n",

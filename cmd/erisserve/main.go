@@ -8,8 +8,7 @@
 //
 //	erisserve [-addr 127.0.0.1:0] [-machine intel] [-workers N]
 //	          [-keys 1048576] [-preload -1] [-coltuples 0]
-//	          [-balancer oneshot|maN] [-maxinflight 64]
-//	          [-inflight 1024] [-deadline 0]
+//	          [-balancer oneshot|maN] [-inflight 1024] [-deadline 0]
 //	          [-datadir DIR] [-syncwrites] [-checkpoint 2s]
 //
 // With -datadir the engine write-ahead-logs every applied write and cuts
@@ -39,7 +38,6 @@ func main() {
 	preload := flag.Int64("preload", -1, "dense keys to bulk-load into \"kv\" (-1 = whole domain, 0 = none)")
 	colTuples := flag.Int64("coltuples", 0, "tuples per worker of the \"values\" column (0 = no column)")
 	balancer := flag.String("balancer", "", "load balancing algorithm (oneshot, maN; empty = off)")
-	maxInFlight := flag.Int("maxinflight", 0, "per-connection in-flight request limit (0 = default)")
 	inFlight := flag.Int("inflight", 0, "global admission budget across all connections (0 = default)")
 	deadline := flag.Duration("deadline", 0, "default per-request deadline for clients that send none (0 = unbounded)")
 	metricsAddr := flag.String("metricsaddr", "", "serve live engine metrics as JSON on this address")
@@ -51,8 +49,7 @@ func main() {
 
 	db, err := eris.Open(eris.Options{
 		Machine: *machine, Workers: *workers, Balancer: *balancer,
-		ListenAddr: *addr, MaxInFlight: *maxInFlight,
-		GlobalInFlight: *inFlight, DefaultDeadline: *deadline,
+		ListenAddr: *addr, GlobalInFlight: *inFlight, DefaultDeadline: *deadline,
 		MetricsAddr: *metricsAddr, FaultSeed: *faultSeed,
 		DataDir: *dataDir, SyncWrites: *syncWrites, CheckpointEvery: *checkpoint,
 	})

@@ -4,15 +4,21 @@
 package cmd
 
 import (
-	"bufio"
+	"context"
+	"errors"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
-	"syscall"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"eris/internal/client"
+	"eris/internal/colstore"
+	"eris/internal/wire"
 )
 
 // buildTools compiles every cmd/ binary once per test run into a shared
@@ -39,19 +45,6 @@ func tool(t *testing.T, name string) string {
 	return filepath.Join(dir, name)
 }
 
-func TestErisloadSmoke(t *testing.T) {
-	out, err := exec.Command(tool(t, "erisload"),
-		"-machine", "single", "-workers", "4", "-keys", "4096",
-		"-dur", "0.0005", "-mix", "lookup").CombinedOutput()
-	if err != nil {
-		t.Fatalf("erisload: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "lookup workload over 4096 keys") ||
-		!strings.Contains(string(out), "routing:") {
-		t.Fatalf("erisload output missing report:\n%s", out)
-	}
-}
-
 func TestEristopSmoke(t *testing.T) {
 	out, err := exec.Command(tool(t, "eristop"),
 		"-machine", "single", "-workers", "4", "-keys", "16384",
@@ -64,113 +57,19 @@ func TestEristopSmoke(t *testing.T) {
 	}
 }
 
-// TestErisserveRemoteSmoke boots erisserve on an ephemeral port, drives it
-// with erisload -remote for each workload mix, shuts it down with SIGINT
-// and checks the drain report.
-func TestErisserveRemoteSmoke(t *testing.T) {
-	srv := exec.Command(tool(t, "erisserve"),
-		"-addr", "127.0.0.1:0", "-machine", "single", "-workers", "4",
-		"-keys", "16384", "-balancer", "oneshot")
-	stdout, err := srv.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Stderr = os.Stderr
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Process.Kill()
-
-	// First line announces the bound address.
-	sc := bufio.NewScanner(stdout)
-	if !sc.Scan() {
-		t.Fatalf("erisserve printed nothing: %v", sc.Err())
-	}
-	line := sc.Text()
-	addr, ok := strings.CutPrefix(line, "listening on ")
-	if !ok {
-		t.Fatalf("unexpected first line %q", line)
-	}
-	var rest strings.Builder
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for sc.Scan() {
-			rest.WriteString(sc.Text())
-			rest.WriteByte('\n')
-		}
-	}()
-
-	for _, mix := range []string{"lookup", "upsert", "scan"} {
-		out, err := exec.Command(tool(t, "erisload"),
-			"-remote", addr, "-mix", mix, "-dur", "0.2", "-conns", "2", "-workers", "4").CombinedOutput()
-		if err != nil {
-			t.Fatalf("erisload -remote -mix %s: %v\n%s", mix, err, out)
-		}
-		if !strings.Contains(string(out), "remote "+addr) ||
-			!strings.Contains(string(out), "0 errors, 0 connection errors") {
-			t.Fatalf("erisload -remote -mix %s report:\n%s", mix, out)
-		}
-	}
-
-	if err := srv.Process.Signal(syscall.SIGINT); err != nil {
-		t.Fatal(err)
-	}
-	werr := make(chan error, 1)
-	// Wait closes the stdout pipe, so the report is read to EOF (the
-	// server exiting) first; otherwise its last lines can be lost.
-	go func() { <-drained; werr <- srv.Wait() }()
-	select {
-	case err := <-werr:
-		if err != nil {
-			t.Fatalf("erisserve exit: %v", err)
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("erisserve did not drain within 60s of SIGINT")
-	}
-	tail := rest.String()
-	if !strings.Contains(tail, "draining...") || !strings.Contains(tail, "served 6 connections") {
-		t.Fatalf("erisserve drain report:\n%s", tail)
-	}
-	if !strings.Contains(tail, "0 bad frames") {
-		t.Fatalf("erisserve saw protocol errors:\n%s", tail)
-	}
-}
-
 // TestErisloadCheckSmoke boots a balancing erisserve and drives it with
 // the erisload -check mode: a concurrent mixed workload is recorded through
 // the history harness and verified for linearizability offline. The run
 // must end with a clean verdict — any violation makes erisload exit
-// non-zero with a dump path.
+// non-zero with a dump path. SIGINT then drains the server, whose report
+// must show the served connections, no bad frames and the admission
+// counters.
 func TestErisloadCheckSmoke(t *testing.T) {
-	srv := exec.Command(tool(t, "erisserve"),
-		"-addr", "127.0.0.1:0", "-machine", "single", "-workers", "4",
-		"-keys", "16384", "-balancer", "oneshot")
-	stdout, err := srv.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Stderr = os.Stderr
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
+	srv := startServe(t, "-keys", "16384", "-balancer", "oneshot")
 	defer srv.Process.Kill()
 
-	sc := bufio.NewScanner(stdout)
-	if !sc.Scan() {
-		t.Fatalf("erisserve printed nothing: %v", sc.Err())
-	}
-	addr, ok := strings.CutPrefix(sc.Text(), "listening on ")
-	if !ok {
-		t.Fatalf("unexpected first line %q", sc.Text())
-	}
-	go func() {
-		for sc.Scan() {
-		}
-	}()
-
 	out, err := exec.Command(tool(t, "erisload"),
-		"-remote", addr, "-mix", "mixed", "-check",
+		"-remote", srv.addr, "-check",
 		// A batch records ~114 events on average (64-key lookups and
 		// upserts, 8-key deletes, two events per key), so four rings of
 		// 196608 events hold a quarter second at up to ~27 K batch/s.
@@ -186,75 +85,115 @@ func TestErisloadCheckSmoke(t *testing.T) {
 	if !strings.Contains(report, "(0 dropped)") {
 		t.Fatalf("erisload -check overflowed its event rings (the history was checked only up to the first overflow):\n%s", report)
 	}
+
+	tail := srv.interrupt(t)
+	for _, want := range []string{"draining...", "served 2 connections", "0 bad frames", "admission: "} {
+		if !strings.Contains(tail, want) {
+			t.Fatalf("erisserve drain report missing %q:\n%s", want, tail)
+		}
+	}
+}
+
+// TestErisserveRemoteSmoke boots erisserve on an ephemeral port, runs the
+// erisload -ackfile workload against it and then -ackfile -verify against
+// the same live server (every acknowledged write must read back), shuts it
+// down with SIGINT and checks the drain report.
+func TestErisserveRemoteSmoke(t *testing.T) {
+	srv := startServe(t, "-keys", "16384", "-balancer", "oneshot")
+	defer srv.Process.Kill()
+
+	acks := filepath.Join(t.TempDir(), "acks.txt")
+	out, err := exec.Command(tool(t, "erisload"),
+		"-remote", srv.addr, "-ackfile", acks, "-dur", "0.2", "-conns", "2", "-workers", "4").CombinedOutput()
+	if err != nil {
+		t.Fatalf("erisload -ackfile: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "0 connections dropped") {
+		t.Fatalf("erisload -ackfile lost connections to a live server:\n%s", out)
+	}
+	out, err = exec.Command(tool(t, "erisload"),
+		"-remote", srv.addr, "-ackfile", acks, "-verify", "-conns", "2").CombinedOutput()
+	if err != nil {
+		t.Fatalf("erisload -ackfile -verify: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "acked writes survived") {
+		t.Fatalf("erisload -verify report:\n%s", out)
+	}
+
+	tail := srv.interrupt(t)
+	for _, want := range []string{"draining...", "served 4 connections", "0 bad frames"} {
+		if !strings.Contains(tail, want) {
+			t.Fatalf("erisserve drain report missing %q:\n%s", want, tail)
+		}
+	}
 }
 
 // TestErisserveOverloadSmoke boots erisserve with a tiny global admission
-// budget and drives it with the erisload -overload scenario: shed requests
-// must be tolerated and reported as a goodput/shed split rather than
-// aborting the run, and the server's drain report must show the admission
-// counters.
+// budget and floods it with short-deadline range scans from more workers
+// than the budget admits, with client retries off: shed and expired
+// requests must come back as wire.ErrOverloaded or
+// wire.ErrDeadlineExceeded without costing the connection, some work must
+// still be served, and the drain report must show the admission counters.
 func TestErisserveOverloadSmoke(t *testing.T) {
-	srv := exec.Command(tool(t, "erisserve"),
-		"-addr", "127.0.0.1:0", "-machine", "single", "-workers", "4",
-		"-keys", "16384", "-inflight", "2", "-deadline", "100ms")
-	stdout, err := srv.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Stderr = os.Stderr
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
+	srv := startServe(t, "-keys", "16384", "-inflight", "2", "-deadline", "100ms")
 	defer srv.Process.Kill()
 
-	sc := bufio.NewScanner(stdout)
-	if !sc.Scan() {
-		t.Fatalf("erisserve printed nothing: %v", sc.Err())
-	}
-	addr, ok := strings.CutPrefix(sc.Text(), "listening on ")
-	if !ok {
-		t.Fatalf("unexpected first line %q", sc.Text())
-	}
-	var rest strings.Builder
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for sc.Scan() {
-			rest.WriteString(sc.Text())
-			rest.WriteByte('\n')
-		}
-	}()
-
-	out, err := exec.Command(tool(t, "erisload"),
-		"-remote", addr, "-mix", "scan", "-dur", "0.3",
-		"-conns", "2", "-workers", "16", "-overload", "-timeout", "3ms").CombinedOutput()
+	pool, err := client.NewPool(srv.addr, 2, client.Options{OverloadRetries: -1})
 	if err != nil {
-		t.Fatalf("erisload -overload: %v\n%s", err, out)
-	}
-	report := string(out)
-	if !strings.Contains(report, "goodput") || !strings.Contains(report, "shed or expired") {
-		t.Fatalf("erisload -overload report missing goodput/shed split:\n%s", report)
-	}
-	if !strings.Contains(report, "0 connection errors") {
-		t.Fatalf("erisload -overload hit connection errors:\n%s", report)
-	}
-
-	if err := srv.Process.Signal(syscall.SIGINT); err != nil {
 		t.Fatal(err)
 	}
-	werr := make(chan error, 1)
-	// Wait closes the stdout pipe, so the report is read to EOF (the
-	// server exiting) first; otherwise its last lines can be lost.
-	go func() { <-drained; werr <- srv.Wait() }()
-	select {
-	case err := <-werr:
-		if err != nil {
-			t.Fatalf("erisserve exit: %v", err)
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("erisserve did not drain within 60s of SIGINT")
+	defer pool.Close()
+	kv, ok := pool.Get().Object("kv")
+	if !ok {
+		t.Fatal("erisserve exports no \"kv\" index")
 	}
-	if !strings.Contains(rest.String(), "admission: ") {
-		t.Fatalf("erisserve drain report missing admission counters:\n%s", rest.String())
+
+	const workers = 16
+	var good, shed atomic.Uint64
+	end := time.Now().Add(300 * time.Millisecond)
+	errc := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c := pool.Get()
+			rng := rand.New(rand.NewSource(int64(w) + 1))
+			for time.Now().Before(end) {
+				lo := rng.Uint64() % kv.Domain
+				ctx, cancel := context.WithTimeout(context.Background(), 3*time.Millisecond)
+				_, err := c.ScanRangeCtx(ctx, kv.ID, lo, lo+999, colstore.Predicate{Op: colstore.All})
+				cancel()
+				switch {
+				case err == nil:
+					good.Add(1)
+				case errors.Is(err, wire.ErrOverloaded) || errors.Is(err, wire.ErrDeadlineExceeded):
+					shed.Add(1)
+				default:
+					errc <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatalf("overload run: %v", err)
+	}
+	t.Logf("overload: %d scans served, %d shed or expired", good.Load(), shed.Load())
+	if good.Load() == 0 {
+		t.Fatal("overload run served no scan at all")
+	}
+	// Shedding must not have cost a connection: each one still answers.
+	for i := 0; i < pool.Size(); i++ {
+		if _, err := pool.Get().Lookup(kv.ID, []uint64{1}); err != nil {
+			t.Fatalf("connection unusable after the overload run: %v", err)
+		}
+	}
+
+	tail := srv.interrupt(t)
+	if !strings.Contains(tail, "admission: ") {
+		t.Fatalf("erisserve drain report missing admission counters:\n%s", tail)
 	}
 }

@@ -94,10 +94,6 @@ type Options struct {
 	// ephemeral port; ServeAddr reports the bound address after Start.
 	// Connect with the internal/client package or `erisload -remote`.
 	ListenAddr string
-	// MaxInFlight bounds concurrently executing requests per served
-	// connection (0 = the server default); beyond it the connection's
-	// reader stalls and TCP backpressure throttles the client.
-	MaxInFlight int
 	// GlobalInFlight bounds concurrently executing requests across ALL
 	// served connections (0 = the server default). Beyond it requests
 	// wait in a bounded queue (at most GlobalInFlight deep) and the
@@ -140,7 +136,6 @@ type DB struct {
 	recovered *durable.Recovered
 
 	listenAddr      string
-	maxInFlight     int
 	globalInFlight  int
 	defaultDeadline time.Duration
 	server          *server.Server
@@ -208,8 +203,8 @@ func Open(opts Options) (*DB, error) {
 	}
 	db := &DB{
 		engine: e, alg: alg, byName: make(map[string]routing.ObjectID),
-		listenAddr: opts.ListenAddr, maxInFlight: opts.MaxInFlight,
-		globalInFlight: opts.GlobalInFlight, defaultDeadline: opts.DefaultDeadline,
+		listenAddr: opts.ListenAddr, globalInFlight: opts.GlobalInFlight,
+		defaultDeadline: opts.DefaultDeadline,
 	}
 	if rec != nil {
 		if err := db.restore(rec); err != nil {
@@ -468,7 +463,6 @@ func (db *DB) Start() error {
 	db.started = true
 	if db.listenAddr != "" {
 		srv := server.New(db.engine, db.objectTable(), server.Options{
-			MaxInFlight:     db.maxInFlight,
 			GlobalInFlight:  db.globalInFlight,
 			DefaultDeadline: db.defaultDeadline,
 			Faults:          db.engine.Faults(),

@@ -76,14 +76,14 @@ func overloadedServer(t *testing.T) string {
 			go func(nc net.Conn) {
 				defer nc.Close()
 				var hello wire.Msg
-				if _, err := wire.ReadMsg(nc, &hello, nil); err != nil || hello.Type != wire.THello {
+				if _, err := wire.ReadMsgV(nc, &hello, nil, wire.Version); err != nil || hello.Type != wire.THello {
 					return
 				}
 				welcome := wire.Msg{
 					Type: wire.TWelcome, Magic: wire.Magic, Version: wire.Version,
 					Objects: []wire.ObjectInfo{{ID: 1, Kind: wire.KindIndex, Domain: 1 << 16, Name: "kv"}},
 				}
-				frame, err := wire.AppendFrame(nil, &welcome)
+				frame, err := wire.AppendFrameV(nil, &welcome, wire.Version)
 				if err != nil {
 					return
 				}

@@ -6,8 +6,7 @@
 // goroutines can keep batches in flight on one connection and responses
 // may return in any order.
 //
-// Calls take per-request deadlines from their context (or from
-// Options.DefaultTimeout); on protocol v2 connections the deadline rides
+// Calls take per-request deadlines from their context; the deadline rides
 // the request frame so the server can shed work that cannot finish in
 // time. A server rejection with wire.ErrOverloaded is retried with capped
 // exponential backoff (the server sheds before executing, so retrying is
@@ -39,14 +38,11 @@ var ErrClosed = errors.New("client: connection closed")
 // base intervals (the same shape as the balancer's fail-soft retry).
 const retryCapIntervals = 16
 
+// dialTimeout bounds the TCP connect and the handshake.
+const dialTimeout = 5 * time.Second
+
 // Options tunes a client connection.
 type Options struct {
-	// DialTimeout bounds the TCP connect and the handshake (default 5s).
-	DialTimeout time.Duration
-	// DefaultTimeout applies a per-request deadline to calls whose
-	// context carries none (0 = requests without a context deadline
-	// never time out locally).
-	DefaultTimeout time.Duration
 	// OverloadRetries is how many times a call rejected with
 	// wire.ErrOverloaded is retried before the error is returned
 	// (default 3; negative disables retry). Shed requests were never
@@ -55,19 +51,12 @@ type Options struct {
 	// RetryBackoff is the base of the capped exponential backoff between
 	// overload retries (default 500µs; the cap is 16× the base).
 	RetryBackoff time.Duration
-	// ProtocolVersion caps the protocol version offered in the
-	// handshake (default wire.Version). Set wire.VersionLegacy to mimic
-	// an old client; the connection speaks min(server, this).
-	ProtocolVersion uint16
 	// Metrics, when non-nil, receives client.* counters; a pool's
 	// connections share the registry passed to NewPool.
 	Metrics *metrics.Registry
 }
 
 func (o Options) withDefaults() Options {
-	if o.DialTimeout == 0 {
-		o.DialTimeout = 5 * time.Second
-	}
 	if o.OverloadRetries == 0 {
 		o.OverloadRetries = 3
 	} else if o.OverloadRetries < 0 {
@@ -75,9 +64,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RetryBackoff == 0 {
 		o.RetryBackoff = 500 * time.Microsecond
-	}
-	if o.ProtocolVersion == 0 {
-		o.ProtocolVersion = wire.Version
 	}
 	return o
 }
@@ -88,16 +74,15 @@ type Client struct {
 	nc      net.Conn
 	objects []wire.ObjectInfo
 	byName  map[string]wire.ObjectInfo
-	version uint16 // negotiated protocol version
 	opts    Options
 
-	wmu sync.Mutex // serializes frame writes
-	bw  *bufio.Writer
-	enc []byte // write-side encode scratch, guarded by wmu
+	wmu     sync.Mutex // serializes frame writes
+	bw      *bufio.Writer
+	enc     []byte // write-side encode scratch, guarded by wmu
+	nextTag uint64 // guarded by wmu
 
 	mu      sync.Mutex
 	pending map[uint64]chan wire.Msg
-	nextTag uint64
 	err     error // terminal transport error; set once, then all calls fail
 	closed  bool
 
@@ -110,19 +95,17 @@ type Client struct {
 	readerEnd  sync.WaitGroup
 }
 
-// Dial connects, performs the handshake and starts the reader.
+// Dial connects, performs the handshake and starts the reader. A server
+// whose Welcome names any version other than wire.Version is refused.
 func Dial(addr string, opts Options) (*Client, error) {
 	opts = opts.withDefaults()
-	if opts.ProtocolVersion < wire.VersionLegacy || opts.ProtocolVersion > wire.Version {
-		return nil, fmt.Errorf("client: unsupported protocol version %d", opts.ProtocolVersion)
-	}
-	nc, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
+	nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
-	nc.SetDeadline(time.Now().Add(opts.DialTimeout))
-	hello := wire.Msg{Type: wire.THello, Magic: wire.Magic, Version: opts.ProtocolVersion}
-	frame, err := wire.AppendFrame(nil, &hello)
+	nc.SetDeadline(time.Now().Add(dialTimeout))
+	hello := wire.Msg{Type: wire.THello, Magic: wire.Magic, Version: wire.Version}
+	frame, err := wire.AppendFrameV(nil, &hello, wire.Version)
 	if err != nil {
 		nc.Close()
 		return nil, err
@@ -132,7 +115,7 @@ func Dial(addr string, opts Options) (*Client, error) {
 		return nil, fmt.Errorf("client: handshake write: %w", err)
 	}
 	var welcome wire.Msg
-	if _, err := wire.ReadMsg(nc, &welcome, nil); err != nil {
+	if _, err := wire.ReadMsgV(nc, &welcome, nil, wire.Version); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("client: handshake read: %w", err)
 	}
@@ -140,13 +123,9 @@ func Dial(addr string, opts Options) (*Client, error) {
 		nc.Close()
 		return nil, fmt.Errorf("client: handshake: unexpected %v", welcome.Type)
 	}
-	if welcome.Version < wire.VersionLegacy {
+	if welcome.Version != wire.Version {
 		nc.Close()
-		return nil, fmt.Errorf("client: protocol version %d, want >= %d", welcome.Version, wire.VersionLegacy)
-	}
-	version := welcome.Version
-	if opts.ProtocolVersion < version {
-		version = opts.ProtocolVersion
+		return nil, fmt.Errorf("client: server speaks version %d: %w", welcome.Version, wire.ErrVersion)
 	}
 	nc.SetDeadline(time.Time{})
 
@@ -158,7 +137,6 @@ func Dial(addr string, opts Options) (*Client, error) {
 		nc:         nc,
 		objects:    welcome.Objects,
 		byName:     make(map[string]wire.ObjectInfo, len(welcome.Objects)),
-		version:    version,
 		opts:       opts,
 		bw:         bufio.NewWriter(nc),
 		pending:    make(map[uint64]chan wire.Msg),
@@ -186,8 +164,9 @@ func (c *Client) Object(name string) (wire.ObjectInfo, bool) {
 	return o, ok
 }
 
-// Version returns the negotiated protocol version.
-func (c *Client) Version() uint16 { return c.version }
+// Version returns the connection's protocol version, which Dial checked
+// is wire.Version.
+func (c *Client) Version() uint16 { return wire.Version }
 
 // Close tears the connection down; in-flight calls fail with ErrClosed.
 func (c *Client) Close() error {
@@ -211,7 +190,7 @@ func (c *Client) readLoop() {
 	for {
 		var m wire.Msg
 		var err error
-		if buf, err = wire.ReadMsgV(c.nc, &m, buf, c.version); err != nil {
+		if buf, err = wire.ReadMsgV(c.nc, &m, buf, wire.Version); err != nil {
 			c.fail(err)
 			return
 		}
@@ -245,15 +224,12 @@ func (c *Client) fail(err error) {
 	}
 }
 
-// do runs one call with the context's deadline (or DefaultTimeout) and
-// the overload retry policy. Every retry re-sends under a fresh tag but
-// shares the original deadline — the backoff never extends a call past
-// what the caller asked for.
+// do runs one call with the context's deadline and the overload retry
+// policy. Every retry re-sends under a fresh tag but shares the original
+// deadline — the backoff never extends a call past what the caller asked
+// for.
 func (c *Client) do(ctx context.Context, req *wire.Msg) (wire.Msg, error) {
 	deadline, hasDeadline := ctx.Deadline()
-	if !hasDeadline && c.opts.DefaultTimeout > 0 {
-		deadline, hasDeadline = time.Now().Add(c.opts.DefaultTimeout), true
-	}
 	for attempt := 0; ; attempt++ {
 		m, err := c.roundTrip(ctx, req, deadline, hasDeadline)
 		if err == nil || !errors.Is(err, wire.ErrOverloaded) {
@@ -307,9 +283,9 @@ func backoffFor(base time.Duration, attempt int) time.Duration {
 }
 
 // roundTrip sends one tagged request and waits for its response, the
-// context's cancellation or the call deadline, whichever is first. On v2
-// connections the remaining deadline is stamped onto the frame so the
-// server can shed the request when it cannot be served in time.
+// context's cancellation or the call deadline, whichever is first. The
+// remaining deadline is stamped onto the frame so the server can shed the
+// request when it cannot be served in time.
 func (c *Client) roundTrip(ctx context.Context, req *wire.Msg, deadline time.Time, hasDeadline bool) (wire.Msg, error) {
 	req.DeadlineUS = 0
 	var expire <-chan time.Time
@@ -319,45 +295,47 @@ func (c *Client) roundTrip(ctx context.Context, req *wire.Msg, deadline time.Tim
 			c.timeouts.Inc()
 			return wire.Msg{}, fmt.Errorf("client: %w", wire.ErrDeadlineExceeded)
 		}
-		if c.version >= 2 {
-			us := remaining.Microseconds()
-			if us < 1 {
-				us = 1
-			}
-			if us > math.MaxUint32 {
-				us = math.MaxUint32
-			}
-			req.DeadlineUS = uint32(us)
+		us := remaining.Microseconds()
+		if us < 1 {
+			us = 1
 		}
+		if us > math.MaxUint32 {
+			us = math.MaxUint32
+		}
+		req.DeadlineUS = uint32(us)
 		t := time.NewTimer(remaining)
 		defer t.Stop()
 		expire = t.C
 	}
 
+	// Encode before the tag is registered: a request that cannot be framed
+	// fails alone, and the connection keeps serving every other call.
 	ch := make(chan wire.Msg, 1)
-	c.mu.Lock()
-	if c.err != nil || c.closed {
-		err := c.err
-		c.mu.Unlock()
-		if err == nil {
-			err = ErrClosed
-		}
-		return wire.Msg{}, err
-	}
+	c.wmu.Lock()
 	c.nextTag++
 	req.Tag = c.nextTag
-	c.pending[req.Tag] = ch
-	c.mu.Unlock()
-	c.requests.Inc()
-
-	c.wmu.Lock()
-	enc, err := wire.AppendFrameV(c.enc[:0], req, c.version)
+	enc, err := wire.AppendFrameV(c.enc[:0], req, wire.Version)
+	if err != nil {
+		c.wmu.Unlock()
+		return wire.Msg{}, fmt.Errorf("client: %v request: %w", req.Type, err)
+	}
+	c.enc = enc
+	c.mu.Lock()
+	if err = c.err; err == nil && c.closed {
+		err = ErrClosed
+	}
 	if err == nil {
-		c.enc = enc
-		_, err = c.bw.Write(enc)
-		if err == nil {
-			err = c.bw.Flush()
-		}
+		c.pending[req.Tag] = ch
+	}
+	c.mu.Unlock()
+	if err != nil {
+		c.wmu.Unlock()
+		return wire.Msg{}, err
+	}
+	c.requests.Inc()
+	_, err = c.bw.Write(enc)
+	if err == nil {
+		err = c.bw.Flush()
 	}
 	c.wmu.Unlock()
 	if err != nil {
@@ -367,12 +345,10 @@ func (c *Client) roundTrip(ctx context.Context, req *wire.Msg, deadline time.Tim
 	select {
 	case m, ok := <-ch:
 		if !ok {
+			// fail set c.err before it closed the channel.
 			c.mu.Lock()
 			err := c.err
 			c.mu.Unlock()
-			if err == nil {
-				err = ErrClosed
-			}
 			return wire.Msg{}, err
 		}
 		if m.Type == wire.TError {
@@ -471,15 +447,16 @@ func (c *Client) ScanRangeCtx(ctx context.Context, object uint32, lo, hi uint64,
 	return ScanAggregate{Matched: m.Matched, Sum: m.Sum}, nil
 }
 
-// ScanRows materializes up to limit matching rows of [lo, hi], sorted.
+// ScanRows materializes up to limit matching rows of [lo, hi], sorted;
+// limit must lie in 1..wire.MaxRows, the most one answer frame carries.
 func (c *Client) ScanRows(object uint32, lo, hi uint64, pred colstore.Predicate, limit int) ([]prefixtree.KV, error) {
 	return c.ScanRowsCtx(context.Background(), object, lo, hi, pred, limit)
 }
 
 // ScanRowsCtx is ScanRows bounded by the context's deadline.
 func (c *Client) ScanRowsCtx(ctx context.Context, object uint32, lo, hi uint64, pred colstore.Predicate, limit int) ([]prefixtree.KV, error) {
-	if limit <= 0 {
-		return nil, fmt.Errorf("client: ScanRows needs a positive limit")
+	if limit <= 0 || limit > wire.MaxRows {
+		return nil, fmt.Errorf("client: ScanRows limit %d outside 1..%d", limit, wire.MaxRows)
 	}
 	m, err := c.expect(ctx, &wire.Msg{Type: wire.TScan, Object: object, Lo: lo, Hi: hi, Pred: pred, Limit: uint32(limit)}, wire.TResult)
 	if err != nil {

@@ -9,10 +9,10 @@ import (
 )
 
 // admitter is the server-global admission controller: a fixed budget of
-// execution slots shared by every connection, with a bounded wait queue in
-// front of it. A request that cannot get a slot immediately either waits
-// (bounded by the queue capacity and its deadline) or is shed with
-// wire.ErrOverloaded — the server degrades by rejecting fast, never by
+// execution slots shared by every connection, with a wait queue as deep as
+// the budget in front of it. A request that cannot get a slot immediately
+// either waits (bounded by the queue capacity and its deadline) or is shed
+// with wire.ErrOverloaded — the server degrades by rejecting fast, never by
 // queueing without bound.
 //
 // Shedding is deadline-aware: a request that would have to wait, whose
@@ -32,10 +32,10 @@ type admitter struct {
 	expired  *metrics.Counter // rejected/abandoned on their deadline
 }
 
-func newAdmitter(reg *metrics.Registry, slots, queue int) *admitter {
+func newAdmitter(reg *metrics.Registry, slots int) *admitter {
 	a := &admitter{
 		slots:    make(chan struct{}, slots),
-		queueCap: int32(queue),
+		queueCap: int32(slots),
 		admitted: reg.Counter("server.admitted"),
 		shed:     reg.Counter("server.shed"),
 		expired:  reg.Counter("server.expired"),

@@ -20,7 +20,7 @@ import (
 // admit it without re-checking; it must be rejected as expired, and the
 // slot must be returned.
 func TestAdmitRechecksDeadlineAfterGrant(t *testing.T) {
-	a := newAdmitter(metrics.NewRegistry(), 1, 4)
+	a := newAdmitter(metrics.NewRegistry(), 1)
 	arrival := time.Now().Add(-20 * time.Millisecond)
 	deadline := arrival.Add(10 * time.Millisecond) // unexpired at arrival, passed now
 
@@ -47,7 +47,7 @@ func TestAdmitRechecksDeadlineAfterGrant(t *testing.T) {
 // arbitrarily. Whichever way it goes, an expired waiter must never be
 // admitted, and the slot must survive.
 func TestAdmitWaiterExpiredBeforeGrant(t *testing.T) {
-	a := newAdmitter(metrics.NewRegistry(), 1, 4)
+	a := newAdmitter(metrics.NewRegistry(), 1)
 	for i := 0; i < 25; i++ {
 		if err := a.admit(time.Now(), time.Time{}, nil); err != nil {
 			t.Fatalf("iter %d: take slot: %v", i, err)

@@ -2,8 +2,8 @@ package server_test
 
 // Overload-control tests: the global admission budget sheds excess load
 // with typed errors instead of queueing without bound, deadlines propagate
-// end to end, old-protocol clients keep working, and a hostile handshake
-// can neither hang a connection slot nor leak its goroutines.
+// end to end, and a hostile handshake — or one naming another protocol
+// version — can neither hang a connection slot nor leak its goroutines.
 
 import (
 	"context"
@@ -66,7 +66,7 @@ func startServerOpts(t *testing.T, workers int, opts server.Options) (*core.Engi
 // queueing), requests that do get through must still answer correctly,
 // and every write acknowledged under overload must be durable.
 func TestOverloadShedsAndPreservesAckedWrites(t *testing.T) {
-	eng, _, addr := startServerOpts(t, 4, server.Options{GlobalInFlight: 2, MaxQueue: 1})
+	eng, _, addr := startServerOpts(t, 4, server.Options{GlobalInFlight: 2})
 
 	stop := make(chan struct{})
 	var hogWG sync.WaitGroup
@@ -106,7 +106,7 @@ func TestOverloadShedsAndPreservesAckedWrites(t *testing.T) {
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		c, err := client.Dial(addr, client.Options{DefaultTimeout: 5 * time.Second})
+		c, err := client.Dial(addr, client.Options{})
 		if err != nil {
 			t.Error(err)
 			return
@@ -114,14 +114,16 @@ func TestOverloadShedsAndPreservesAckedWrites(t *testing.T) {
 		defer c.Close()
 		obj, _ := c.Object("kv")
 		for k := uint64(30000); k < 30200; k++ {
-			if err := c.Upsert(obj.ID, []prefixtree.KV{{Key: k, Value: k + 7}}); err == nil {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			if err := c.UpsertCtx(ctx, obj.ID, []prefixtree.KV{{Key: k, Value: k + 7}}); err == nil {
 				acked = append(acked, k)
 			}
+			cancel()
 		}
 	}()
 
 	// Probes: bursts of concurrent lookups with a deadline and no retry.
-	// Under a saturated 2-slot budget with a 1-deep queue, bursts of 8 must
+	// Under a saturated 2-slot budget with a 2-deep queue, bursts of 8 must
 	// eventually observe a typed overload rejection.
 	probe, err := client.Dial(addr, client.Options{OverloadRetries: -1})
 	if err != nil {
@@ -200,7 +202,7 @@ func TestOverloadShedsAndPreservesAckedWrites(t *testing.T) {
 // and checks the default retry policy rides out the rejection: the caller
 // sees success, the retry counter moves.
 func TestClientRetriesOverloadToSuccess(t *testing.T) {
-	eng, _, addr := startServerOpts(t, 4, server.Options{GlobalInFlight: 1, MaxQueue: 1})
+	eng, _, addr := startServerOpts(t, 4, server.Options{GlobalInFlight: 1})
 
 	_ = eng
 	stop := make(chan struct{})
@@ -266,32 +268,18 @@ func TestClientRetriesOverloadToSuccess(t *testing.T) {
 	}
 }
 
-// TestServerDeadlineExceededCode hand-rolls a v2 connection and sends a
+// TestServerDeadlineExceededCode hand-rolls a connection and sends a
 // request whose deadline has effectively already passed; the server must
 // answer with a TError carrying the deadline-exceeded code — the request
 // may never hang or be dropped without an answer.
 func TestServerDeadlineExceededCode(t *testing.T) {
 	_, _, addr := startServer(t, 2, 0, false)
-
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	hello := wire.Msg{Type: wire.THello, Magic: wire.Magic, Version: wire.Version}
-	frame, _ := wire.AppendFrame(nil, &hello)
-	if _, err := nc.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	var welcome wire.Msg
-	if _, err := wire.ReadMsg(nc, &welcome, nil); err != nil || welcome.Version != wire.Version {
-		t.Fatalf("handshake: %+v, %v", welcome, err)
-	}
+	nc := dialRaw(t, addr)
 
 	// 1µs relative deadline: expired by any execution path.
 	req := wire.Msg{Type: wire.TScan, Object: uint32(idxObj), Tag: 7, Lo: 0, Hi: domain - 1,
 		Pred: colstore.Predicate{Op: colstore.All}, DeadlineUS: 1}
-	frame, err = wire.AppendFrameV(nil, &req, wire.Version)
+	frame, err := wire.AppendFrameV(nil, &req, wire.Version)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,50 +302,10 @@ func TestServerDeadlineExceededCode(t *testing.T) {
 	}
 }
 
-// TestLegacyClientCompat pins protocol compatibility: a client capped at
-// version 1 must handshake, read, write and scan against the new server
-// exactly as before — even when the server applies a default deadline to
-// its (deadline-less) requests.
-func TestLegacyClientCompat(t *testing.T) {
-	_, _, addr := startServerOpts(t, 4, server.Options{DefaultDeadline: 5 * time.Second})
-
-	c, err := client.Dial(addr, client.Options{ProtocolVersion: wire.VersionLegacy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Version() != wire.VersionLegacy {
-		t.Fatalf("negotiated version = %d, want %d", c.Version(), wire.VersionLegacy)
-	}
-	obj, ok := c.Object("kv")
-	if !ok {
-		t.Fatalf("object table: %+v", c.Objects())
-	}
-	if err := c.Upsert(obj.ID, []prefixtree.KV{{Key: 50000, Value: 9}}); err != nil {
-		t.Fatal(err)
-	}
-	kvs, err := c.Lookup(obj.ID, []uint64{50000, 3})
-	if err != nil || len(kvs) != 2 || kvs[0].Value != 9 || kvs[1].Value != 9 {
-		t.Fatalf("legacy lookup = %+v, %v", kvs, err)
-	}
-	agg, err := c.ScanRange(obj.ID, 0, 10, colstore.Predicate{Op: colstore.All})
-	if err != nil || agg.Matched != 11 {
-		t.Fatalf("legacy scan = %+v, %v", agg, err)
-	}
-	// A v2 client on the same server negotiates up.
-	c2, err := client.Dial(addr, client.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	if c2.Version() != wire.Version {
-		t.Fatalf("v2 client negotiated %d", c2.Version())
-	}
-}
-
-// TestHandshakeHardening drives the three hostile-handshake shapes —
-// silent, truncated, oversized — and checks each connection is cut at (or
-// before) the handshake timeout without leaking its goroutines.
+// TestHandshakeHardening drives the hostile-handshake shapes — silent,
+// truncated, oversized — and a well-formed Hello naming version 1, and
+// checks each connection is cut at (or before) the handshake timeout
+// without leaking its goroutines.
 func TestHandshakeHardening(t *testing.T) {
 	_, _, addr := startServerOpts(t, 2, server.Options{HandshakeTimeout: 150 * time.Millisecond})
 
@@ -376,6 +324,10 @@ func TestHandshakeHardening(t *testing.T) {
 			binary.LittleEndian.PutUint32(hdr[:], wire.MaxFrame+9+1)
 			nc.Write(hdr[:])
 		}},
+		{"version-1 hello", func(nc net.Conn) {
+			frame, _ := wire.AppendFrameV(nil, &wire.Msg{Type: wire.THello, Magic: wire.Magic, Version: 1}, wire.Version)
+			nc.Write(frame)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -388,8 +340,12 @@ func TestHandshakeHardening(t *testing.T) {
 			// The server must close the connection by the handshake timeout
 			// (plus slack), never serve past a bad hello.
 			nc.SetReadDeadline(time.Now().Add(3 * time.Second))
-			if _, err := io.ReadAll(nc); err != nil {
+			got, err := io.ReadAll(nc)
+			if err != nil {
 				t.Fatalf("connection not cleanly closed: %v", err)
+			}
+			if len(got) > 0 {
+				t.Fatalf("server answered a bad hello with %d bytes", len(got))
 			}
 		})
 	}

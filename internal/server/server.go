@@ -7,7 +7,7 @@
 // completed handler queues its tagged response to the writer, so responses
 // leave in completion order, not arrival order. A per-connection in-flight
 // semaphore bounds concurrent handlers: when a client pipelines more than
-// MaxInFlight requests, the reader simply stops reading and TCP backpressure
+// maxInFlight requests, the reader simply stops reading and TCP backpressure
 // does the rest.
 //
 // Shutdown is a graceful drain: stop accepting, stop reading, finish every
@@ -32,24 +32,21 @@ import (
 	"eris/internal/wire"
 )
 
+// maxInFlight bounds the requests one connection may have executing, and
+// the encoded responses queued for its writer. Beyond it the connection's
+// reader stalls, pushing back on the client through TCP flow control, so
+// a peer that writes without reading cannot pile up responses.
+const maxInFlight = 64
+
 // Options tunes the serving layer.
 type Options struct {
-	// MaxInFlight bounds concurrently executing requests per connection
-	// (default 64). Beyond it the connection's reader stalls, pushing back
-	// on the client through TCP flow control.
-	MaxInFlight int
 	// GlobalInFlight bounds concurrently executing requests across ALL
 	// connections (default 1024) — the admission-control budget. Requests
-	// beyond it wait in a bounded queue or are shed with an overloaded
-	// error instead of piling up in the engine.
+	// beyond it wait in a queue as deep as the budget or are shed with an
+	// overloaded error instead of piling up in the engine.
 	GlobalInFlight int
-	// MaxQueue bounds how many admitted-but-waiting requests may queue for
-	// a global slot (default GlobalInFlight). Beyond it requests are shed
-	// immediately.
-	MaxQueue int
 	// DefaultDeadline, when non-zero, is applied to every request that
-	// carries no deadline of its own (version 1 clients, version 2 clients
-	// sending DeadlineUS = 0).
+	// carries no deadline of its own (DeadlineUS = 0).
 	DefaultDeadline time.Duration
 	// HandshakeTimeout bounds how long a fresh connection may take to send
 	// its Hello (default 5s).
@@ -60,14 +57,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxInFlight == 0 {
-		o.MaxInFlight = 64
-	}
 	if o.GlobalInFlight == 0 {
 		o.GlobalInFlight = 1024
-	}
-	if o.MaxQueue == 0 {
-		o.MaxQueue = o.GlobalInFlight
 	}
 	if o.HandshakeTimeout == 0 {
 		o.HandshakeTimeout = 5 * time.Second
@@ -80,7 +71,6 @@ type Server struct {
 	eng     *core.Engine
 	objects []wire.ObjectInfo
 	opts    Options
-	faults  *faults.Injector
 	admit   *admitter
 
 	ln       net.Listener
@@ -116,8 +106,7 @@ func New(eng *core.Engine, objects []wire.ObjectInfo, opts Options) *Server {
 		eng:        eng,
 		objects:    objects,
 		opts:       opts,
-		faults:     opts.Faults,
-		admit:      newAdmitter(reg, opts.GlobalInFlight, opts.MaxQueue),
+		admit:      newAdmitter(reg, opts.GlobalInFlight),
 		conns:      make(map[*conn]struct{}),
 		accepted:   reg.Counter("server.accepted"),
 		active:     reg.Gauge("server.active_conns"),
@@ -168,7 +157,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		}
 		c := &conn{
 			s: s, nc: nc,
-			out:     make(chan []byte, s.opts.MaxInFlight),
+			out:     make(chan []byte, maxInFlight),
 			aborted: make(chan struct{}),
 		}
 		s.mu.Lock()
@@ -233,9 +222,6 @@ type conn struct {
 	handlers sync.WaitGroup
 	aborted  chan struct{} // closed by abort(); unblocks queued handlers
 	abortOne sync.Once
-	// version is the negotiated protocol version: min(client, server),
-	// fixed by the handshake before the reader dispatches anything.
-	version uint16
 }
 
 // stopReading makes the connection's reader return on its next read
@@ -275,26 +261,24 @@ func (c *conn) serve() {
 	c.nc.Close()
 }
 
-// handshake reads the client's Hello and answers with the object table.
-// The Welcome carries the negotiated protocol version — min(client,
-// server) — which both sides then frame with; a version 1 client keeps
-// speaking exactly the protocol it always did.
+// handshake reads the client's Hello and answers with the object table. A
+// Hello with the wrong magic or naming any version other than
+// wire.Version fails it, and the caller closes the connection.
 func (c *conn) handshake() error {
 	c.nc.SetReadDeadline(time.Now().Add(c.s.opts.HandshakeTimeout))
 	var m wire.Msg
-	if _, err := wire.ReadMsg(c.nc, &m, nil); err != nil {
+	if _, err := wire.ReadMsgV(c.nc, &m, nil, wire.Version); err != nil {
 		return err
 	}
 	c.nc.SetReadDeadline(time.Time{})
 	if m.Type != wire.THello || m.Magic != wire.Magic {
 		return wire.ErrBadMagic
 	}
-	if m.Version < wire.VersionLegacy {
-		return fmt.Errorf("server: protocol version %d, want %d-%d", m.Version, wire.VersionLegacy, wire.Version)
+	if m.Version != wire.Version {
+		return wire.ErrVersion
 	}
-	c.version = min(m.Version, wire.Version)
-	welcome := wire.Msg{Type: wire.TWelcome, Version: c.version, Objects: c.s.objects}
-	frame, err := wire.AppendFrame(nil, &welcome)
+	welcome := wire.Msg{Type: wire.TWelcome, Version: wire.Version, Objects: c.s.objects}
+	frame, err := wire.AppendFrameV(nil, &welcome, wire.Version)
 	if err != nil {
 		return err
 	}
@@ -306,12 +290,12 @@ func (c *conn) readLoop() {
 	// The semaphore is the per-connection in-flight bound: acquired by the
 	// reader before dispatch, released when the handler finished encoding
 	// its response. A full semaphore stops the reader — backpressure.
-	sem := make(chan struct{}, c.s.opts.MaxInFlight)
+	sem := make(chan struct{}, maxInFlight)
 	var buf []byte
 	for {
 		var m wire.Msg
 		var err error
-		if buf, err = wire.ReadMsgV(c.nc, &m, buf, c.version); err != nil {
+		if buf, err = wire.ReadMsgV(c.nc, &m, buf, wire.Version); err != nil {
 			// EOF and the drain deadline are normal ends; a frame the
 			// codec rejected means the peer is corrupt — kill the
 			// connection rather than resynchronize on a byte stream.
@@ -354,11 +338,13 @@ func isProtocolErr(err error) bool {
 }
 
 // handle admits one request against the global budget, executes it, and
-// queues the tagged response. Shed or expired requests are answered with
-// their typed reject code without ever touching the engine.
+// queues the tagged response. Oversized, shed or expired requests are
+// answered with their reject code without ever touching the engine.
 func (c *conn) handle(m *wire.Msg, arrival time.Time, deadline time.Time) {
 	var resp wire.Msg
-	if err := c.s.admit.admit(arrival, deadline, c.aborted); err != nil {
+	if err := checkAnswerSize(m); err != nil {
+		resp = c.errMsg(err)
+	} else if err := c.s.admit.admit(arrival, deadline, c.aborted); err != nil {
 		resp = c.errMsg(err)
 	} else {
 		execStart := time.Now()
@@ -366,23 +352,33 @@ func (c *conn) handle(m *wire.Msg, arrival time.Time, deadline time.Time) {
 		c.s.admit.release(time.Since(execStart))
 	}
 	resp.Tag = m.Tag
-	if c.s.faults.Should(faults.DropConn) {
+	if c.s.opts.Faults.Should(faults.DropConn) {
 		// Kill the connection in place of the response: the client must
 		// observe a connection error, never a half-written frame.
 		c.s.dropsInj.Inc()
 		c.abort()
 		return
 	}
-	frame, err := wire.AppendFrameV(nil, &resp, c.version)
+	frame, err := wire.AppendFrameV(nil, &resp, wire.Version)
 	if err != nil {
 		errMsg := wire.Msg{Type: wire.TError, Tag: m.Tag, Err: err.Error()}
-		frame, _ = wire.AppendFrameV(nil, &errMsg, c.version)
+		frame, _ = wire.AppendFrameV(nil, &errMsg, wire.Version)
 	}
 	select {
 	case c.out <- frame:
 		c.s.responses.Inc()
 	case <-c.aborted:
 	}
+}
+
+// checkAnswerSize refuses a request whose answer could not fit one frame: a
+// lookup of more than wire.MaxRows keys, or a rows scan with a larger
+// Limit.
+func checkAnswerSize(m *wire.Msg) error {
+	if (m.Type == wire.TLookup && len(m.Keys) > wire.MaxRows) || (m.Type == wire.TScan && m.Limit > wire.MaxRows) {
+		return fmt.Errorf("server: %v answer may exceed %d rows", m.Type, wire.MaxRows)
+	}
+	return nil
 }
 
 // execute maps one request onto the engine's synchronous client API. The
@@ -442,9 +438,8 @@ func (c *conn) errMsg(err error) wire.Msg {
 }
 
 // rejectCode classifies an error into the wire reject code its TError
-// carries (meaningful on version ≥ 2; harmless on version 1, whose frames
-// drop the byte): wire.CodeForErr, plus the engine's own deadline error,
-// which the wire package does not know.
+// carries: wire.CodeForErr, plus the engine's own deadline error, which
+// the wire package does not know.
 func rejectCode(err error) uint8 {
 	if errors.Is(err, core.ErrDeadlineExceeded) {
 		return wire.CodeDeadlineExceeded
@@ -459,7 +454,7 @@ func (c *conn) writeLoop(done chan<- struct{}) {
 	defer close(done)
 	bw := bufio.NewWriter(c.nc)
 	for frame := range c.out {
-		if c.s.faults.Should(faults.SlowWrite) {
+		if c.s.opts.Faults.Should(faults.SlowWrite) {
 			c.s.slowWrites.Inc()
 			time.Sleep(slowWriteDelay)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sort"
 	"sync"
@@ -303,24 +304,7 @@ func TestSlowWriteFault(t *testing.T) {
 // server must cut the connection instead of resynchronizing, and count it.
 func TestBadFrameKillsConnection(t *testing.T) {
 	eng, _, addr := startServer(t, 2, 0, false)
-
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	hello := wire.Msg{Type: wire.THello, Magic: wire.Magic, Version: wire.Version}
-	frame, err := wire.AppendFrame(nil, &hello)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nc.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	var welcome wire.Msg
-	if _, err := wire.ReadMsg(nc, &welcome, nil); err != nil || welcome.Type != wire.TWelcome {
-		t.Fatalf("handshake: %+v, %v", welcome, err)
-	}
+	nc := dialRaw(t, addr)
 
 	// A frame with a bogus type byte.
 	if _, err := nc.Write([]byte{9, 0, 0, 0, 0xff, 1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
@@ -336,6 +320,106 @@ func TestBadFrameKillsConnection(t *testing.T) {
 			t.Fatal("server.bad_frames never moved")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// dialRaw opens a connection and completes the handshake by hand, so a
+// test can put frames on the wire that the client would never send. The
+// connection closes at test end.
+func dialRaw(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	frame, err := wire.AppendFrameV(nil, &wire.Msg{Type: wire.THello, Magic: wire.Magic, Version: wire.Version}, wire.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nc.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	var welcome wire.Msg
+	if _, err := wire.ReadMsgV(nc, &welcome, nil, wire.Version); err != nil || welcome.Type != wire.TWelcome {
+		t.Fatalf("handshake: %+v, %v", welcome, err)
+	}
+	return nc
+}
+
+// TestOversizedAnswerRefusedBeforeAdmission sends the two legal requests
+// whose answer may not fit one frame: a lookup of more than wire.MaxRows
+// keys (65 536 keys make a 512 KiB request) and a rows scan with a larger
+// limit. Each must be answered with a TError before admission, so the
+// engine never runs it.
+func TestOversizedAnswerRefusedBeforeAdmission(t *testing.T) {
+	eng, _, addr := startServer(t, 2, 0, false)
+	nc := dialRaw(t, addr)
+
+	keys := make([]uint64, 1<<16)
+	for i := range keys {
+		keys[i] = uint64(i) % 4096 // all present
+	}
+	before := eng.MetricsSnapshot().Counter("server.admitted")
+	for _, req := range []wire.Msg{
+		{Type: wire.TLookup, Tag: 1, Object: uint32(idxObj), Keys: keys},
+		{Type: wire.TScan, Tag: 2, Object: uint32(idxObj), Hi: domain - 1, Pred: colstore.Predicate{Op: colstore.All}, Limit: math.MaxUint32},
+	} {
+		frame, err := wire.AppendFrameV(nil, &req, wire.Version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nc.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var resp wire.Msg
+		if _, err := wire.ReadMsgV(nc, &resp, nil, wire.Version); err != nil {
+			t.Fatalf("%v: %v", req.Type, err)
+		}
+		if resp.Type != wire.TError || resp.Tag != req.Tag || resp.Code != wire.CodeGeneric {
+			t.Fatalf("%v: response %v tag %d code %d, want a generic TError", req.Type, resp.Type, resp.Tag, resp.Code)
+		}
+	}
+	if after := eng.MetricsSnapshot().Counter("server.admitted"); after != before {
+		t.Fatalf("server.admitted %d -> %d: an oversized request reached the engine", before, after)
+	}
+}
+
+// TestBadRequestSparesConnection makes calls that fail before they reach
+// the server — a batch too large to frame, row limits outside
+// 1..wire.MaxRows — and checks each error goes to its own caller only: the
+// same connection answers a lookup after every one.
+func TestBadRequestSparesConnection(t *testing.T) {
+	_, _, addr := startServer(t, 2, 0, false)
+	c, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	obj, _ := c.Object("kv")
+	all := colstore.Predicate{Op: colstore.All}
+	scanRows := func(limit int) func() error {
+		return func() error {
+			_, err := c.ScanRows(obj.ID, 0, 10, all, limit)
+			return err
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"upsert of 70000 pairs", func() error { return c.Upsert(obj.ID, make([]prefixtree.KV, 70000)) }},
+		{"rows limit 0", scanRows(0)},
+		{"rows limit MaxRows+1", scanRows(wire.MaxRows + 1)},
+		{"rows limit 1<<32", scanRows(1 << 32)},
+	} {
+		if err := tc.call(); err == nil {
+			t.Errorf("%s: no error", tc.name)
+		}
+		if kvs, err := c.Lookup(obj.ID, []uint64{5}); err != nil || len(kvs) != 1 || kvs[0].Value != 15 {
+			t.Fatalf("lookup after %s = %+v, %v", tc.name, kvs, err)
+		}
 	}
 }
 

@@ -10,14 +10,7 @@ import (
 // does decode — survive an encode/decode round trip unchanged (the decoder
 // accepts exactly the encoder's language).
 func FuzzWireDecode(f *testing.F) {
-	for _, m := range sampleMsgs() {
-		frame, err := AppendFrame(nil, &m)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(frame[4:])
-	}
-	for _, m := range sampleMsgsV2() {
+	for _, m := range append(sampleMsgs(), sampleMsgsV2()...) {
 		frame, err := AppendFrameV(nil, &m, Version)
 		if err != nil {
 			f.Fatal(err)
@@ -27,24 +20,20 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{byte(TAck), 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The same bytes must hold the contract under both negotiated
-		// versions: never panic, and round-trip exactly when they decode.
-		for _, v := range []uint16{VersionLegacy, Version} {
-			var m Msg
-			if err := DecodeMsgV(&m, data, v); err != nil {
-				continue
-			}
-			frame, err := AppendFrameV(nil, &m, v)
-			if err != nil {
-				t.Fatalf("v%d: decoded message failed to encode: %v\nmsg: %+v", v, err, m)
-			}
-			var again Msg
-			if err := DecodeMsgV(&again, frame[4:], v); err != nil {
-				t.Fatalf("v%d: re-encoded message failed to decode: %v\nmsg: %+v", v, err, m)
-			}
-			if !reflect.DeepEqual(m, again) {
-				t.Fatalf("v%d: round trip mismatch:\n first  %+v\n second %+v", v, m, again)
-			}
+		var m Msg
+		if err := DecodeMsgV(&m, data, Version); err != nil {
+			return
+		}
+		frame, err := AppendFrameV(nil, &m, Version)
+		if err != nil {
+			t.Fatalf("decoded message failed to encode: %v\nmsg: %+v", err, m)
+		}
+		var again Msg
+		if err := DecodeMsgV(&again, frame[4:], Version); err != nil {
+			t.Fatalf("re-encoded message failed to decode: %v\nmsg: %+v", err, m)
+		}
+		if !reflect.DeepEqual(m, again) {
+			t.Fatalf("round trip mismatch:\n first  %+v\n second %+v", m, again)
 		}
 	})
 }

@@ -8,10 +8,11 @@
 // flight on one connection.
 //
 // Every frame is a little-endian u32 payload length followed by the
-// payload; a payload is a one-byte message type, a u64 tag and the
-// type-specific body. The decoder is strict: unknown types, truncated or
-// oversized bodies, and trailing bytes are errors, never panics — the
-// fuzz harness in this package holds it to that.
+// payload; a payload is a one-byte message type, a u64 tag, a u32 relative
+// deadline (absent on Hello and Welcome) and the type-specific body. The
+// decoder is strict: unknown types, truncated or oversized bodies, and
+// trailing bytes are errors, never panics — the fuzz harness in this
+// package holds it to that.
 package wire
 
 import (
@@ -28,19 +29,20 @@ import (
 const (
 	// Magic opens every Hello: "ERIS" read as a little-endian u32.
 	Magic uint32 = 0x53495245
-	// VersionLegacy is protocol version 1: no deadline field, no error
-	// codes. Still spoken to old peers after negotiation.
-	VersionLegacy uint16 = 1
-	// Version is the newest protocol version this package speaks. Version 2
-	// adds a relative-deadline field to every non-handshake header and a
-	// reject-code byte to TError bodies. The handshake itself (Hello and
-	// Welcome) is always framed as version 1 so peers can negotiate before
-	// either side knows the other's version; both sides then speak
-	// min(client, server).
+	// Version is the one protocol version this package speaks: every
+	// non-handshake header carries a relative-deadline field and every
+	// TError body a reject-code byte. Hello and Welcome carry no deadline,
+	// so the version a peer names is readable whatever it is; any other
+	// than Version is refused with ErrVersion.
 	Version uint16 = 2
 	// MaxFrame bounds a frame payload; a peer announcing more is corrupt
 	// (or hostile) and the connection is dropped before allocating.
 	MaxFrame = 1 << 20
+	// MaxRows is the most pairs one TResult frame can carry: MaxFrame less
+	// the header (type, tag, deadline) and the count, 16 bytes a pair. A
+	// lookup of more keys or a rows scan with a larger Limit could not be
+	// answered, so servers refuse them before running them.
+	MaxRows = (MaxFrame - (headerBytes + 4 + 4)) / 16
 )
 
 // Type identifies a wire message.
@@ -120,8 +122,8 @@ const (
 	KindColumn uint8 = 1
 )
 
-// Error codes carried by version ≥ 2 TError bodies, so clients can react
-// to a rejection without parsing the message text.
+// Error codes carried by TError bodies, so clients can react to a
+// rejection without parsing the message text.
 const (
 	// CodeGeneric is an unclassified failure; retrying is pointless.
 	CodeGeneric uint8 = 0
@@ -142,7 +144,7 @@ type Msg struct {
 
 	// DeadlineUS is the request's remaining time budget in microseconds
 	// when it left the sender; zero means no deadline. Carried by every
-	// non-handshake header on version ≥ 2 connections, absent on version 1.
+	// non-handshake header.
 	DeadlineUS uint32
 
 	// Hello / Welcome.
@@ -163,7 +165,7 @@ type Msg struct {
 	Sum     uint64
 	Err     string
 	// Code classifies a TError (CodeGeneric, CodeOverloaded,
-	// CodeDeadlineExceeded); version ≥ 2 only, always CodeGeneric on v1.
+	// CodeDeadlineExceeded).
 	Code uint8
 }
 
@@ -176,6 +178,7 @@ var (
 	ErrTrailing  = errors.New("wire: trailing bytes after message")
 	ErrBadPred   = errors.New("wire: invalid predicate operator")
 	ErrTooLong   = errors.New("wire: string too long")
+	ErrVersion   = errors.New("wire: unsupported protocol version")
 )
 
 // Typed request rejections, surfaced to callers via errors.Is so overload
@@ -189,31 +192,28 @@ var (
 	ErrDeadlineExceeded = errors.New("wire: deadline exceeded")
 )
 
-const headerBytes = 1 + 8 // type, tag (+ 4-byte deadline on v2 data frames)
+const headerBytes = 1 + 8 // type, tag (+ 4-byte deadline on non-handshake frames)
 
-// handshakeType reports whether t is framed version-1 regardless of the
-// negotiated version: the handshake happens before negotiation completes.
+// handshakeType reports whether t is a handshake message, whose header
+// carries no deadline field.
 func handshakeType(t Type) bool { return t == THello || t == TWelcome }
 
-// AppendFrame appends the version-1 framed encoding of m (length prefix
-// included) to buf and returns the extended slice.
-func AppendFrame(buf []byte, m *Msg) ([]byte, error) {
-	return AppendFrameV(buf, m, VersionLegacy)
-}
-
-// AppendFrameV appends the framed encoding of m for the given negotiated
-// protocol version. On version ≥ 2, non-handshake headers carry
-// m.DeadlineUS and TError bodies carry m.Code.
+// AppendFrameV appends the framed encoding of m (length prefix included)
+// to buf and returns the extended slice. version is the connection's
+// protocol version; any other than Version returns ErrVersion.
 func AppendFrameV(buf []byte, m *Msg, version uint16) ([]byte, error) {
+	if version != Version {
+		return buf, ErrVersion
+	}
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0) // length patched below
 	buf = append(buf, byte(m.Type))
 	buf = binary.LittleEndian.AppendUint64(buf, m.Tag)
-	if version >= 2 && !handshakeType(m.Type) {
+	if !handshakeType(m.Type) {
 		buf = binary.LittleEndian.AppendUint32(buf, m.DeadlineUS)
 	}
 	var err error
-	if buf, err = appendBody(buf, m, version); err != nil {
+	if buf, err = appendBody(buf, m); err != nil {
 		return buf[:start], err
 	}
 	n := len(buf) - start - 4
@@ -224,7 +224,7 @@ func AppendFrameV(buf []byte, m *Msg, version uint16) ([]byte, error) {
 	return buf, nil
 }
 
-func appendBody(buf []byte, m *Msg, version uint16) ([]byte, error) {
+func appendBody(buf []byte, m *Msg) ([]byte, error) {
 	switch m.Type {
 	case THello:
 		buf = binary.LittleEndian.AppendUint32(buf, m.Magic)
@@ -286,9 +286,7 @@ func appendBody(buf []byte, m *Msg, version uint16) ([]byte, error) {
 		if len(m.Err) > 0xffff {
 			return buf, ErrTooLong
 		}
-		if version >= 2 {
-			buf = append(buf, m.Code)
-		}
+		buf = append(buf, m.Code)
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(m.Err)))
 		buf = append(buf, m.Err...)
 	default:
@@ -297,16 +295,15 @@ func appendBody(buf []byte, m *Msg, version uint16) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeMsg parses one version-1 frame payload (without the length prefix)
-// into m. It is strict: the payload must contain exactly one well-formed
-// message. All decoded slices are freshly allocated, never aliases of p.
-func DecodeMsg(m *Msg, p []byte) error {
-	return DecodeMsgV(m, p, VersionLegacy)
-}
-
-// DecodeMsgV parses one frame payload for the given negotiated protocol
-// version. Handshake messages are always parsed as version 1.
+// DecodeMsgV parses one frame payload (without the length prefix) into m.
+// It is strict: the payload must contain exactly one well-formed message.
+// All decoded slices are freshly allocated, never aliases of p. version is
+// the connection's protocol version; any other than Version returns
+// ErrVersion.
 func DecodeMsgV(m *Msg, p []byte, version uint16) error {
+	if version != Version {
+		return ErrVersion
+	}
 	if len(p) < headerBytes {
 		return ErrTruncated
 	}
@@ -316,7 +313,7 @@ func DecodeMsgV(m *Msg, p []byte, version uint16) error {
 	}
 	*m = Msg{Type: t, Tag: binary.LittleEndian.Uint64(p[1:])}
 	b := p[headerBytes:]
-	if version >= 2 && !handshakeType(t) {
+	if !handshakeType(t) {
 		if len(b) < 4 {
 			return ErrTruncated
 		}
@@ -427,21 +424,15 @@ func DecodeMsgV(m *Msg, p []byte, version uint16) error {
 		m.Matched = binary.LittleEndian.Uint64(b)
 		m.Sum = binary.LittleEndian.Uint64(b[8:])
 	case TError:
-		if version >= 2 {
-			if len(b) < 1 {
-				return ErrTruncated
-			}
-			m.Code = b[0]
-			b = b[1:]
-		}
-		if len(b) < 2 {
+		if len(b) < 1+2 {
 			return ErrTruncated
 		}
-		n := int(binary.LittleEndian.Uint16(b))
-		if len(b) != 2+n {
+		m.Code = b[0]
+		n := int(binary.LittleEndian.Uint16(b[1:]))
+		if len(b) != 1+2+n {
 			return ErrTruncated
 		}
-		m.Err = string(b[2:])
+		m.Err = string(b[3:])
 	}
 	return nil
 }
@@ -499,12 +490,6 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, []byte, error) {
 	return buf, buf, nil
 }
 
-// ReadMsg reads and decodes one version-1 frame from r; buf is the
-// reusable read buffer, returned (possibly grown) for the next call.
-func ReadMsg(r io.Reader, m *Msg, buf []byte) ([]byte, error) {
-	return ReadMsgV(r, m, buf, VersionLegacy)
-}
-
 // ErrFromMsg converts a decoded TError into a Go error, mapping known
 // reject codes onto their sentinels so callers can errors.Is on them.
 func ErrFromMsg(m *Msg) error {
@@ -535,8 +520,9 @@ func CodeForErr(err error) uint8 {
 	return CodeGeneric
 }
 
-// ReadMsgV reads and decodes one frame from r using the given negotiated
-// protocol version.
+// ReadMsgV reads and decodes one frame from r; buf is the reusable read
+// buffer, returned (possibly grown) for the next call. version is as for
+// DecodeMsgV.
 func ReadMsgV(r io.Reader, m *Msg, buf []byte, version uint16) ([]byte, error) {
 	p, buf, err := ReadFrame(r, buf)
 	if err != nil {

@@ -44,7 +44,7 @@ func sampleMsgs() []Msg {
 
 func TestRoundTrip(t *testing.T) {
 	for _, m := range sampleMsgs() {
-		frame, err := AppendFrame(nil, &m)
+		frame, err := AppendFrameV(nil, &m, Version)
 		if err != nil {
 			t.Fatalf("%v: encode: %v", m.Type, err)
 		}
@@ -53,7 +53,7 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("%v: frame length %d, payload %d", m.Type, plen, len(frame)-4)
 		}
 		var got Msg
-		if err := DecodeMsg(&got, frame[4:]); err != nil {
+		if err := DecodeMsgV(&got, frame[4:], Version); err != nil {
 			t.Fatalf("%v: decode: %v", m.Type, err)
 		}
 		if !reflect.DeepEqual(m, got) {
@@ -62,8 +62,8 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// sampleMsgsV2 is the v2 corpus: the v1 samples plus deadline-carrying
-// requests and coded errors, which only exist on version ≥ 2 frames.
+// sampleMsgsV2 is sampleMsgs with a deadline on every non-handshake
+// message, plus coded errors.
 func sampleMsgsV2() []Msg {
 	msgs := sampleMsgs()
 	for i := range msgs {
@@ -93,25 +93,37 @@ func TestRoundTripV2(t *testing.T) {
 	}
 }
 
-// TestHandshakeFramingIsVersionless pins the negotiation invariant: Hello
-// and Welcome encode identically no matter what version the encoder was
-// asked for, so a v2 client's handshake is readable by a v1 server and
-// vice versa.
+// TestHandshakeFramingIsVersionless pins what the handshake rule rests
+// on: a Hello carries no deadline field, so a Hello naming any version
+// decodes and the server can refuse the version by name; and frames of
+// any version other than Version are refused with ErrVersion both ways.
 func TestHandshakeFramingIsVersionless(t *testing.T) {
-	for _, m := range []Msg{
-		{Type: THello, Magic: Magic, Version: Version},
-		{Type: TWelcome, Version: Version, Objects: []ObjectInfo{{ID: 1, Kind: KindIndex, Domain: 64, Name: "kv"}}},
-	} {
-		v1, err := AppendFrame(nil, &m)
+	for _, v := range []uint16{0, 1, Version, Version + 1} {
+		frame, err := AppendFrameV(nil, &Msg{Type: THello, Magic: Magic, Version: v}, Version)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v2, err := AppendFrameV(nil, &m, Version)
-		if err != nil {
-			t.Fatal(err)
+		if len(frame) != 4+headerBytes+4+2 {
+			t.Fatalf("hello v%d: %d-byte frame, want %d", v, len(frame), 4+headerBytes+4+2)
 		}
-		if !bytes.Equal(v1, v2) {
-			t.Fatalf("%v: handshake framing differs between versions:\n v1 %x\n v2 %x", m.Type, v1, v2)
+		var m Msg
+		if err := DecodeMsgV(&m, frame[4:], Version); err != nil || m.Version != v {
+			t.Fatalf("hello v%d decoded as %+v, %v", v, m, err)
+		}
+	}
+	ack, err := AppendFrameV(nil, &Msg{Type: TAck, Tag: 1}, Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []uint16{0, 1, Version + 1} {
+		if _, err := AppendFrameV(nil, &Msg{Type: TAck}, v); !errors.Is(err, ErrVersion) {
+			t.Errorf("encode at v%d: err = %v, want ErrVersion", v, err)
+		}
+		if err := DecodeMsgV(new(Msg), ack[4:], v); !errors.Is(err, ErrVersion) {
+			t.Errorf("decode at v%d: err = %v, want ErrVersion", v, err)
+		}
+		if _, err := ReadMsgV(bytes.NewReader(ack), new(Msg), nil, v); !errors.Is(err, ErrVersion) {
+			t.Errorf("read at v%d: err = %v, want ErrVersion", v, err)
 		}
 	}
 }
@@ -173,7 +185,7 @@ func TestReadMsgStream(t *testing.T) {
 	msgs := sampleMsgs()
 	for i := range msgs {
 		var err error
-		stream, err = AppendFrame(stream, &msgs[i])
+		stream, err = AppendFrameV(stream, &msgs[i], Version)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +195,7 @@ func TestReadMsgStream(t *testing.T) {
 	for i := range msgs {
 		var got Msg
 		var err error
-		buf, err = ReadMsg(r, &got, buf)
+		buf, err = ReadMsgV(r, &got, buf, Version)
 		if err != nil {
 			t.Fatalf("msg %d: %v", i, err)
 		}
@@ -191,13 +203,13 @@ func TestReadMsgStream(t *testing.T) {
 			t.Fatalf("msg %d mismatch: %+v != %+v", i, got, msgs[i])
 		}
 	}
-	if _, err := ReadMsg(r, new(Msg), buf); err == nil {
+	if _, err := ReadMsgV(r, new(Msg), buf, Version); err == nil {
 		t.Fatal("expected EOF at stream end")
 	}
 }
 
 func TestDecodeRejectsCorruption(t *testing.T) {
-	lookup, err := AppendFrame(nil, &Msg{Type: TLookup, Tag: 1, Object: 1, Keys: []uint64{1, 2}})
+	lookup, err := AppendFrameV(nil, &Msg{Type: TLookup, Tag: 1, Object: 1, Keys: []uint64{1, 2}}, Version)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,17 +226,17 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		{"bad type high", append([]byte{200}, payload[1:]...), ErrBadType},
 		{"truncated batch", payload[:len(payload)-3], ErrTruncated},
 		{"trailing bytes", append(append([]byte(nil), payload...), 0xff), ErrTruncated},
-		{"ack with body", []byte{byte(TAck), 0, 0, 0, 0, 0, 0, 0, 0, 1}, ErrTrailing},
+		{"ack with body", []byte{byte(TAck), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1}, ErrTrailing},
 		{"bad predicate", func() []byte {
-			f, _ := AppendFrame(nil, &Msg{Type: TScan, Object: 1})
+			f, _ := AppendFrameV(nil, &Msg{Type: TScan, Object: 1}, Version)
 			p := append([]byte(nil), f[4:]...)
-			p[headerBytes+4] = 99
+			p[headerBytes+4+4] = 99 // past the deadline and the object
 			return p
 		}(), ErrBadPred},
 	}
 	for _, tc := range cases {
 		var m Msg
-		if err := DecodeMsg(&m, tc.p); !errors.Is(err, tc.want) {
+		if err := DecodeMsgV(&m, tc.p, Version); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
@@ -236,10 +248,11 @@ func TestDecodeRejectsLyingCounts(t *testing.T) {
 	var p []byte
 	p = append(p, byte(TLookup))
 	p = binary.LittleEndian.AppendUint64(p, 1)          // tag
+	p = binary.LittleEndian.AppendUint32(p, 0)          // deadline
 	p = binary.LittleEndian.AppendUint32(p, 1)          // object
 	p = binary.LittleEndian.AppendUint32(p, 0xffffffff) // count
 	var m Msg
-	if err := DecodeMsg(&m, p); !errors.Is(err, ErrTruncated) {
+	if err := DecodeMsgV(&m, p, Version); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("err = %v, want ErrTruncated", err)
 	}
 }
