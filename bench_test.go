@@ -138,12 +138,6 @@ func BenchmarkAblationDirectWrite(b *testing.B) {
 	b.ReportMetric(cell(b, t, len(t.Rows)-1, 3), "batched-vs-direct")
 }
 
-func BenchmarkAblationPartitionTable(b *testing.B) {
-	tables := runExperiment(b, "ablation-table")
-	t := tables[0]
-	b.ReportMetric(cell(b, t, 0, 1)/cell(b, t, 1, 1), "csb-vs-flat")
-}
-
 func BenchmarkAblationCoalescing(b *testing.B) {
 	tables := runExperiment(b, "ablation-coalesce")
 	t := tables[0]

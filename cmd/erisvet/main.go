@@ -1,7 +1,7 @@
 // Command erisvet is the engine's own multichecker: it runs the
-// internal/analysis suite (atomicfield, hotpath, loopblock, counterlit,
-// faulthook) over the module and exits non-zero on any finding. It sits
-// next to `go vet` in CI and in scripts/vet.sh:
+// internal/analysis suite (hotpath, loopblock, counterlit, faulthook) over
+// the module and exits non-zero on any finding. It sits next to `go vet` in
+// CI and in scripts/vet.sh:
 //
 //	go run ./cmd/erisvet ./...
 //
@@ -18,7 +18,6 @@ import (
 	"strings"
 
 	"eris/internal/analysis"
-	"eris/internal/analysis/atomicfield"
 	"eris/internal/analysis/counterlit"
 	"eris/internal/analysis/faulthook"
 	"eris/internal/analysis/hotpath"
@@ -27,7 +26,6 @@ import (
 
 // suite is every analyzer erisvet runs, in report order.
 var suite = []*analysis.Analyzer{
-	atomicfield.Analyzer,
 	hotpath.Analyzer,
 	loopblock.Analyzer,
 	counterlit.Analyzer,

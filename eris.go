@@ -34,7 +34,6 @@ import (
 	"eris/internal/durable"
 	"eris/internal/faults"
 	"eris/internal/metrics"
-	"eris/internal/numasim"
 	"eris/internal/prefixtree"
 	"eris/internal/routing"
 	"eris/internal/server"
@@ -75,13 +74,6 @@ type Options struct {
 	// BalancerIntervalSec is the monitoring window in virtual seconds
 	// (default 1.0; benchmarks use much shorter windows).
 	BalancerIntervalSec float64
-	// KeyBits bounds index keys (default 64, the paper's configuration).
-	KeyBits int
-	// ModelCaches enables the LLC simulator (slower, but reproduces the
-	// paper's cache-locality effects). CacheScale divides the modeled LLC
-	// capacity when the data is scaled down; 1 models the full machine.
-	ModelCaches bool
-	CacheScale  float64
 	// MetricsAddr, when non-empty, serves the engine's metrics snapshot
 	// as JSON over HTTP (GET /metrics) while the engine runs. Use
 	// "127.0.0.1:0" for an ephemeral port; MetricsListenAddr reports the
@@ -151,13 +143,6 @@ func Open(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	var machineCfg numasim.Config
-	if opts.ModelCaches {
-		machineCfg.CacheScale = opts.CacheScale
-		if machineCfg.CacheScale == 0 {
-			machineCfg.CacheScale = 1
-		}
-	}
 	alg, err := parseAlgorithm(opts.Balancer)
 	if err != nil {
 		return nil, err
@@ -188,11 +173,9 @@ func Open(opts Options) (*DB, error) {
 	cfg := core.Config{
 		Topology:        topo,
 		NumAEUs:         opts.Workers,
-		Machine:         machineCfg,
-		Tree:            prefixtree.Config{KeyBits: opts.KeyBits, PrefixBits: 8},
+		Tree:            prefixtree.Config{PrefixBits: 8},
 		Balance:         balance.Config{SampleIntervalSec: opts.BalancerIntervalSec},
 		MetricsAddr:     opts.MetricsAddr,
-		FaultSeed:       opts.FaultSeed,
 		Durable:         mgr,
 		CheckpointEvery: opts.CheckpointEvery,
 	}
@@ -583,35 +566,10 @@ func (db *DB) CheckInvariants() error { return db.engine.CheckInvariants() }
 
 // BalanceReport summarizes the load balancer's cycle outcomes and
 // fail-soft accounting.
-type BalanceReport struct {
-	Evaluations int64 // sampling evaluations run
-	Cycles      int64 // cycles that published commands (any outcome)
-	Completed   int64 // cycles every involved AEU acknowledged
-	Aborted     int64 // cycles failed before publishing commands
-	TimedOut    int64 // cycles whose ack wait expired
-	Stopped     int64 // cycles interrupted by shutdown
-	Retries     int64 // evaluations re-attempted after a failed cycle
-	AcksDropped int64 // epoch acks lost on delivery
-	AcksStale   int64 // stragglers from timed-out cycles
-	LastError   string
-}
+type BalanceReport = balance.Report
 
 // BalanceReport returns the balancer's fail-soft accounting.
-func (db *DB) BalanceReport() BalanceReport {
-	r := db.engine.Balancer().Report()
-	return BalanceReport{
-		Evaluations: r.Evaluations,
-		Cycles:      r.Cycles,
-		Completed:   r.Completed,
-		Aborted:     r.Aborted,
-		TimedOut:    r.TimedOut,
-		Stopped:     r.Stopped,
-		Retries:     r.Retries,
-		AcksDropped: r.AcksDropped,
-		AcksStale:   r.AcksStale,
-		LastError:   r.LastError,
-	}
-}
+func (db *DB) BalanceReport() BalanceReport { return db.engine.Balancer().Report() }
 
 // MetricsSnapshot captures every engine instrument — routing buffers,
 // AEUs, balancer, memory managers, interconnect — at one instant. Pair two

@@ -41,29 +41,17 @@ var ErrExpired = errors.New("aeu: command deadline expired")
 
 // Config tunes AEU behaviour.
 type Config struct {
-	// IdleLoopNS is the virtual cost of one empty loop iteration (buffer
-	// polling); it keeps idle cores' clocks advancing. Default 100.
-	IdleLoopNS float64
 	// SkewWindowNS bounds how far an AEU's virtual clock may run ahead of
 	// the slowest core before it yields. Default 20 ms.
 	SkewWindowNS float64
-	// SkewCheckEvery controls how often (in loop iterations) the skew
-	// check runs. Default 32.
-	SkewCheckEvery int
 	// NoCoalesce disables command grouping: every drained command is
 	// processed on its own (the coalescing ablation benchmark).
 	NoCoalesce bool
 }
 
 func (c Config) withDefaults() Config {
-	if c.IdleLoopNS == 0 {
-		c.IdleLoopNS = 100
-	}
 	if c.SkewWindowNS == 0 {
 		c.SkewWindowNS = 20e6
-	}
-	if c.SkewCheckEvery == 0 {
-		c.SkewCheckEvery = 32
 	}
 	return c
 }

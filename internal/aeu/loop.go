@@ -17,7 +17,12 @@ const (
 	groupNSPerCommand = 2   // hash-grouping one drained command
 	scanShareNSPerCmd = 5   // registering one scan in a shared pass
 	forwardNSPerKey   = 0.5 // validity check + re-route handoff
+	idleLoopNS        = 100 // one empty iteration (buffer polling)
 )
+
+// skewCheckEvery is how often (in loop iterations) a generating AEU checks
+// how far its virtual clock runs ahead of the slowest core.
+const skewCheckEvery = 32
 
 // Idle strategy: an AEU that found nothing to do for idleSpins iterations
 // in a row and is quiescent parks on its inbox until a producer wakes it,
@@ -50,8 +55,8 @@ func (a *AEU) Run() {
 		// only while this core is (close to) the slowest, so idle time
 		// tracks busy time instead of the real scheduler's whims.
 		min := a.machine.MinClock(0, topology.CoreID(a.router.NumAEUs()))
-		if a.machine.Clock(a.Core) <= min+int64(a.cfg.IdleLoopNS*1000) {
-			a.machine.AdvanceNS(a.Core, a.cfg.IdleLoopNS)
+		if a.machine.Clock(a.Core) <= min+idleLoopNS*1000 {
+			a.machine.AdvanceNS(a.Core, idleLoopNS)
 		}
 		if idle++; idle < idleSpins || !a.quiescent() {
 			runtime.Gosched()
@@ -154,7 +159,7 @@ func (a *AEU) step(settle bool) bool {
 	// this bounds virtual-time skew without ever blocking the processing
 	// stage, which peers may be waiting on.
 	if !settle && a.generating() {
-		if a.iter%uint64(a.cfg.SkewCheckEvery) == 0 {
+		if a.iter%skewCheckEvery == 0 {
 			a.updateSkew()
 		}
 		if !a.skewed {

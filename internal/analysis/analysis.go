@@ -11,8 +11,7 @@
 //
 // What the suite enforces is the part of DESIGN.md that used to be social
 // convention: single-writer AEU loops that never block or allocate on the
-// data path, atomics-only access to cross-thread fields, metric-name
-// hygiene, and nil-safe fault-injection hooks. See cmd/erisvet for the
+// data path, metric-name hygiene, and nil-safe fault-injection hooks. See cmd/erisvet for the
 // multichecker binary and DESIGN.md "Static invariant enforcement" for the
 // directive grammar (//eris:hotpath, //eris:loop, //eris:allowalloc ...).
 package analysis

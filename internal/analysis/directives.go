@@ -19,11 +19,10 @@ import (
 //	    it.
 //	//eris:allowalloc <reason>
 //	//eris:allowblock <reason>
-//	//eris:allowplain <reason>
 //	//eris:allowname <reason>
 //	//eris:allowfault <reason>
-//	    suppress one analyzer's findings (hotpath, loopblock, atomicfield,
-//	    counterlit, faulthook respectively) on the directive's own line, or
+//	    suppress one analyzer's findings (hotpath, loopblock, counterlit,
+//	    faulthook respectively) on the directive's own line, or
 //	    on the line directly below when the directive stands alone. The
 //	    reason is mandatory: a suppression without one does not suppress
 //	    and is itself reported.
@@ -40,7 +39,6 @@ var markerVerbs = map[string]bool{
 var allowVerbs = map[string]string{
 	"allowalloc": "hotpath",
 	"allowblock": "loopblock",
-	"allowplain": "atomicfield",
 	"allowname":  "counterlit",
 	"allowfault": "faulthook",
 }

@@ -436,15 +436,15 @@ func (b *Balancer) waitAcks(epoch uint64, expect int) (Outcome, int) {
 
 // Report summarizes the balancer's fail-soft accounting.
 type Report struct {
-	Evaluations int64
-	Cycles      int64 // cycles that published commands (any outcome)
-	Completed   int64
-	Aborted     int64 // failed before publishing (plan / table update)
-	TimedOut    int64
-	Stopped     int64
-	Retries     int64 // evaluations re-attempted after a failed cycle
-	AcksDropped int64
-	AcksStale   int64
+	Evaluations int64  // sampling evaluations run
+	Cycles      int64  // cycles that published commands (any outcome)
+	Completed   int64  // cycles every involved AEU acknowledged
+	Aborted     int64  // failed before publishing (plan / table update)
+	TimedOut    int64  // cycles whose ack wait expired
+	Stopped     int64  // cycles interrupted by shutdown
+	Retries     int64  // evaluations re-attempted after a failed cycle
+	AcksDropped int64  // epoch acks lost on delivery
+	AcksStale   int64  // stragglers from timed-out cycles
 	LastError   string // most recent abort reason, "" if none
 }
 

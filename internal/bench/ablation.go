@@ -41,30 +41,6 @@ func AblationDirectWrite(p Params) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
-// AblationPartitionTable compares the CSB+-tree range partition table with
-// a flat sorted array under a routed lookup workload.
-func AblationPartitionTable(p Params) ([]*Table, error) {
-	dur := p.dur(0.002)
-	domain := uint64(1e9 / p.scale())
-	t := &Table{
-		Title:   "Ablation: CSB+-Tree vs. Flat-Array Partition Table (AMD lookups)",
-		Headers: []string{"table", "throughput (M lookups/s)"},
-	}
-	for _, variant := range []struct {
-		name string
-		flat bool
-	}{{"CSB+-tree", false}, {"flat array", true}} {
-		r, err := erisLookupRun(setup{Topo: topology.AMD(), FlatTables: variant.flat}, domain, 64, dur)
-		if err != nil {
-			return nil, err
-		}
-		t.Add(variant.name, mops(r.Throughput))
-	}
-	t.Note("both tables are cache resident; the CSB+ layout wins on real hardware as ranges grow — " +
-		"the simulation charges them identically, so this ablation checks routing equivalence")
-	return []*Table{t}, nil
-}
-
 // AblationCoalescing compares the AEU's command grouping (scan sharing /
 // batched lookups) against processing every routed command individually.
 // Lookups exercise per-source batch merging; multicast scans exercise

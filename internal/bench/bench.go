@@ -177,7 +177,6 @@ func Registry() []Experiment {
 		{ID: "fig12", Paper: "Figure 12: link and memory controller activity (AMD)", Run: Fig12},
 		{ID: "fig13", Paper: "Figure 13: load balancer adaptivity (AMD)", Run: Fig13},
 		{ID: "ablation-buffer", Paper: "Ablation: outgoing-buffer pre-batching vs direct writes", Run: AblationDirectWrite},
-		{ID: "ablation-table", Paper: "Ablation: CSB+-tree vs flat-array partition table", Run: AblationPartitionTable},
 		{ID: "ablation-coalesce", Paper: "Ablation: command grouping/coalescing on vs off", Run: AblationCoalescing},
 		{ID: "ablation-transfer", Paper: "Ablation: link vs copy partition transfer", Run: AblationTransfer},
 		{ID: "ablation-ma", Paper: "Ablation: moving-average window sweep", Run: AblationMAWindow},

@@ -35,7 +35,7 @@ func TestRegistryIDsUnique(t *testing.T) {
 			t.Errorf("experiment %q incomplete", e.ID)
 		}
 	}
-	if len(seen) < 17 {
+	if len(seen) < 16 {
 		t.Errorf("registry has %d experiments", len(seen))
 	}
 }

@@ -31,8 +31,6 @@ type setup struct {
 	OutBuf     int     // routing outgoing buffer bytes (0 = default)
 	InBuf      int
 	NoCoalesce bool
-	FlatTables bool
-	ChunkEnt   int // column chunk entries (0 = default)
 	FlushOlap  int // routing flush pipelining override (0 = default)
 }
 
@@ -42,12 +40,10 @@ func (s setup) engineConfig() core.Config {
 		NumAEUs:  s.NumAEUs,
 		Machine:  numasim.Config{CacheScale: s.CacheScale},
 		Routing: routing.Config{
-			OutBufBytes: s.OutBuf, InBufBytes: s.InBuf,
-			FlatTables: s.FlatTables, FlushOverlap: s.FlushOlap,
+			OutBufBytes: s.OutBuf, InBufBytes: s.InBuf, FlushOverlap: s.FlushOlap,
 		},
-		AEU:    aeu.Config{SkewWindowNS: 1e6, NoCoalesce: s.NoCoalesce},
-		Tree:   prefixtree.Config{KeyBits: 64, PrefixBits: 8},
-		Column: colstore.Config{ChunkEntries: s.ChunkEnt},
+		AEU:  aeu.Config{SkewWindowNS: 1e6, NoCoalesce: s.NoCoalesce},
+		Tree: prefixtree.Config{KeyBits: 64, PrefixBits: 8},
 	}
 }
 

@@ -123,33 +123,31 @@ type llc struct {
 // touch several LLCs at once, and the engine's host has no real parallelism
 // to lose; the simple locking keeps the state machine obviously correct.
 type System struct {
-	mu        sync.Mutex
-	topo      *topology.Topology
-	llcs      []llc
-	dir       map[uint64]uint64 // line address -> holder node bitmask
-	lineBytes int64
-	lineShift uint
+	mu   sync.Mutex
+	topo *topology.Topology
+	llcs []llc
+	dir  map[uint64]uint64 // line address -> holder node bitmask
 }
 
+// LineBytes is the modeled cache line size, as on the paper's hardware.
+const LineBytes = 64
+
+// lineShift converts a byte address into a line address.
+const lineShift = 6 // log2(LineBytes)
+
 // New builds a cache system for the topology. scale divides each node's
-// modeled LLC capacity (use the data scale-down factor); lineBytes must be a
-// power of two (64 matches the hardware).
-func New(topo *topology.Topology, scale float64, lineBytes int64) (*System, error) {
+// modeled LLC capacity (use the data scale-down factor).
+func New(topo *topology.Topology, scale float64) (*System, error) {
 	if scale < 1 {
 		scale = 1
-	}
-	if lineBytes <= 0 || lineBytes&(lineBytes-1) != 0 {
-		return nil, fmt.Errorf("cache: line size %d is not a positive power of two", lineBytes)
 	}
 	if topo.NumNodes() > 64 {
 		return nil, fmt.Errorf("cache: directory bitmask supports at most 64 nodes, topology has %d", topo.NumNodes())
 	}
 	s := &System{
-		topo:      topo,
-		llcs:      make([]llc, topo.NumNodes()),
-		dir:       make(map[uint64]uint64),
-		lineBytes: lineBytes,
-		lineShift: uint(bits.TrailingZeros64(uint64(lineBytes))),
+		topo: topo,
+		llcs: make([]llc, topo.NumNodes()),
+		dir:  make(map[uint64]uint64),
 	}
 	for i := range s.llcs {
 		n := &topo.Nodes[i]
@@ -158,7 +156,7 @@ func New(topo *topology.Topology, scale float64, lineBytes int64) (*System, erro
 			ways = 16
 		}
 		capacity := int64(float64(n.LLCBytes) / scale)
-		sets := capacity / (lineBytes * int64(ways))
+		sets := capacity / (LineBytes * int64(ways))
 		if sets < 4 {
 			sets = 4
 		}
@@ -173,9 +171,6 @@ func New(topo *topology.Topology, scale float64, lineBytes int64) (*System, erro
 	}
 	return s, nil
 }
-
-// LineBytes returns the modeled cache line size.
-func (s *System) LineBytes() int64 { return s.lineBytes }
 
 // CapacityLines returns the number of lines node's modeled LLC can hold.
 func (s *System) CapacityLines(node topology.NodeID) int { return len(s.llcs[node].lines) }
@@ -203,7 +198,7 @@ func (c *llc) probe(set uint64, tag uint64) int {
 //
 //eris:hotpath
 func (s *System) Access(node topology.NodeID, home topology.NodeID, addr uint64, write bool) Result {
-	lineAddr := addr >> s.lineShift
+	lineAddr := addr >> lineShift
 	s.mu.Lock() //eris:allowblock coherence-simulator state is globally shared by design; bounded in-memory critical section
 	defer s.mu.Unlock()
 
@@ -281,7 +276,7 @@ func (s *System) install(node topology.NodeID, c *llc, set uint64, lineAddr uint
 		old := c.lines[way]
 		s.removeHolder(old.tag, node)
 		if old.state == Modified {
-			wbHome, wbBytes = topology.NodeID(old.home), s.lineBytes
+			wbHome, wbBytes = topology.NodeID(old.home), LineBytes
 		}
 	}
 	c.lines[way] = line{tag: lineAddr, home: home, state: st}

@@ -9,7 +9,7 @@ import (
 
 func newTestSystem(t *testing.T) *System {
 	t.Helper()
-	s, err := New(topology.FullyConnected(4, 2, 20, 100, 8, 200, 10), 1, 64)
+	s, err := New(topology.FullyConnected(4, 2, 20, 100, 8, 200, 10), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,25 +172,16 @@ func TestInvariantsUnderRandomWorkload(t *testing.T) {
 
 func TestScaleShrinksCapacity(t *testing.T) {
 	topo := topology.Intel()
-	full, err := New(topo, 1, 64)
+	full, err := New(topo, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaled, err := New(topo, 128, 64)
+	scaled, err := New(topo, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.CapacityLines(0) <= scaled.CapacityLines(0) {
 		t.Fatalf("scaling did not shrink capacity: %d vs %d", full.CapacityLines(0), scaled.CapacityLines(0))
-	}
-}
-
-func TestNewRejectsBadLineSize(t *testing.T) {
-	topo := topology.SingleNode(1)
-	for _, bad := range []int64{0, -64, 65, 100} {
-		if _, err := New(topo, 1, bad); err == nil {
-			t.Errorf("line size %d accepted", bad)
-		}
 	}
 }
 

@@ -77,7 +77,7 @@ func TestChaosLinearizability(t *testing.T) {
 					PollReal:          100 * time.Microsecond,
 					AckTimeout:        250 * time.Millisecond,
 				},
-				FaultSeed: 42,
+				Routing: routing.Config{Faults: faults.New(42)},
 			})
 			if err != nil {
 				t.Fatal(err)

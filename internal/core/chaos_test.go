@@ -37,7 +37,7 @@ func newChaosEngine(t *testing.T) *Engine {
 			PollReal:          100 * time.Microsecond,
 			AckTimeout:        250 * time.Millisecond,
 		},
-		FaultSeed: chaosSeed,
+		Routing: routing.Config{Faults: faults.New(chaosSeed)},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,10 @@ type Config struct {
 	NumAEUs int
 	// Machine tunes the cost simulation.
 	Machine numasim.Config
-	// Routing tunes the data command routing layer.
+	// Routing tunes the data command routing layer. Its Faults injector,
+	// when non-nil, is threaded through the routing drain, the AEU control
+	// path, the balancer's ack delivery and the node memory managers; nil
+	// (the production configuration) pays one pointer comparison per hook.
 	Routing routing.Config
 	// AEU tunes the worker loop.
 	AEU aeu.Config
@@ -52,13 +55,6 @@ type Config struct {
 	// "127.0.0.1:0" for an ephemeral port; MetricsListenAddr reports the
 	// bound address after Start.
 	MetricsAddr string
-	// FaultSeed, when non-zero, enables the deterministic fault-injection
-	// registry (see internal/faults) seeded with this value and threads it
-	// through the routing drain, the AEU control path, the balancer's ack
-	// delivery and the node memory managers. Zero leaves every hook nil —
-	// the production configuration pays one pointer comparison per hook.
-	// Alternatively, an injector passed via Routing.Faults is adopted as is.
-	FaultSeed int64
 	// Durable, when non-nil, attaches per-AEU write-ahead logging and
 	// checkpointing (see internal/durable). The caller opens the manager
 	// (and runs recovery) before building the engine.
@@ -135,10 +131,6 @@ func New(cfg Config) (*Engine, error) {
 		cfg.Routing.Metrics = reg
 	}
 	inj := cfg.Routing.Faults
-	if inj == nil && cfg.FaultSeed != 0 {
-		inj = faults.New(cfg.FaultSeed)
-		cfg.Routing.Faults = inj
-	}
 	if inj != nil {
 		inj.RegisterMetrics(reg)
 		mems.SetFaults(inj)
@@ -211,8 +203,8 @@ func (e *Engine) AEUs() []*aeu.AEU { return e.aeus }
 // Balancer exposes the load balancer (cycle reports).
 func (e *Engine) Balancer() *balance.Balancer { return e.balancer }
 
-// Faults exposes the fault-injection registry (nil unless Config.FaultSeed
-// or Config.Routing.Faults enabled it).
+// Faults exposes the fault-injection registry (nil unless
+// Config.Routing.Faults set one).
 func (e *Engine) Faults() *faults.Injector { return e.faults }
 
 // NumAEUs returns the worker count.

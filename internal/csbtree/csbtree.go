@@ -8,8 +8,7 @@
 //
 // Trees are immutable after Build: the routing layer publishes updates by
 // atomically swapping the tree pointer, which keeps readers completely
-// latch-free. A flat sorted-array variant (Flat) with identical semantics
-// exists for the partition-table ablation benchmark.
+// latch-free.
 package csbtree
 
 import (
@@ -131,9 +130,10 @@ func (t *Tree) Height() int { return t.height }
 func (t *Tree) Entries() []Entry { return t.leaves }
 
 // Lookup returns the owner of key: the entry with the greatest Low <= key.
+//
+//eris:hotpath
 func (t *Tree) Lookup(key uint64) uint32 {
-	e := t.lookupEntry(key)
-	return e.Owner
+	return t.leaves[t.lookupIndex(key)].Owner
 }
 
 // LookupEntry returns the full entry owning key plus the exclusive upper
@@ -147,10 +147,7 @@ func (t *Tree) LookupEntry(key uint64) (Entry, uint64) {
 	return t.leaves[idx], hi
 }
 
-func (t *Tree) lookupEntry(key uint64) Entry {
-	return t.leaves[t.lookupIndex(key)]
-}
-
+//eris:hotpath
 func (t *Tree) lookupIndex(key uint64) int {
 	child := int32(0)
 	if t.height > 0 {
@@ -175,10 +172,18 @@ func (t *Tree) lookupIndex(key uint64) int {
 	if hi > len(t.leaves) {
 		hi = len(t.leaves)
 	}
-	// sort.Search finds the first entry with Low > key; the owner is the
+	// Binary search for the first entry with Low > key; the owner is the
 	// one before it.
 	seg := t.leaves[lo:hi]
-	i := sort.Search(len(seg), func(i int) bool { return seg[i].Low > key })
+	i, j := 0, len(seg)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if seg[h].Low > key {
+			j = h
+		} else {
+			i = h + 1
+		}
+	}
 	if i == 0 {
 		// key is below the segment's first Low; can only happen for the
 		// very first segment when callers pass key < leaves[0].Low, which
@@ -196,6 +201,8 @@ func (t *Tree) lookupIndex(key uint64) int {
 // must have at least len(keys) elements; duplicate keys are fine, and a
 // key that breaks the ascending order falls back to a fresh descent, so
 // the result is correct (just slower) for unsorted input.
+//
+//eris:hotpath
 func (t *Tree) LookupBatchSorted(keys []uint64, owners []uint32) {
 	if len(keys) == 0 {
 		return
@@ -244,45 +251,4 @@ func flatLookup(entries []Entry, key uint64) int {
 		return 0
 	}
 	return i - 1
-}
-
-// Flat is the sorted-array partition table used by the ablation benchmark:
-// identical semantics to Tree, implemented as a binary search over the
-// entry slice.
-type Flat struct {
-	entries []Entry
-}
-
-// BuildFlat constructs a flat table with the same validation as Build.
-func BuildFlat(entries []Entry) (*Flat, error) {
-	if _, err := Build(entries); err != nil {
-		return nil, err
-	}
-	return &Flat{entries: append([]Entry(nil), entries...)}, nil
-}
-
-// Len returns the number of entries.
-func (f *Flat) Len() int { return len(f.entries) }
-
-// Lookup returns the owner of key.
-func (f *Flat) Lookup(key uint64) uint32 {
-	return f.entries[flatLookup(f.entries, key)].Owner
-}
-
-// LookupBatchSorted resolves owners for an ascending-sorted key batch, as
-// Tree.LookupBatchSorted.
-func (f *Flat) LookupBatchSorted(keys []uint64, owners []uint32) {
-	if len(keys) == 0 {
-		return
-	}
-	idx := flatLookup(f.entries, keys[0])
-	for i, k := range keys {
-		if k < f.entries[idx].Low {
-			idx = flatLookup(f.entries, k)
-		}
-		for idx+1 < len(f.entries) && f.entries[idx+1].Low <= k {
-			idx++
-		}
-		owners[i] = f.entries[idx].Owner
-	}
 }

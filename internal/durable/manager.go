@@ -182,20 +182,11 @@ func (m *Manager) scanDir() (maxGen int, maxCkpt uint64, err error) {
 		return 0, 0, err
 	}
 	for _, e := range entries {
-		name := e.Name()
-		switch {
-		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"):
-			parts := strings.Split(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".log"), "-")
-			if len(parts) == 2 {
-				if g, err := strconv.Atoi(parts[1]); err == nil && g > maxGen {
-					maxGen = g
-				}
-			}
-		case strings.HasPrefix(name, "checkpoint-") && strings.HasSuffix(name, ".ckpt"):
-			ns := strings.TrimSuffix(strings.TrimPrefix(name, "checkpoint-"), ".ckpt")
-			if n, err := strconv.ParseUint(ns, 10, 64); err == nil && n > maxCkpt {
-				maxCkpt = n
-			}
+		if _, g, ok := parseWALName(e.Name()); ok && g > maxGen {
+			maxGen = g
+		}
+		if n, ok := parseCkptName(e.Name()); ok && n > maxCkpt {
+			maxCkpt = n
 		}
 	}
 	return maxGen, maxCkpt, nil
@@ -207,6 +198,27 @@ func (m *Manager) walPath(aeu, gen int) string {
 
 func (m *Manager) ckptPath(n uint64) string {
 	return filepath.Join(m.dir, fmt.Sprintf("checkpoint-%d.ckpt", n))
+}
+
+// parseWALName parses a log file name as walPath writes it,
+// wal-<aeu>-<gen>.log; ok is false for every other name.
+func parseWALName(name string) (aeu, gen int, ok bool) {
+	rest, hasPrefix := strings.CutPrefix(name, "wal-")
+	rest, hasSuffix := strings.CutSuffix(rest, ".log")
+	a, g, hasSep := strings.Cut(rest, "-")
+	aeu, errA := strconv.Atoi(a)
+	gen, errG := strconv.Atoi(g)
+	ok = hasPrefix && hasSuffix && hasSep && errA == nil && errG == nil && aeu >= 0 && gen >= 0
+	return aeu, gen, ok
+}
+
+// parseCkptName parses a checkpoint file name as ckptPath writes it,
+// checkpoint-<n>.ckpt; ok is false for every other name.
+func parseCkptName(name string) (n uint64, ok bool) {
+	rest, hasPrefix := strings.CutPrefix(name, "checkpoint-")
+	rest, hasSuffix := strings.CutSuffix(rest, ".ckpt")
+	n, err := strconv.ParseUint(rest, 10, 64)
+	return n, hasPrefix && hasSuffix && err == nil
 }
 
 func (m *Manager) manifestPath() string { return filepath.Join(m.dir, "MANIFEST") }
@@ -419,25 +431,11 @@ func (m *Manager) prune(n uint64, data *CheckpointData) {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if strings.HasPrefix(name, "checkpoint-") && strings.HasSuffix(name, ".ckpt") {
-			ns := strings.TrimSuffix(strings.TrimPrefix(name, "checkpoint-"), ".ckpt")
-			if v, err := strconv.ParseUint(ns, 10, 64); err == nil && v < n {
-				os.Remove(filepath.Join(m.dir, name))
-			}
+		if v, ok := parseCkptName(name); ok && v < n {
+			os.Remove(filepath.Join(m.dir, name))
 		}
-		if strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log") {
-			parts := strings.Split(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".log"), "-")
-			if len(parts) != 2 {
-				continue
-			}
-			aeu, err1 := strconv.Atoi(parts[0])
-			gen, err2 := strconv.Atoi(parts[1])
-			if err1 != nil || err2 != nil {
-				continue
-			}
-			if aeu >= len(data.AEUs) || gen <= data.AEUs[aeu].Gen {
-				os.Remove(filepath.Join(m.dir, name))
-			}
+		if aeu, gen, ok := parseWALName(name); ok && (aeu >= len(data.AEUs) || gen <= data.AEUs[aeu].Gen) {
+			os.Remove(filepath.Join(m.dir, name))
 		}
 	}
 }
@@ -528,18 +526,11 @@ func (m *Manager) logGensFor(aeu, afterGen int) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	prefix := fmt.Sprintf("wal-%d-", aeu)
 	var gens []int
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, ".log") {
-			continue
+		if id, g, ok := parseWALName(e.Name()); ok && id == aeu && g > afterGen {
+			gens = append(gens, g)
 		}
-		g, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, prefix), ".log"))
-		if err != nil || g <= afterGen {
-			continue
-		}
-		gens = append(gens, g)
 	}
 	sort.Ints(gens)
 	return gens, nil
@@ -553,15 +544,7 @@ func (m *Manager) walAEUs() ([]int, error) {
 	}
 	seen := map[int]bool{}
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".log") {
-			continue
-		}
-		parts := strings.Split(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".log"), "-")
-		if len(parts) != 2 {
-			continue
-		}
-		if id, err := strconv.Atoi(parts[0]); err == nil {
+		if id, _, ok := parseWALName(e.Name()); ok {
 			seen[id] = true
 		}
 	}

@@ -35,30 +35,19 @@ type Config struct {
 	// the data set was scaled down by. Zero disables the cache simulator
 	// entirely (every random access pays the DRAM cost).
 	CacheScale float64
-	// LineBytes is the modeled cache line size; default 64.
-	LineBytes int64
-	// MLP is the number of outstanding memory requests a core can overlap
-	// (memory-level parallelism); batched random accesses divide their
-	// latency by min(batch, MLP). Default 10.
-	MLP int
-	// ForwardFactor scales the pair latency for misses serviced by a
-	// remote cache instead of memory (cache-to-cache forwarding is
-	// slightly faster than DRAM). Default 0.9.
-	ForwardFactor float64
 }
 
-func (c Config) withDefaults() Config {
-	if c.LineBytes == 0 {
-		c.LineBytes = 64
-	}
-	if c.MLP == 0 {
-		c.MLP = 10
-	}
-	if c.ForwardFactor == 0 {
-		c.ForwardFactor = 0.9
-	}
-	return c
-}
+// Fixed parameters of the cost model.
+const (
+	// mlp is the number of outstanding memory requests a core can overlap
+	// (memory-level parallelism); batched random accesses divide their
+	// latency by min(batch, mlp).
+	mlp = 10
+	// forwardFactor scales the pair latency for misses serviced by a
+	// remote cache instead of memory (cache-to-cache forwarding is slightly
+	// faster than DRAM).
+	forwardFactor = 0.9
+)
 
 // psPerByteFactor converts GB/s into picoseconds per byte:
 // 1 GB/s = 1e9 bytes / 1e12 ps, so ps/byte = 1000 / GBs.
@@ -93,7 +82,6 @@ func New(topo *topology.Topology, cfg Config) (*Machine, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, fmt.Errorf("numasim: %w", err)
 	}
-	cfg = cfg.withDefaults()
 	m := &Machine{
 		topo:      topo,
 		cfg:       cfg,
@@ -102,9 +90,9 @@ func New(topo *topology.Topology, cfg Config) (*Machine, error) {
 		mcBytes:   make([]atomic.Int64, topo.NumNodes()),
 		routeHit:  make([]atomic.Int64, topo.NumNodes()),
 	}
-	m.nextAddr.Store(uint64(cfg.LineBytes)) // keep address 0 invalid
+	m.nextAddr.Store(cache.LineBytes) // keep address 0 invalid
 	if cfg.CacheScale > 0 {
-		cs, err := cache.New(topo, cfg.CacheScale, cfg.LineBytes)
+		cs, err := cache.New(topo, cfg.CacheScale)
 		if err != nil {
 			return nil, fmt.Errorf("numasim: %w", err)
 		}
@@ -165,7 +153,7 @@ func (m *Machine) Alloc(size int64) uint64 {
 	if size <= 0 {
 		size = 1
 	}
-	aligned := (uint64(size) + uint64(m.cfg.LineBytes) - 1) &^ (uint64(m.cfg.LineBytes) - 1)
+	aligned := (uint64(size) + cache.LineBytes - 1) &^ (cache.LineBytes - 1)
 	return m.nextAddr.Add(aligned) - aligned
 }
 
@@ -255,7 +243,7 @@ func (m *Machine) chargeRoute(src, home topology.NodeID, bytes int64, mc bool) {
 // Read charges core with one latency-sensitive read of `bytes` bytes at
 // synthetic address addr whose data lives on home. overlap is the number of
 // independent accesses the caller has batched together (1 for a dependent
-// pointer chase); latency is divided by min(overlap, MLP).
+// pointer chase); latency is divided by min(overlap, mlp).
 //
 //eris:hotpath
 func (m *Machine) Read(core topology.CoreID, home topology.NodeID, addr uint64, bytes int64, overlap int) {
@@ -276,8 +264,8 @@ func (m *Machine) access(core topology.CoreID, home topology.NodeID, addr uint64
 	if overlap < 1 {
 		overlap = 1
 	}
-	if overlap > m.cfg.MLP {
-		overlap = m.cfg.MLP
+	if overlap > mlp {
+		overlap = mlp
 	}
 	var ps float64
 	if m.cache != nil {
@@ -299,7 +287,7 @@ func (m *Machine) access(core topology.CoreID, home topology.NodeID, addr uint64
 //eris:hotpath
 func (m *Machine) cachedAccessPS(src, home topology.NodeID, addr uint64, bytes int64, write bool) float64 {
 	var ps float64
-	lb := m.cfg.LineBytes
+	const lb = cache.LineBytes
 	end := addr + uint64(bytes)
 	for lineAddr := addr &^ uint64(lb-1); lineAddr < end; lineAddr += uint64(lb) {
 		r := m.cache.Access(src, home, lineAddr, write)
@@ -312,7 +300,7 @@ func (m *Machine) cachedAccessPS(src, home topology.NodeID, addr uint64, bytes i
 			if r.Source == src {
 				lat = m.topo.CacheHitNS
 			} else {
-				lat = m.topo.Cost(src, r.Source).LatencyNS * m.cfg.ForwardFactor
+				lat = m.topo.Cost(src, r.Source).LatencyNS * forwardFactor
 				m.chargeRoute(src, r.Source, lb, false)
 			}
 			ps += lat * psPerNS

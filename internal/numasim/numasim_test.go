@@ -35,19 +35,46 @@ func TestReadCostWithoutCache(t *testing.T) {
 }
 
 func TestOverlapDividesLatency(t *testing.T) {
-	m := newMachine(t, topology.Intel(), Config{MLP: 8})
+	m := newMachine(t, topology.Intel(), Config{})
 	a := m.Alloc(64)
 	m.Read(0, 2, a, 64, 1)
 	single := m.Clock(0)
-	m.Read(1, 2, a, 64, 8)
+	m.Read(1, 2, a, 64, 10)
 	batched := m.Clock(1)
-	if batched*7 > single {
-		t.Errorf("batched cost %d should be ~1/8 of single %d", batched, single)
+	if batched*9 > single {
+		t.Errorf("batched cost %d should be ~1/10 of single %d", batched, single)
 	}
-	// Overlap is clamped to MLP.
+	// Overlap is clamped to the memory-level parallelism of 10.
 	m.Read(2, 2, a, 64, 1000)
 	if got := m.Clock(2); got != batched {
-		t.Errorf("overlap beyond MLP: cost %d, want clamp to %d", got, batched)
+		t.Errorf("overlap beyond 10: cost %d, want clamp to %d", got, batched)
+	}
+}
+
+// TestBatchOverlapClampsAtTen pins the memory-level parallelism of the cost
+// model: a batch of 12 independent random accesses overlaps only 10 of them.
+func TestBatchOverlapClampsAtTen(t *testing.T) {
+	topo := topology.Intel()
+	m := newMachine(t, topo, Config{})
+	cost := topo.Cost(0, 2)
+	ps := cost.LatencyNS*psPerNS + 64*psPerByte(cost.BandwidthGBs)
+	m.Read(0, 2, m.Alloc(64), 64, 12)
+	if got, want := m.Clock(0), int64(ps/10); got != want {
+		t.Errorf("12-access batch costs %d ps, want %d (overlap clamped at 10)", got, want)
+	}
+}
+
+// TestForwardedMissCostsNinetyPercent pins cache-to-cache forwarding: a miss
+// served by a remote node's cache costs 0.9 x the pair latency and no
+// bandwidth term.
+func TestForwardedMissCostsNinetyPercent(t *testing.T) {
+	topo := topology.Intel()
+	m := newMachine(t, topo, Config{CacheScale: 1})
+	a := m.Alloc(64)
+	m.Read(0, 1, a, 64, 1)  // node 0 caches a line homed on node 1
+	m.Read(20, 1, a, 64, 1) // core 20 = node 2; forwarded from node 0's cache
+	if got, want := m.Clock(20), int64(topo.Cost(2, 0).LatencyNS*0.9*psPerNS); got != want {
+		t.Errorf("forwarded miss costs %d ps, want %d (0.9 x pair latency)", got, want)
 	}
 }
 
@@ -266,7 +293,12 @@ func TestBusiestLinks(t *testing.T) {
 }
 
 func TestNewValidates(t *testing.T) {
-	if _, err := New(topology.SingleNode(1), Config{CacheScale: 1, LineBytes: 100}); err == nil {
-		t.Error("bad line size accepted when cache enabled")
+	// The cache directory tracks holders in a 64-bit mask.
+	wide := topology.FullyConnected(65, 1, 20, 100, 8, 200, 10)
+	if _, err := New(wide, Config{CacheScale: 1}); err == nil {
+		t.Error("65-node topology accepted when cache enabled")
+	}
+	if _, err := New(wide, Config{}); err != nil {
+		t.Errorf("65-node topology without cache model: %v", err)
 	}
 }

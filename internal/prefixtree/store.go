@@ -35,11 +35,14 @@ type Config struct {
 	// PrefixBits is the span of one tree level (the paper's default is 8,
 	// i.e. fanout 256). Must divide KeyBits and be one of 2, 4, 8.
 	PrefixBits int
-	// SlabNodes is the number of nodes per allocation slab. Default 64.
-	SlabNodes int
-	// MaxSlabs bounds the number of slabs per pool. Default 1<<14.
-	MaxSlabs int
 }
+
+// Slab geometry: every pool allocates nodes in slabs of slabNodes, and holds
+// at most maxSlabs slabs.
+const (
+	slabNodes = 64
+	maxSlabs  = 1 << 14
+)
 
 func (c Config) withDefaults() Config {
 	if c.KeyBits == 0 {
@@ -47,12 +50,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PrefixBits == 0 {
 		c.PrefixBits = 8
-	}
-	if c.SlabNodes == 0 {
-		c.SlabNodes = 64
-	}
-	if c.MaxSlabs == 0 {
-		c.MaxSlabs = 1 << 14
 	}
 	return c
 }
@@ -68,16 +65,13 @@ func (c Config) Validate() error {
 	if c.KeyBits <= 0 || c.KeyBits > 64 || c.KeyBits%c.PrefixBits != 0 {
 		return fmt.Errorf("prefixtree: KeyBits %d must be in (0,64] and divisible by PrefixBits %d", c.KeyBits, c.PrefixBits)
 	}
-	if c.SlabNodes <= 0 || c.MaxSlabs <= 0 {
-		return fmt.Errorf("prefixtree: SlabNodes and MaxSlabs must be positive")
-	}
 	return nil
 }
 
 // nilRef marks an absent child; node references are 1-based.
 const nilRef uint32 = 0
 
-// innerSlab holds SlabNodes inner nodes: fanout child slots plus a subtree
+// innerSlab holds slabNodes inner nodes: fanout child slots plus a subtree
 // key count per node.
 type innerSlab struct {
 	slots  []atomic.Uint32 // fanout per node
@@ -85,7 +79,7 @@ type innerSlab struct {
 	block  mem.Block
 }
 
-// leafSlab holds SlabNodes leaf nodes: fanout values, a presence bitmap and
+// leafSlab holds slabNodes leaf nodes: fanout values, a presence bitmap and
 // an entry count per node.
 type leafSlab struct {
 	values []atomic.Uint64 // fanout per node
@@ -116,7 +110,7 @@ type Store struct {
 	innerNodeBytes int64
 	leafNodeBytes  int64
 
-	// Slab directories have a fixed length of MaxSlabs so that readers can
+	// Slab directories have a fixed length of maxSlabs so that readers can
 	// index them without racing against growth; only the pointers at
 	// [0, innerLen) / [0, leafLen) are populated (under mu).
 	mu        sync.Mutex
@@ -178,8 +172,8 @@ func newStore(machine *numasim.Machine, cfg Config, alloc allocFunc) (*Store, er
 	s.bitmapWords = (s.fanout + 63) / 64
 	s.innerNodeBytes = int64(s.fanout)*4 + 8
 	s.leafNodeBytes = int64(s.fanout)*8 + int64(s.bitmapWords)*8 + 8
-	s.inner = make([]*innerSlab, cfg.MaxSlabs)
-	s.leaf = make([]*leafSlab, cfg.MaxSlabs)
+	s.inner = make([]*innerSlab, maxSlabs)
+	s.leaf = make([]*leafSlab, maxSlabs)
 	return s, nil
 }
 
@@ -205,7 +199,7 @@ func (s *Store) growInner() error {
 	if s.innerLen == len(s.inner) {
 		return fmt.Errorf("prefixtree: inner slab limit %d exhausted", len(s.inner))
 	}
-	n := s.cfg.SlabNodes
+	n := slabNodes
 	s.inner[s.innerLen] = &innerSlab{
 		slots:  make([]atomic.Uint32, n*s.fanout),
 		counts: make([]atomic.Int64, n),
@@ -220,7 +214,7 @@ func (s *Store) growLeaf() error {
 	if s.leafLen == len(s.leaf) {
 		return fmt.Errorf("prefixtree: leaf slab limit %d exhausted", len(s.leaf))
 	}
-	n := s.cfg.SlabNodes
+	n := slabNodes
 	s.leaf[s.leafLen] = &leafSlab{
 		values: make([]atomic.Uint64, n*s.fanout),
 		bitmap: make([]atomic.Uint64, n*s.bitmapWords),
@@ -238,14 +232,14 @@ func (s *Store) allocInnerNodes(want int, out []uint32) ([]uint32, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for len(out) < want {
-		if s.innerLen == 0 || s.innerNext == s.cfg.SlabNodes {
+		if s.innerLen == 0 || s.innerNext == slabNodes {
 			if err := s.growInner(); err != nil {
 				return out, err
 			}
 		}
 		slab := s.innerLen - 1
 		// Refs are 1-based: ref = global node index + 1.
-		out = append(out, uint32(slab*s.cfg.SlabNodes+s.innerNext)+1)
+		out = append(out, uint32(slab*slabNodes+s.innerNext)+1)
 		s.innerNext++
 	}
 	return out, nil
@@ -255,13 +249,13 @@ func (s *Store) allocLeafNodes(want int, out []uint32) ([]uint32, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for len(out) < want {
-		if s.leafLen == 0 || s.leafNext == s.cfg.SlabNodes {
+		if s.leafLen == 0 || s.leafNext == slabNodes {
 			if err := s.growLeaf(); err != nil {
 				return out, err
 			}
 		}
 		slab := s.leafLen - 1
-		out = append(out, uint32(slab*s.cfg.SlabNodes+s.leafNext)+1)
+		out = append(out, uint32(slab*slabNodes+s.leafNext)+1)
 		s.leafNext++
 	}
 	return out, nil
@@ -270,12 +264,12 @@ func (s *Store) allocLeafNodes(want int, out []uint32) ([]uint32, error) {
 // innerAt resolves an inner node ref to its slab and intra-slab offset.
 func (s *Store) innerAt(ref uint32) (*innerSlab, int) {
 	idx := int(ref - 1)
-	return s.inner[idx/s.cfg.SlabNodes], idx % s.cfg.SlabNodes
+	return s.inner[idx/slabNodes], idx % slabNodes
 }
 
 func (s *Store) leafAt(ref uint32) (*leafSlab, int) {
 	idx := int(ref - 1)
-	return s.leaf[idx/s.cfg.SlabNodes], idx % s.cfg.SlabNodes
+	return s.leaf[idx/slabNodes], idx % slabNodes
 }
 
 // innerSlot returns the child slot j of inner node ref.
@@ -329,8 +323,8 @@ func (s *Store) zeroLeaf(ref uint32) {
 func (s *Store) MemoryBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return int64(s.innerLen)*int64(s.cfg.SlabNodes)*s.innerNodeBytes +
-		int64(s.leafLen)*int64(s.cfg.SlabNodes)*s.leafNodeBytes
+	return int64(s.innerLen)*slabNodes*s.innerNodeBytes +
+		int64(s.leafLen)*slabNodes*s.leafNodeBytes
 }
 
 // refill batch size for session free lists.

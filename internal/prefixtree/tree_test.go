@@ -46,7 +46,6 @@ func TestConfigValidate(t *testing.T) {
 		{PrefixBits: 3},
 		{KeyBits: 10, PrefixBits: 4},
 		{KeyBits: 65},
-		{SlabNodes: -1},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {

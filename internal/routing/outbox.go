@@ -25,9 +25,16 @@ const (
 
 const refRecordBytes = 1 + 4 + 4 + 4
 
-// fullBufferPollNS is the virtual cost of one poll on a full remote
-// incoming buffer; producers pay it per wait spin, modeling backpressure.
-const fullBufferPollNS = 100.0
+// Virtual CPU costs of the routing layer, in nanoseconds. The partition
+// tables are cache-resident, so a table lookup charges no memory access.
+const (
+	routeNSPerKey      = 3     // one partition-table lookup
+	decodeNSPerCommand = 2     // decoding one routed command
+	fullBufferPollNS   = 100.0 // one poll on a full remote incoming buffer (backpressure)
+)
+
+// multicastSlots is the capacity of each AEU's multicast table.
+const multicastSlots = 1024
 
 // mcastEntry is one slot of an AEU's multicast table: the command encoded
 // once, pulled by every referenced target.
@@ -93,8 +100,8 @@ func newOutbox(r *Router, self uint32, node topology.NodeID) *Outbox {
 		refs:          make([][]byte, n),
 		queued:        make([]bool, n),
 		dirty:         make([]bool, n),
-		mcast:         make([]mcastEntry, r.cfg.MulticastSlots),
-		mcastAddr:     r.mems.Node(node).Alloc(int64(r.cfg.MulticastSlots) * 64),
+		mcast:         make([]mcastEntry, multicastSlots),
+		mcastAddr:     r.mems.Node(node).Alloc(multicastSlots * 64),
 		groupKeys:     make([][]uint64, n),
 		groupKVs:      make([][]prefixtree.KV, n),
 		maxLookupKeys: command.MaxLookupKeys(r.cfg.OutBufBytes),
@@ -182,7 +189,7 @@ func (o *Outbox) RouteUpsert(obj ObjectID, kvs []prefixtree.KV, replyTo int32, t
 // the number of commands emitted. Large batches are sorted first and
 // resolved against the partition table in one ordered merge; the sort is
 // stable, so duplicate upsert keys keep their last-write-wins order. The
-// virtual cost charged is RouteNSPerKey per key either way, so simulated
+// virtual cost charged is routeNSPerKey per key either way, so simulated
 // results do not depend on the resolution strategy.
 //
 //eris:hotpath
@@ -192,7 +199,7 @@ func (o *Outbox) RouteBatch(op command.Op, obj ObjectID, keys []uint64, kvs []pr
 	if upsert {
 		n = len(kvs)
 	}
-	o.r.machine.AdvanceNS(o.core(), o.r.cfg.RouteNSPerKey*float64(n))
+	o.r.machine.AdvanceNS(o.core(), routeNSPerKey*float64(n))
 	o.routedKeys.Add(int64(n))
 	if n == 0 {
 		return 0
@@ -306,7 +313,7 @@ func (o *Outbox) multicast(cmd *command.Command, targets []uint32) {
 		return
 	}
 	m := o.r.machine
-	m.AdvanceNS(o.core(), o.r.cfg.RouteNSPerKey*float64(len(targets)))
+	m.AdvanceNS(o.core(), routeNSPerKey*float64(len(targets)))
 	slot := o.allocMcastSlot()
 	e := &o.mcast[slot]
 	e.data = cmd.AppendEncode(e.data[:0])
@@ -483,7 +490,7 @@ func (r *Router) Drain(aeu uint32, fn func(command.Command)) int {
 				r.droppedBytes.Add(int64(len(payload) - off))
 				return n
 			}
-			m.AdvanceNS(core, r.cfg.DecodeNSPerCommand)
+			m.AdvanceNS(core, decodeNSPerCommand)
 			fn(cmd)
 			off += 1 + used
 			n++
@@ -517,7 +524,7 @@ func (r *Router) Drain(aeu uint32, fn func(command.Command)) int {
 				off += refRecordBytes
 				continue
 			}
-			m.AdvanceNS(core, r.cfg.DecodeNSPerCommand)
+			m.AdvanceNS(core, decodeNSPerCommand)
 			fn(cmd)
 			// The reference is released only after fn returns: the decoded
 			// views may alias the multicast entry, and the source recycles

@@ -21,16 +21,6 @@ type Config struct {
 	// InBufBytes is the capacity of each of the two incoming buffers per
 	// AEU. Default 1 MiB.
 	InBufBytes int
-	// MulticastSlots is the per-AEU multicast table capacity. Default 1024.
-	MulticastSlots int
-	// RouteNSPerKey is the CPU cost of one partition-table lookup; the
-	// tables are cache-resident, so no memory access is charged. Default 3.
-	RouteNSPerKey float64
-	// DecodeNSPerCommand is the CPU cost of decoding one routed command.
-	DecodeNSPerCommand float64
-	// FlatTables switches the range partition tables to the sorted-array
-	// variant (ablation benchmark).
-	FlatTables bool
 	// FlushOverlap is how many remote descriptor round trips an AEU keeps
 	// in flight when flushing several outgoing buffers back to back
 	// (independent atomics to distinct nodes). Default 8; the Figure 5
@@ -51,15 +41,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.InBufBytes == 0 {
 		c.InBufBytes = 1 << 20
-	}
-	if c.MulticastSlots == 0 {
-		c.MulticastSlots = 1024
-	}
-	if c.RouteNSPerKey == 0 {
-		c.RouteNSPerKey = 3
-	}
-	if c.DecodeNSPerCommand == 0 {
-		c.DecodeNSPerCommand = 2
 	}
 	if c.FlushOverlap == 0 {
 		c.FlushOverlap = 8
@@ -167,15 +148,7 @@ func (r *Router) nodeOfAEU(aeu uint32) topology.NodeID {
 // RegisterRange registers a range-partitioned object with the initial
 // partitioning.
 func (r *Router) RegisterRange(id ObjectID, entries []csbtree.Entry) error {
-	var (
-		rt  *RangeTable
-		err error
-	)
-	if r.cfg.FlatTables {
-		rt, err = NewFlatRangeTable(entries)
-	} else {
-		rt, err = NewRangeTable(entries)
-	}
+	rt, err := NewRangeTable(entries)
 	if err != nil {
 		return err
 	}
@@ -233,14 +206,6 @@ func (r *Router) UpdateRange(id ObjectID, entries []csbtree.Entry) error {
 	o := r.object(id)
 	if o.kind != RangePartitioned {
 		return fmt.Errorf("routing: object %d is not range partitioned", id)
-	}
-	if r.cfg.FlatTables {
-		rt, err := NewFlatRangeTable(entries)
-		if err != nil {
-			return err
-		}
-		o.ranged.idx.Store(rt.idx.Load())
-		return nil
 	}
 	return o.ranged.Update(entries)
 }

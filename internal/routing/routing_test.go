@@ -298,26 +298,6 @@ func TestFlushChargesRemoteTraffic(t *testing.T) {
 	}
 }
 
-func TestFlatTablesAblation(t *testing.T) {
-	r := newRouter(t, 4, Config{FlatTables: true})
-	if err := r.RegisterRange(1, uniformRanges(4)); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Owner(1, 3*(1<<18)); got != 3 {
-		t.Errorf("flat owner = %d", got)
-	}
-	if err := r.UpdateRange(1, uniformRanges(2)); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Owner(1, 1<<19); got != 1 {
-		t.Errorf("flat owner after update = %d", got)
-	}
-	// Entries() is CSB+-only; the flat variant reports nil.
-	if got := r.OwnerEntries(1); got != nil {
-		t.Errorf("flat entries = %v", got)
-	}
-}
-
 func TestManyAEUsAllToAll(t *testing.T) {
 	r := newRouter(t, 40, Config{OutBufBytes: 512})
 	if err := r.RegisterRange(1, func() []csbtree.Entry {
@@ -393,4 +373,62 @@ func TestObjectString(t *testing.T) {
 		}
 	}
 	_ = fmt.Sprintf("%v", r.object(1))
+}
+
+// streamPS returns what streaming bytes through node 0's memory costs a core,
+// measured on an otherwise idle core of a machine like r's.
+func streamPS(t *testing.T, bytes int) int64 {
+	t.Helper()
+	ref, err := numasim.New(topology.Intel(), numasim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Stream(5, 0, int64(bytes))
+	return ref.Clock(5)
+}
+
+// TestRouteBatchChargesThreeNSPerKey pins the routing cost model: routing N
+// keys charges the source core 3 ns per key (plus the local buffer write),
+// whether the batch is resolved per key or in one sorted merge.
+func TestRouteBatchChargesThreeNSPerKey(t *testing.T) {
+	for _, n := range []int{5, 40} {
+		r := newRouter(t, 4, Config{})
+		if err := r.RegisterRange(1, []csbtree.Entry{{Low: 0, Owner: 2}}); err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = uint64(n - i)
+		}
+		before := r.Machine().Clock(0)
+		if got := r.Outbox(0).RouteLookup(1, keys, command.NoReply, 0, 0); got != 1 {
+			t.Fatalf("n=%d: routed %d commands, want 1", n, got)
+		}
+		cmd := command.Command{Op: command.OpLookup, Object: 1, ReplyTo: command.NoReply, Keys: keys}
+		want := int64(3*n)*1000 + streamPS(t, 1+cmd.EncodedSize())
+		if got := r.Machine().Clock(0) - before; got != want {
+			t.Errorf("n=%d: routing charged %d ps, want %d (3 ns/key + buffer write)", n, got, want)
+		}
+	}
+}
+
+// TestDrainChargesTwoNSPerCommand pins the decode cost: draining k unicast
+// commands charges the owner 2 ns per command (plus reading the buffer).
+func TestDrainChargesTwoNSPerCommand(t *testing.T) {
+	const k = 7
+	r := newRouter(t, 4, Config{})
+	bytes := 0
+	for i := 0; i < k; i++ {
+		cmd := command.Command{Op: command.OpLookup, Object: 1, ReplyTo: command.NoReply, Keys: []uint64{uint64(i)}}
+		bytes += 1 + cmd.EncodedSize()
+		r.Inject(1, &cmd)
+	}
+	before := r.Machine().Clock(1)
+	if got := r.Drain(1, func(command.Command) {}); got != k {
+		t.Fatalf("drained %d commands, want %d", got, k)
+	}
+	want := int64(2*k)*1000 + streamPS(t, bytes)
+	if got := r.Machine().Clock(1) - before; got != want {
+		t.Errorf("drain charged %d ps, want %d (2 ns/command + buffer read)", got, want)
+	}
 }

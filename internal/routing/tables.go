@@ -45,17 +45,9 @@ const (
 	SizePartitioned
 )
 
-// PartitionIndex is the read interface shared by the CSB+-tree table and
-// the flat-array ablation variant.
-type PartitionIndex interface {
-	Lookup(key uint64) uint32
-	LookupBatchSorted(keys []uint64, owners []uint32)
-	Len() int
-}
-
 // RangeTable maps key ranges to owning AEUs; readers are latch-free.
 type RangeTable struct {
-	idx atomic.Pointer[PartitionIndex]
+	tree atomic.Pointer[csbtree.Tree]
 }
 
 // NewRangeTable builds a range table from entries (see csbtree.Build).
@@ -65,20 +57,7 @@ func NewRangeTable(entries []csbtree.Entry) (*RangeTable, error) {
 		return nil, err
 	}
 	rt := &RangeTable{}
-	var pi PartitionIndex = t
-	rt.idx.Store(&pi)
-	return rt, nil
-}
-
-// NewFlatRangeTable builds the flat-array variant (ablation benchmark).
-func NewFlatRangeTable(entries []csbtree.Entry) (*RangeTable, error) {
-	f, err := csbtree.BuildFlat(entries)
-	if err != nil {
-		return nil, err
-	}
-	rt := &RangeTable{}
-	var pi PartitionIndex = f
-	rt.idx.Store(&pi)
+	rt.tree.Store(t)
 	return rt, nil
 }
 
@@ -86,7 +65,7 @@ func NewFlatRangeTable(entries []csbtree.Entry) (*RangeTable, error) {
 //
 //eris:hotpath
 func (rt *RangeTable) Owner(key uint64) uint32 {
-	return (*rt.idx.Load()).Lookup(key)
+	return rt.tree.Load().Lookup(key)
 }
 
 // OwnersSorted resolves the owner of every key of an ascending-sorted
@@ -95,17 +74,12 @@ func (rt *RangeTable) Owner(key uint64) uint32 {
 //
 //eris:hotpath
 func (rt *RangeTable) OwnersSorted(keys []uint64, owners []uint32) {
-	(*rt.idx.Load()).LookupBatchSorted(keys, owners)
+	rt.tree.Load().LookupBatchSorted(keys, owners)
 }
 
 // Entries returns the current partitioning (for monitoring and the
-// balancer). Only valid for the CSB+ variant.
-func (rt *RangeTable) Entries() []csbtree.Entry {
-	if t, ok := (*rt.idx.Load()).(*csbtree.Tree); ok {
-		return t.Entries()
-	}
-	return nil
-}
+// balancer).
+func (rt *RangeTable) Entries() []csbtree.Entry { return rt.tree.Load().Entries() }
 
 // Update publishes a new partitioning; concurrent readers keep using the
 // old table until the swap and never block.
@@ -114,8 +88,7 @@ func (rt *RangeTable) Update(entries []csbtree.Entry) error {
 	if err != nil {
 		return err
 	}
-	var pi PartitionIndex = t
-	rt.idx.Store(&pi)
+	rt.tree.Store(t)
 	return nil
 }
 
@@ -177,7 +150,7 @@ type object struct {
 
 func (o *object) String() string {
 	if o.kind == RangePartitioned {
-		return fmt.Sprintf("range-partitioned (%d ranges)", (*o.ranged.idx.Load()).Len())
+		return fmt.Sprintf("range-partitioned (%d ranges)", o.ranged.tree.Load().Len())
 	}
 	return fmt.Sprintf("size-partitioned (%d holders)", o.bitmap.Count())
 }

@@ -32,11 +32,15 @@ const (
 // server on an ephemeral port, and tears both down at test end.
 func startServer(t *testing.T, workers int, faultSeed int64, balancing bool) (*core.Engine, *server.Server, string) {
 	t.Helper()
+	var inj *faults.Injector
+	if faultSeed != 0 {
+		inj = faults.New(faultSeed)
+	}
 	e, err := core.New(core.Config{
-		Topology:  topology.SingleNode(workers),
-		Tree:      prefixtree.Config{KeyBits: 32, PrefixBits: 8},
-		Column:    colstore.Config{ChunkEntries: 1 << 10},
-		FaultSeed: faultSeed,
+		Topology: topology.SingleNode(workers),
+		Tree:     prefixtree.Config{KeyBits: 32, PrefixBits: 8},
+		Column:   colstore.Config{ChunkEntries: 1 << 10},
+		Routing:  routing.Config{Faults: inj},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -21,11 +21,11 @@ func newMachine(t testing.TB, cacheScale float64) (*numasim.Machine, *mem.System
 
 func TestSharedIndexLoadAndLookup(t *testing.T) {
 	m, mems := newMachine(t, 0)
-	ix, err := NewIndex(m, mems, prefixtree.Config{KeyBits: 24, PrefixBits: 8, SlabNodes: 8}, Interleaved, 0)
+	ix, err := NewIndex(m, mems, prefixtree.Config{KeyBits: 24, PrefixBits: 8}, Interleaved, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 10000
+	const n = 50000 // enough leaf slabs to interleave over all four nodes
 	ix.LoadDense(8, n, func(k uint64) uint64 { return k + 1 })
 	if got := ix.Tree().Count(); got != n {
 		t.Fatalf("count = %d", got)
