@@ -1,7 +1,7 @@
 // Command erisvet is the engine's own multichecker: it runs the
-// internal/analysis suite (hotpath, loopblock, counterlit, faulthook) over
-// the module and exits non-zero on any finding. It sits next to `go vet` in
-// CI and in scripts/vet.sh:
+// internal/analysis suite (hotpath and loopblock, the two checks of the AEU
+// loop contract) over the module and exits non-zero on any finding. It sits
+// next to `go vet` in CI and in scripts/vet.sh:
 //
 //	go run ./cmd/erisvet ./...
 //
@@ -18,8 +18,6 @@ import (
 	"strings"
 
 	"eris/internal/analysis"
-	"eris/internal/analysis/counterlit"
-	"eris/internal/analysis/faulthook"
 	"eris/internal/analysis/hotpath"
 	"eris/internal/analysis/loopblock"
 )
@@ -28,8 +26,6 @@ import (
 var suite = []*analysis.Analyzer{
 	hotpath.Analyzer,
 	loopblock.Analyzer,
-	counterlit.Analyzer,
-	faulthook.Analyzer,
 }
 
 func main() {

@@ -254,8 +254,9 @@ func TestRecoveryTimeBudget(t *testing.T) {
 // the data directory, recover (checkpoint image + log replay on the first
 // iteration, image-only after the first Start re-checkpoints), rebuild the
 // engine and serve a first lookup — over a million-key index. Paired with
-// BenchmarkWALReplay (internal/durable) this is the recovery performance
-// record in results/recovery_bench.txt.
+// BenchmarkWALReplay (internal/durable) it times recovery by hand; the
+// committed recovery record is recover_s of the serve-upsert-durable
+// workload in benchmarks/baseline/BENCH_set-A.json.
 func BenchmarkRecoveryTimeToServe(b *testing.B) {
 	const keys = 1 << 20
 	dir, err := os.MkdirTemp("/dev/shm", "eris-recbench-")

@@ -2,10 +2,13 @@ package eris
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 
+	"eris/internal/client"
 	"eris/internal/metrics"
 )
 
@@ -214,8 +217,10 @@ func TestMetricsSnapshot(t *testing.T) {
 	}
 	// Client commands inject straight into inboxes, so outbox flushes may
 	// be zero here — but every AEU's outbox counters must be registered.
-	if names := after.CounterNames("routing.outbox.", ".flushes"); len(names) != db.Stats().Workers {
-		t.Fatalf("outbox flush counters = %v, want one per worker", names)
+	for w := 0; w < db.Stats().Workers; w++ {
+		if _, ok := after.Counters[fmt.Sprintf("routing.outbox.%d.flushes", w)]; !ok {
+			t.Fatalf("routing.outbox.%d.flushes missing, want one per worker", w)
+		}
 	}
 	if _, ok := after.Gauges["mem.allocated_bytes_total"]; !ok {
 		t.Fatal("mem.allocated_bytes_total missing")
@@ -225,6 +230,55 @@ func TestMetricsSnapshot(t *testing.T) {
 	}
 	if _, ok := after.Counters["balance.cycles"]; !ok {
 		t.Fatal("balance.cycles missing")
+	}
+}
+
+// TestMetricNamespaceOneRegistry puts every registering layer on one
+// registry: an engine with a WAL, a fault injector and the balancer, its
+// wire server, and a client dialed with the engine's registry. The
+// registry panics on a malformed name, on a first segment claimed from two
+// packages and on a kind collision, so reaching the snapshot proves the
+// layers share the namespace cleanly; each layer's prefix must be there.
+func TestMetricNamespaceOneRegistry(t *testing.T) {
+	db, err := Open(Options{
+		Machine: "single", Workers: 2, Balancer: "oneshot", FaultSeed: 1,
+		DataDir: t.TempDir(), ListenAddr: "127.0.0.1:0",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.CreateIndex("kv", 1<<10); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Start(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.Dial(db.ServeAddr(), client.Options{Metrics: db.Engine().Metrics()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Lookup(c.Objects()[0].ID, []uint64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+
+	snap := db.MetricsSnapshot()
+	prefixes := map[string]bool{}
+	for _, names := range []map[string]int64{snap.Counters, snap.Gauges} {
+		for name := range names {
+			prefix, _, _ := strings.Cut(name, ".")
+			prefixes[prefix] = true
+		}
+	}
+	for name := range snap.Histograms {
+		prefix, _, _ := strings.Cut(name, ".")
+		prefixes[prefix] = true
+	}
+	for _, want := range []string{"aeu", "balance", "client", "durable", "faults", "machine", "mem", "routing", "server"} {
+		if !prefixes[want] {
+			t.Errorf("no %s.* metric on the shared registry (prefixes %v)", want, prefixes)
+		}
 	}
 }
 

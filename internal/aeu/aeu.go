@@ -541,9 +541,6 @@ func (a *AEU) Stats() Stats {
 //eris:hotpath
 func (a *AEU) ClockNS() float64 { return a.machine.ClockNS(a.Core) }
 
-// ClockSec returns this AEU's virtual time in seconds.
-func (a *AEU) ClockSec() float64 { return a.ClockNS() / 1e9 }
-
 // CountOps records externally executed storage operations (generator-driven
 // benchmark work) in the AEU's throughput accounting.
 //

@@ -7,7 +7,6 @@ import (
 	"eris/internal/durable"
 	"eris/internal/faults"
 	"eris/internal/routing"
-	"eris/internal/topology"
 )
 
 // handleBalance applies a balancing command: adopt the new partition
@@ -701,6 +700,3 @@ func RegisterPeers(aeus []*AEU) {
 }
 
 func (a *AEU) peer(id uint32) *AEU { return a.peers[id] }
-
-// CoreOf returns the core an AEU index is pinned to (AEU i == core i).
-func CoreOf(id uint32) topology.CoreID { return topology.CoreID(id) }

@@ -35,9 +35,6 @@ func (tl *Timeline) Record(tNS float64, n int64) {
 	tl.bins[idx].Add(n)
 }
 
-// BinSec returns the bucket width in seconds.
-func (tl *Timeline) BinSec() float64 { return tl.binNS / 1e9 }
-
 // Series returns throughput (ops/s) per bucket.
 func (tl *Timeline) Series() []float64 {
 	out := make([]float64, len(tl.bins))
@@ -45,13 +42,4 @@ func (tl *Timeline) Series() []float64 {
 		out[i] = float64(tl.bins[i].Load()) / (tl.binNS / 1e9)
 	}
 	return out
-}
-
-// Total returns all recorded operations.
-func (tl *Timeline) Total() int64 {
-	var sum int64
-	for i := range tl.bins {
-		sum += tl.bins[i].Load()
-	}
-	return sum
 }

@@ -9,11 +9,12 @@
 // Report) closely enough that the suite could be rebased onto the real
 // framework by swapping this package out.
 //
-// What the suite enforces is the part of DESIGN.md that used to be social
-// convention: single-writer AEU loops that never block or allocate on the
-// data path, metric-name hygiene, and nil-safe fault-injection hooks. See cmd/erisvet for the
-// multichecker binary and DESIGN.md "Static invariant enforcement" for the
-// directive grammar (//eris:hotpath, //eris:loop, //eris:allowalloc ...).
+// What the suite enforces is the one rule of DESIGN.md that no runtime test
+// can: an AEU is the single writer of its partitions, and its loop never
+// blocks (loopblock) and never allocates on the data path (hotpath). See
+// cmd/erisvet for the multichecker binary and DESIGN.md "Static invariant
+// enforcement" for the directive grammar (//eris:hotpath, //eris:loop,
+// //eris:allowalloc, //eris:allowblock).
 package analysis
 
 import (
@@ -24,23 +25,18 @@ import (
 	"sort"
 )
 
-// Analyzer is one invariant checker. Run is invoked once per source package
-// of the module when Module is false, and exactly once (with Pass.Pkg nil)
-// when Module is true — module-level analyzers walk Pass.All themselves,
-// which is how cross-package checks (call-graph reachability, metric-name
-// collisions, fault-kind coverage) see the whole engine at once.
+// Analyzer is one invariant checker. Run is invoked once per module view
+// and walks Pass.All itself, which is how cross-package checks (call-graph
+// reachability, callee annotations) see the whole engine at once.
 type Analyzer struct {
-	Name   string
-	Doc    string
-	Module bool
-	Run    func(*Pass) error
+	Name string
+	Doc  string
+	Run  func(*Pass) error
 }
 
 // Pass carries one analyzer invocation's view of the code.
 type Pass struct {
 	Analyzer *Analyzer
-	// Pkg is the package under analysis (nil for module-level analyzers).
-	Pkg *Package
 	// All is every source-loaded package of the module, sorted by import
 	// path; export-data-only dependencies are not listed.
 	All  []*Package
@@ -49,8 +45,7 @@ type Pass struct {
 	report func(Diagnostic)
 }
 
-// Package is one type-checked source package plus its parsed (but not
-// type-checked) test files.
+// Package is one type-checked source package.
 type Package struct {
 	Path  string
 	Name  string
@@ -58,11 +53,6 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-
-	// TestFiles are the package's _test.go files (internal and external
-	// test package alike), parsed with comments for syntactic checks; they
-	// are not type-checked.
-	TestFiles []*ast.File
 
 	// directives is the per-file index of //eris: comment directives.
 	directives map[*ast.File]*fileDirectives
@@ -83,34 +73,10 @@ func (d Diagnostic) String() string {
 // //eris:allow* directive (with a reason) are dropped here, in one place,
 // so every analyzer gets the same suppression semantics for free.
 func (p *Pass) Reportf(pkg *Package, pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	if pkg != nil {
-		if verb, ok := suppressionVerbs[p.Analyzer.Name]; ok {
-			if pkg.suppressed(p.Fset, pos, verb) {
-				return
-			}
-		}
+	if pkg.suppressed(p.Fset, pos, allowVerbs[p.Analyzer.Name]) {
+		return
 	}
-	p.report(Diagnostic{Analyzer: p.Analyzer.Name, Pos: position, Message: fmt.Sprintf(format, args...)})
-}
-
-// PackageAt returns the source package containing pos (module-level
-// analyzers use it to route suppression checks), or nil.
-func (p *Pass) PackageAt(pos token.Pos) *Package {
-	file := p.Fset.File(pos)
-	if file == nil {
-		return nil
-	}
-	name := file.Name()
-	for _, pkg := range p.All {
-		for i, f := range pkg.Files {
-			_ = i
-			if tf := p.Fset.File(f.Package); tf != nil && tf.Name() == name {
-				return pkg
-			}
-		}
-	}
-	return nil
+	p.report(Diagnostic{Analyzer: p.Analyzer.Name, Pos: p.Fset.Position(pos), Message: fmt.Sprintf(format, args...)})
 }
 
 // Run executes analyzers over the module and returns the findings sorted by
@@ -125,18 +91,9 @@ func Run(m *Module, analyzers []*Analyzer) ([]Diagnostic, error) {
 	}
 
 	for _, a := range analyzers {
-		if a.Module {
-			pass := &Pass{Analyzer: a, All: m.Pkgs, Fset: m.Fset, report: collect}
-			if err := a.Run(pass); err != nil {
-				return diags, fmt.Errorf("%s: %w", a.Name, err)
-			}
-			continue
-		}
-		for _, pkg := range m.Pkgs {
-			pass := &Pass{Analyzer: a, Pkg: pkg, All: m.Pkgs, Fset: m.Fset, report: collect}
-			if err := a.Run(pass); err != nil {
-				return diags, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
-			}
+		pass := &Pass{Analyzer: a, All: m.Pkgs, Fset: m.Fset, report: collect}
+		if err := a.Run(pass); err != nil {
+			return diags, fmt.Errorf("%s: %w", a.Name, err)
 		}
 	}
 

@@ -2,13 +2,10 @@
 // checks its diagnostics against `// want "regex"` comments, mirroring
 // golang.org/x/tools/go/analysis/analysistest for the in-tree framework.
 //
-// Fixtures live under <testdata>/src/<pkgpath>/*.go. Packages are loaded in
-// the order given, so a fixture that imports another (counterlit's app ->
-// metrics) lists its dependency first. Imports outside the fixture set are
-// resolved from real export data via the go tool, so fixtures may use the
-// standard library freely. _test.go fixture files are parsed (not
-// type-checked) and attached as the package's TestFiles, which is what the
-// faulthook armed-kind check reads.
+// Fixtures live under the calling package's testdata/src/<pkgpath>/*.go. Packages are loaded in
+// the order given, so a fixture that imports another lists its dependency
+// first. Imports outside the fixture set are resolved from real export data
+// via the go tool, so fixtures may use the standard library freely.
 //
 // A want comment is a trailing `// want "re"` (or backquoted) on the line
 // the diagnostic is expected; multiple expectations chain: // want "a" "b".
@@ -33,33 +30,22 @@ import (
 	"eris/internal/analysis"
 )
 
-// TestData returns the calling package's testdata directory.
-func TestData(t *testing.T) string {
-	t.Helper()
-	dir, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return filepath.Join(dir, "testdata")
-}
-
 // Run loads the fixture packages and checks a's diagnostics against the
 // fixtures' want comments.
-func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgpaths ...string) {
+func Run(t *testing.T, a *analysis.Analyzer, pkgpaths ...string) {
 	t.Helper()
 
 	fset := token.NewFileSet()
 	type fixture struct {
-		path      string
-		dir       string
-		files     []*ast.File
-		testFiles []*ast.File
+		path  string
+		dir   string
+		files []*ast.File
 	}
 
 	fixtures := make([]*fixture, 0, len(pkgpaths))
 	imports := map[string]bool{}
 	for _, path := range pkgpaths {
-		fx := &fixture{path: path, dir: filepath.Join(testdata, "src", filepath.FromSlash(path))}
+		fx := &fixture{path: path, dir: filepath.Join("testdata", "src", filepath.FromSlash(path))}
 		entries, err := os.ReadDir(fx.dir)
 		if err != nil {
 			t.Fatal(err)
@@ -72,11 +58,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgpaths ...string
 			if err != nil {
 				t.Fatal(err)
 			}
-			if strings.HasSuffix(e.Name(), "_test.go") {
-				fx.testFiles = append(fx.testFiles, f...)
-			} else {
-				fx.files = append(fx.files, f...)
-			}
+			fx.files = append(fx.files, f...)
 			for _, file := range f {
 				for _, imp := range file.Imports {
 					p, _ := strconv.Unquote(imp.Path.Value)
@@ -112,17 +94,16 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgpaths ...string
 		}
 		local[fx.path] = tpkg
 		pkgs = append(pkgs, &analysis.Package{
-			Path:      fx.path,
-			Name:      tpkg.Name(),
-			Dir:       fx.dir,
-			Files:     fx.files,
-			Types:     tpkg,
-			Info:      info,
-			TestFiles: fx.testFiles,
+			Path:  fx.path,
+			Name:  tpkg.Name(),
+			Dir:   fx.dir,
+			Files: fx.files,
+			Types: tpkg,
+			Info:  info,
 		})
 	}
 
-	diags, err := analysis.Run(analysis.NewModule(fset, pkgs), []*analysis.Analyzer{a})
+	diags, err := analysis.Run(&analysis.Module{Fset: fset, Pkgs: pkgs}, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,14 +148,13 @@ type want struct {
 // directive, which a trailing line comment could not follow.
 var wantPattern = regexp.MustCompile(`(?://|/\*)\s*want\s+(.*)$`)
 
-// collectWants scans every fixture file (source and test alike) for want
-// comments, keyed by the line they annotate.
+// collectWants scans every fixture file for want comments, keyed by the
+// line they annotate.
 func collectWants(t *testing.T, fset *token.FileSet, pkgs []*analysis.Package) map[posKey][]*want {
 	t.Helper()
 	out := map[posKey][]*want{}
 	for _, pkg := range pkgs {
-		files := append(append([]*ast.File(nil), pkg.Files...), pkg.TestFiles...)
-		for _, f := range files {
+		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					m := wantPattern.FindStringSubmatch(c.Text)

@@ -19,13 +19,12 @@ import (
 //	    it.
 //	//eris:allowalloc <reason>
 //	//eris:allowblock <reason>
-//	//eris:allowname <reason>
-//	//eris:allowfault <reason>
-//	    suppress one analyzer's findings (hotpath, loopblock, counterlit,
-//	    faulthook respectively) on the directive's own line, or
-//	    on the line directly below when the directive stands alone. The
-//	    reason is mandatory: a suppression without one does not suppress
-//	    and is itself reported.
+//	    suppress one analyzer's findings (hotpath and loopblock
+//	    respectively) on the directive's own line, or on the line directly
+//	    below when the directive stands alone. The reason is mandatory: a
+//	    suppression without one does not suppress and is itself reported.
+//
+// Any other //eris: verb is reported as an unknown directive.
 const directivePrefix = "//eris:"
 
 // markerVerbs are function-level markers (no arguments, doc comment only).
@@ -34,23 +33,20 @@ var markerVerbs = map[string]bool{
 	"loop":    true,
 }
 
-// allowVerbs are line-level suppressions; the value is the analyzer whose
-// findings they mute.
+// allowVerbs maps each analyzer to its line-level suppression verb.
 var allowVerbs = map[string]string{
-	"allowalloc": "hotpath",
-	"allowblock": "loopblock",
-	"allowname":  "counterlit",
-	"allowfault": "faulthook",
+	"hotpath":   "allowalloc",
+	"loopblock": "allowblock",
 }
 
-// suppressionVerbs is the inverse of allowVerbs: analyzer name -> verb.
-var suppressionVerbs = func() map[string]string {
-	m := make(map[string]string, len(allowVerbs))
-	for verb, analyzer := range allowVerbs {
-		m[analyzer] = verb
+func isAllowVerb(verb string) bool {
+	for _, v := range allowVerbs {
+		if v == verb {
+			return true
+		}
 	}
-	return m
-}()
+	return false
+}
 
 // directive is one parsed //eris: comment.
 type directive struct {
@@ -102,7 +98,7 @@ func parseDirectives(fset *token.FileSet, file *ast.File) *fileDirectives {
 						Message: "//eris:" + verb + " takes no arguments",
 					})
 				}
-			case allowVerbs[verb] != "":
+			case isAllowVerb(verb):
 				if reason == "" {
 					fd.bad = append(fd.bad, Diagnostic{
 						Analyzer: "directive", Pos: pos,

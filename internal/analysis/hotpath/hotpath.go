@@ -37,16 +37,16 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	pkg := pass.Pkg
 	marked := analysis.MarkedFuncs(pass.Fset, pass.All, "hotpath")
-
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !pkg.FuncMarked(pass.Fset, fd, "hotpath") {
-				continue
+	for _, pkg := range pass.All {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil || !pkg.FuncMarked(pass.Fset, fd, "hotpath") {
+					continue
+				}
+				check(pass, pkg, fd.Body, marked)
 			}
-			check(pass, pkg, fd.Body, marked)
 		}
 	}
 	return nil

@@ -8,5 +8,5 @@ import (
 )
 
 func TestHotPath(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), hotpath.Analyzer, "a")
+	analysistest.Run(t, hotpath.Analyzer, "a")
 }

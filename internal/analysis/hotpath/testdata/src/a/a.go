@@ -60,3 +60,11 @@ func suppressed(n int) []int {
 func reasonless(n int) []int {
 	return make([]int, n) /* want `hot path allocates: make` `//eris:allowalloc requires a reason` */ //eris:allowalloc
 }
+
+// A verb of a retired analyzer is an unknown directive and suppresses
+// nothing.
+//
+//eris:hotpath
+func retiredVerb(n int) []int {
+	return make([]int, n) /* want `hot path allocates: make` `unknown directive //eris:allowname` */ //eris:allowname metric names are checked at registration
+}

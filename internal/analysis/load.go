@@ -19,40 +19,22 @@ import (
 
 // Module is the loaded view of the repository: every source package of the
 // requested patterns, parsed and type-checked against dependency export
-// data.
+// data. The analysistest harness builds one directly from fixture packages
+// that are not part of any real module.
 type Module struct {
-	Fset  *token.FileSet
-	Pkgs  []*Package
-	paths map[string]*Package
-}
-
-// Package returns the source-loaded package with the given import path, or
-// nil when it is not part of the module view.
-func (m *Module) Package(path string) *Package { return m.paths[path] }
-
-// NewModule assembles a module view from pre-built packages; the
-// analysistest harness uses it to run analyzers over fixture packages that
-// are not part of any real module.
-func NewModule(fset *token.FileSet, pkgs []*Package) *Module {
-	m := &Module{Fset: fset, Pkgs: pkgs, paths: make(map[string]*Package, len(pkgs))}
-	for _, p := range pkgs {
-		m.paths[p.Path] = p
-	}
-	return m
+	Fset *token.FileSet
+	Pkgs []*Package
 }
 
 // listedPackage is the subset of `go list -json` output the loader needs.
 type listedPackage struct {
-	ImportPath  string
-	Name        string
-	Dir         string
-	Export      string
-	GoFiles     []string
-	TestGoFiles []string
-	// XTestGoFiles are the external (package foo_test) test files.
-	XTestGoFiles []string
-	DepOnly      bool
-	Standard     bool
+	ImportPath string
+	Name       string
+	Dir        string
+	Export     string
+	GoFiles    []string
+	DepOnly    bool
+	Standard   bool
 }
 
 // goList runs `go list -deps -export -json` for patterns inside dir. The
@@ -63,7 +45,7 @@ type listedPackage struct {
 func goList(dir string, patterns ...string) ([]listedPackage, error) {
 	args := append([]string{
 		"list", "-deps", "-export",
-		"-json=ImportPath,Name,Dir,Export,GoFiles,TestGoFiles,XTestGoFiles,DepOnly,Standard",
+		"-json=ImportPath,Name,Dir,Export,GoFiles,DepOnly,Standard",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -182,8 +164,8 @@ func ParseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, e
 	return files, nil
 }
 
-// LoadModule loads and type-checks the packages matching patterns (plus
-// their test files, parse-only) from the module rooted at or above dir.
+// LoadModule loads and type-checks the packages matching patterns from the
+// module rooted at or above dir.
 func LoadModule(dir string, patterns ...string) (*Module, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -205,34 +187,26 @@ func LoadModule(dir string, patterns ...string) (*Module, error) {
 
 	fset := token.NewFileSet()
 	imp := NewImporter(fset, exports, nil)
-	m := &Module{Fset: fset, paths: map[string]*Package{}}
+	m := &Module{Fset: fset}
 	var errs []string
 	for _, t := range targets {
 		files, err := ParseFiles(fset, t.Dir, t.GoFiles)
 		if err != nil {
 			return nil, fmt.Errorf("parsing %s: %v", t.ImportPath, err)
 		}
-		testNames := append(append([]string(nil), t.TestGoFiles...), t.XTestGoFiles...)
-		testFiles, err := ParseFiles(fset, t.Dir, testNames)
-		if err != nil {
-			return nil, fmt.Errorf("parsing %s tests: %v", t.ImportPath, err)
-		}
 		tpkg, info, err := TypeCheck(fset, t.ImportPath, files, imp)
 		if err != nil {
 			errs = append(errs, err.Error())
 			continue
 		}
-		pkg := &Package{
-			Path:      t.ImportPath,
-			Name:      t.Name,
-			Dir:       t.Dir,
-			Files:     files,
-			Types:     tpkg,
-			Info:      info,
-			TestFiles: testFiles,
-		}
-		m.Pkgs = append(m.Pkgs, pkg)
-		m.paths[t.ImportPath] = pkg
+		m.Pkgs = append(m.Pkgs, &Package{
+			Path:  t.ImportPath,
+			Name:  t.Name,
+			Dir:   t.Dir,
+			Files: files,
+			Types: tpkg,
+			Info:  info,
+		})
 	}
 	if len(errs) > 0 {
 		return nil, fmt.Errorf("%s", strings.Join(errs, "\n"))

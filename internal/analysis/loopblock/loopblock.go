@@ -31,10 +31,9 @@ import (
 
 // Analyzer is the loopblock analyzer.
 var Analyzer = &analysis.Analyzer{
-	Name:   "loopblock",
-	Doc:    "forbids blocking operations reachable from //eris:loop roots",
-	Module: true,
-	Run:    run,
+	Name: "loopblock",
+	Doc:  "forbids blocking operations reachable from //eris:loop roots",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {

@@ -8,5 +8,5 @@ import (
 )
 
 func TestLoopBlock(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), loopblock.Analyzer, "a")
+	analysistest.Run(t, loopblock.Analyzer, "a")
 }

@@ -34,13 +34,14 @@ type Config struct {
 	// Threshold is the relative standard deviation that triggers a cycle.
 	// Default 0.15.
 	Threshold float64
-	// PollReal is the real-time polling interval for virtual-clock
-	// progress. Default 200 microseconds.
-	PollReal time.Duration
 	// AckTimeout bounds the real-time wait for AEU acknowledgements.
 	// Default 30 s.
 	AckTimeout time.Duration
 }
+
+// pollReal is the real-time interval at which the balancer polls the
+// virtual clocks for the end of a monitoring window.
+const pollReal = 200 * time.Microsecond
 
 func (c Config) withDefaults() Config {
 	if c.SampleIntervalSec == 0 {
@@ -48,9 +49,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Threshold == 0 {
 		c.Threshold = 0.15
-	}
-	if c.PollReal == 0 {
-		c.PollReal = 200 * time.Microsecond
 	}
 	if c.AckTimeout == 0 {
 		c.AckTimeout = 30 * time.Second
@@ -256,7 +254,7 @@ func (b *Balancer) Run() {
 		select {
 		case <-b.stopCh:
 			return
-		case <-time.After(b.cfg.PollReal):
+		case <-time.After(pollReal):
 		}
 		now := clockSec()
 		if now < next {

@@ -80,7 +80,7 @@ func newRig(t *testing.T, n int, domain uint64, kind routing.TableKind) *rig {
 		}
 	}
 	aeu.RegisterPeers(r.aeus)
-	r.bal = New(router, r.aeus, Config{SampleIntervalSec: 20e-6, Threshold: 0.2, PollReal: 100 * time.Microsecond})
+	r.bal = New(router, r.aeus, Config{SampleIntervalSec: 20e-6, Threshold: 0.2})
 	for _, a := range r.aeus {
 		a.SetEpochDone(r.bal.Ack)
 	}

@@ -172,9 +172,6 @@ func New(topo *topology.Topology, scale float64) (*System, error) {
 	return s, nil
 }
 
-// CapacityLines returns the number of lines node's modeled LLC can hold.
-func (s *System) CapacityLines(node topology.NodeID) int { return len(s.llcs[node].lines) }
-
 //eris:hotpath
 func (s *System) setIndex(c *llc, lineAddr uint64) uint64 {
 	// Fibonacci hashing spreads the synthetic (dense) address space.
@@ -337,13 +334,6 @@ func (s *System) removeHolder(lineAddr uint64, node topology.NodeID) {
 	}
 }
 
-// NodeStats returns a snapshot of node's counters.
-func (s *System) NodeStats(node topology.NodeID) Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.llcs[node].stats
-}
-
 // TotalStats sums the counters of all nodes.
 func (s *System) TotalStats() Stats {
 	s.mu.Lock()
@@ -361,16 +351,6 @@ func (s *System) TotalStats() Stats {
 		}
 	}
 	return total
-}
-
-// ResetStats zeroes all counters without touching cache contents, so a
-// benchmark can exclude its warm-up phase.
-func (s *System) ResetStats() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.llcs {
-		s.llcs[i].stats = Stats{}
-	}
 }
 
 // Flush empties every cache and the directory.

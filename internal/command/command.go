@@ -263,19 +263,3 @@ func decodeCount(p []byte, elem int) (int, []byte, error) {
 	}
 	return n, rest, nil
 }
-
-// DecodeAll parses every command in buf, calling fn for each; it stops with
-// an error on corruption.
-func DecodeAll(buf []byte, fn func(Command) error) error {
-	for len(buf) > 0 {
-		c, n, err := Decode(buf)
-		if err != nil {
-			return err
-		}
-		if err := fn(c); err != nil {
-			return err
-		}
-		buf = buf[n:]
-	}
-	return nil
-}

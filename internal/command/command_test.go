@@ -128,8 +128,13 @@ func TestDecodeAll(t *testing.T) {
 		buf = want[i].AppendEncode(buf)
 	}
 	var got []Command
-	if err := DecodeAll(buf, func(c Command) error { got = append(got, c); return nil }); err != nil {
-		t.Fatal(err)
+	for len(buf) > 0 {
+		c, n, err := Decode(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, c)
+		buf = buf[n:]
 	}
 	if len(got) != len(want) {
 		t.Fatalf("decoded %d commands", len(got))

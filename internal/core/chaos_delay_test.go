@@ -10,8 +10,8 @@ import (
 
 // TestChaosDelayedEpochDone arms faults.DelayEpochDone by name — the generic
 // chaos sweeps arm kinds through faults.Kinds(), which covers the behaviour
-// but leaves no test naming the kind (the faulthook analyzer flags exactly
-// that). A delayed epoch-done ack must not wedge a balance cycle: the parked
+// but leaves no test naming the kind (TestEveryKindArmedByName in
+// internal/faults flags exactly that). A delayed epoch-done ack must not wedge a balance cycle: the parked
 // ack is released one loop round later, so the cycle completes, no tuple is
 // lost, and the delay is visible in the injector's accounting.
 func TestChaosDelayedEpochDone(t *testing.T) {

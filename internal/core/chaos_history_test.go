@@ -74,7 +74,6 @@ func TestChaosLinearizability(t *testing.T) {
 				Balance: balance.Config{
 					SampleIntervalSec: 20e-6,
 					Threshold:         0.2,
-					PollReal:          100 * time.Microsecond,
 					AckTimeout:        250 * time.Millisecond,
 				},
 				Routing: routing.Config{Faults: faults.New(42)},

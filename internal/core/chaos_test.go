@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -21,6 +22,24 @@ const (
 	chaosCol routing.ObjectID = 8
 )
 
+// TupleCount sums the tuples of one object over every AEU's partition; the
+// crash tests (package core_test) use it too. Chaos tests pair it with the count loaded before injection: conservation
+// must hold no matter which control-plane faults fired, because every
+// fail-soft path either leaves tuples where they were or completes the
+// transfer — none drops data.
+func (e *Engine) TupleCount(id routing.ObjectID) (int64, error) {
+	if e.objects[id] == nil {
+		return 0, fmt.Errorf("core: unknown object %d", id)
+	}
+	var sum int64
+	for _, a := range e.aeus {
+		if p := a.Partition(id); p != nil {
+			sum += p.SizeTuples()
+		}
+	}
+	return sum, nil
+}
+
 // newChaosEngine builds a 4-AEU single-node engine with a tiny virtual
 // sampling window, a short ack timeout (timed-out cycles must retry within
 // the test deadline, not the production 30 s), and the deterministic fault
@@ -34,7 +53,6 @@ func newChaosEngine(t *testing.T) *Engine {
 		Balance: balance.Config{
 			SampleIntervalSec: 20e-6,
 			Threshold:         0.2,
-			PollReal:          100 * time.Microsecond,
 			AckTimeout:        250 * time.Millisecond,
 		},
 		Routing: routing.Config{Faults: faults.New(chaosSeed)},

@@ -46,7 +46,6 @@ func crConfig(mgr *durable.Manager, inj *faults.Injector) core.Config {
 		Balance: balance.Config{
 			SampleIntervalSec: 20e-6,
 			Threshold:         0.2,
-			PollReal:          100 * time.Microsecond,
 			AckTimeout:        250 * time.Millisecond,
 		},
 		Durable:         mgr,

@@ -6,24 +6,6 @@ import (
 	"eris/internal/routing"
 )
 
-// TupleCount sums the tuples of one object over every AEU's partition.
-// Chaos tests pair it with the count loaded before injection: conservation
-// must hold no matter which control-plane faults fired, because every
-// fail-soft path either leaves tuples where they were or completes the
-// transfer — none drops data.
-func (e *Engine) TupleCount(id routing.ObjectID) (int64, error) {
-	if e.objects[id] == nil {
-		return 0, fmt.Errorf("core: unknown object %d", id)
-	}
-	var sum int64
-	for _, a := range e.aeus {
-		if p := a.Partition(id); p != nil {
-			sum += p.SizeTuples()
-		}
-	}
-	return sum, nil
-}
-
 // CheckInvariants verifies the engine-level consistency guarantees of the
 // balance/transfer control plane for every data object:
 //

@@ -110,20 +110,8 @@ func Build(entries []Entry) (*Tree, error) {
 	return t, nil
 }
 
-// MustBuild wraps Build for statically valid tables.
-func MustBuild(entries []Entry) *Tree {
-	t, err := Build(entries)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Len returns the number of entries.
 func (t *Tree) Len() int { return len(t.leaves) }
-
-// Height returns the number of inner levels above the leaves.
-func (t *Tree) Height() int { return t.height }
 
 // Entries returns the underlying sorted entry slice; callers must not
 // modify it.
@@ -134,17 +122,6 @@ func (t *Tree) Entries() []Entry { return t.leaves }
 //eris:hotpath
 func (t *Tree) Lookup(key uint64) uint32 {
 	return t.leaves[t.lookupIndex(key)].Owner
-}
-
-// LookupEntry returns the full entry owning key plus the exclusive upper
-// bound of its range (MaxUint64 means the range is unbounded above).
-func (t *Tree) LookupEntry(key uint64) (Entry, uint64) {
-	idx := t.lookupIndex(key)
-	hi := ^uint64(0)
-	if idx+1 < len(t.leaves) {
-		hi = t.leaves[idx+1].Low
-	}
-	return t.leaves[idx], hi
 }
 
 //eris:hotpath

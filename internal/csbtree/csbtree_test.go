@@ -7,6 +7,15 @@ import (
 	"testing/quick"
 )
 
+// mustBuild wraps Build for statically valid tables.
+func mustBuild(entries []Entry) *Tree {
+	t, err := Build(entries)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
 func uniformEntries(n int) []Entry {
 	entries := make([]Entry, n)
 	span := ^uint64(0) / uint64(n)
@@ -33,7 +42,7 @@ func TestBuildRejectsBadInput(t *testing.T) {
 }
 
 func TestLookupSingleEntry(t *testing.T) {
-	tr := MustBuild([]Entry{{Low: 0, Owner: 7}})
+	tr := mustBuild([]Entry{{Low: 0, Owner: 7}})
 	for _, k := range []uint64{0, 1, 1 << 40, ^uint64(0)} {
 		if got := tr.Lookup(k); got != 7 {
 			t.Errorf("Lookup(%d) = %d", k, got)
@@ -43,7 +52,7 @@ func TestLookupSingleEntry(t *testing.T) {
 
 func TestLookupBoundaries(t *testing.T) {
 	entries := []Entry{{0, 0}, {100, 1}, {200, 2}, {300, 3}}
-	tr := MustBuild(entries)
+	tr := mustBuild(entries)
 	cases := []struct {
 		key  uint64
 		want uint32
@@ -57,22 +66,25 @@ func TestLookupBoundaries(t *testing.T) {
 	}
 }
 
+// TestLookupEntryBounds checks that each entry owns [Low, next Low): both
+// edges of an inner range resolve to it, and the last range is unbounded
+// above.
 func TestLookupEntryBounds(t *testing.T) {
-	tr := MustBuild([]Entry{{0, 0}, {100, 1}, {200, 2}})
-	e, hi := tr.LookupEntry(150)
-	if e.Owner != 1 || e.Low != 100 || hi != 200 {
-		t.Errorf("LookupEntry(150) = %+v, hi=%d", e, hi)
-	}
-	_, hi = tr.LookupEntry(500)
-	if hi != ^uint64(0) {
-		t.Errorf("last range upper bound = %d", hi)
+	tr := mustBuild([]Entry{{0, 0}, {100, 1}, {200, 2}})
+	for _, c := range []struct {
+		key  uint64
+		want uint32
+	}{{100, 1}, {150, 1}, {199, 1}, {200, 2}, {500, 2}, {^uint64(0), 2}} {
+		if got := tr.Lookup(c.key); got != c.want {
+			t.Errorf("Lookup(%d) = %d, want %d", c.key, got, c.want)
+		}
 	}
 }
 
 func TestLargeTableAgainstFlat(t *testing.T) {
 	for _, n := range []int{1, 2, 14, 15, 16, 100, 512, 1000, 5000} {
 		entries := uniformEntries(n)
-		tr := MustBuild(entries)
+		tr := mustBuild(entries)
 		rng := rand.New(rand.NewSource(int64(n)))
 		for i := 0; i < 2000; i++ {
 			k := rng.Uint64()
@@ -83,7 +95,7 @@ func TestLargeTableAgainstFlat(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if n > 100 && tr.Height() == 0 {
+		if n > 100 && tr.height == 0 {
 			t.Errorf("n=%d: tree degenerated to height 0", n)
 		}
 	}
@@ -115,7 +127,7 @@ func TestRandomBoundariesProperty(t *testing.T) {
 }
 
 func BenchmarkTreeLookup(b *testing.B) {
-	tr := MustBuild(uniformEntries(512))
+	tr := mustBuild(uniformEntries(512))
 	rng := rand.New(rand.NewSource(1))
 	keys := make([]uint64, 1024)
 	for i := range keys {

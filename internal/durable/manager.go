@@ -272,13 +272,6 @@ func (m *Manager) RegisterObject(id uint32, name string) {
 	m.mu.Unlock()
 }
 
-// ObjectName returns the registered name of an object ("" if none).
-func (m *Manager) ObjectName(id uint32) string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.objNames[id]
-}
-
 // CrashRequested reports whether an armed `crash` fault fired on a log
 // append; the test harness polls it to stop the engine at that point.
 func (m *Manager) CrashRequested() bool { return m.crashReq.Load() }

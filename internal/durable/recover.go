@@ -401,13 +401,3 @@ func applyRecord(p []byte, aeu int, stamp uint64, st *aeuState, stash map[uint64
 	}
 	return true
 }
-
-// ReplayCheck parses raw as a WAL file without applying it — the fuzz
-// target: it must never panic and must stop at the first invalid frame.
-// It returns the number of valid leading records.
-func ReplayCheck(raw []byte) int {
-	st := newAEUState()
-	stash := make(map[uint64]*stashEntry)
-	n, _, _, _ := (&Manager{}).replayFile(raw, 0, 0, st, stash)
-	return int(n)
-}

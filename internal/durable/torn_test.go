@@ -10,6 +10,16 @@ import (
 	"eris/internal/faults"
 )
 
+// replayCheck parses raw as a WAL file without applying it — the fuzz
+// target: it must never panic and must stop at the first invalid frame.
+// It returns the number of valid leading records.
+func replayCheck(raw []byte) int {
+	st := newAEUState()
+	stash := make(map[uint64]*stashEntry)
+	n, _, _, _ := (&Manager{}).replayFile(raw, 0, 0, st, stash)
+	return int(n)
+}
+
 // buildLogBytes writes a small log through the real append/flush path and
 // returns the on-disk bytes plus the record count.
 func buildLogBytes(t testing.TB, records int) []byte {
@@ -69,7 +79,7 @@ func TestTornTailEveryByte(t *testing.T) {
 				want++
 			}
 		}
-		if got := ReplayCheck(raw[:cut]); got != want {
+		if got := replayCheck(raw[:cut]); got != want {
 			t.Fatalf("cut at %d: replayed %d records, want %d", cut, got, want)
 		}
 	}
@@ -79,14 +89,14 @@ func TestTornTailEveryByte(t *testing.T) {
 // *gain* records; replay stops at the first frame the flip corrupts.
 func TestTornTailBitFlips(t *testing.T) {
 	raw := buildLogBytes(t, 8)
-	full := ReplayCheck(raw)
+	full := replayCheck(raw)
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 2000; trial++ {
 		i := rng.Intn(len(raw))
 		bit := byte(1) << uint(rng.Intn(8))
 		mut := append([]byte(nil), raw...)
 		mut[i] ^= bit
-		if got := ReplayCheck(mut); got > full {
+		if got := replayCheck(mut); got > full {
 			t.Fatalf("flip at byte %d bit %v: replayed %d > original %d", i, bit, got, full)
 		}
 	}
@@ -154,7 +164,7 @@ func TestStructurallyInvalidPayload(t *testing.T) {
 	// Overwrite the upsert's kv count with a huge value, then re-seal.
 	binary.LittleEndian.PutUint32(mut[frameHeader+13:], 1<<30)
 	sealFrame(mut[:frameHeader+len(payload)])
-	if got := ReplayCheck(mut); got != 0 {
+	if got := replayCheck(mut); got != 0 {
 		t.Fatalf("replayed %d records past a structurally invalid payload", got)
 	}
 }
@@ -220,7 +230,7 @@ func FuzzWALReplay(f *testing.F) {
 	short[0] ^= 0x40
 	f.Add(short)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n := ReplayCheck(data) // must never panic
+		n := replayCheck(data) // must never panic
 		if n < 0 {
 			t.Fatalf("negative record count %d", n)
 		}
@@ -253,7 +263,7 @@ func BenchmarkWALReplay(b *testing.B) {
 	b.SetBytes(int64(len(raw)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := ReplayCheck(raw); got != 4096 {
+		if got := replayCheck(raw); got != 4096 {
 			b.Fatalf("replayed %d records, want 4096", got)
 		}
 	}

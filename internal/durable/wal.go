@@ -128,14 +128,6 @@ func (l *Log) DurableSeq() uint64 { return l.durable.Load() }
 // time the durable watermark advances. fn must not block.
 func (l *Log) NotifyDurable(fn func()) { l.notify.Store(&fn) }
 
-// LastSeq returns the last sequence number appended to this log; only the
-// owning AEU's loop may call it.
-func (l *Log) LastSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lastSeq
-}
-
 // Sync reports whether acks must wait for the covering fsync.
 func (l *Log) Sync() bool { return l.mgr.syncWrites }
 

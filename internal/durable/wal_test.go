@@ -10,6 +10,13 @@ import (
 	"eris/internal/prefixtree"
 )
 
+// lastSeq returns the last sequence number appended to l.
+func lastSeq(l *Log) uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.lastSeq
+}
+
 // baseCheckpoint writes the minimal checkpoint a fresh directory needs
 // before log-only recovery can run (the manifest is the recovery root).
 func baseCheckpoint(t *testing.T, m *Manager, nAEUs int, objs ...ObjectMeta) {
@@ -49,7 +56,7 @@ func TestWALRoundTrip(t *testing.T) {
 	if err := m.Flush(time.Second); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	if got, want := l.DurableSeq(), l.LastSeq(); got != want {
+	if got, want := l.DurableSeq(), lastSeq(l); got != want {
 		t.Fatalf("DurableSeq=%d want LastSeq=%d", got, want)
 	}
 	if err := m.Close(); err != nil {
@@ -219,7 +226,7 @@ func TestFailWriteRetries(t *testing.T) {
 	if err := m.Flush(5 * time.Second); err != nil {
 		t.Fatalf("Flush despite write retries: %v", err)
 	}
-	if got, want := l.DurableSeq(), l.LastSeq(); got != want {
+	if got, want := l.DurableSeq(), lastSeq(l); got != want {
 		t.Fatalf("DurableSeq=%d want LastSeq=%d", got, want)
 	}
 	if m.logErrors.Load() == 0 {

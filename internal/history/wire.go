@@ -16,18 +16,12 @@ type WireClient struct {
 	c   *client.Client
 	obj uint32
 	log *ClientLog
-
-	corruptReads int
 }
 
 // NewWireClient wraps c's calls against object obj, recording into log.
 func NewWireClient(c *client.Client, obj uint32, log *ClientLog) *WireClient {
 	return &WireClient{c: c, obj: obj, log: log}
 }
-
-// CorruptReads arms the test-only stale-read fault for the next n lookup
-// keys, exactly like CoreClient.CorruptReads.
-func (w *WireClient) CorruptReads(n int) { w.corruptReads = n }
 
 // Lookup records and performs a batched point lookup.
 func (w *WireClient) Lookup(ctx context.Context, keys []uint64) ([]prefixtree.KV, error) {
@@ -46,10 +40,6 @@ func (w *WireClient) Lookup(ctx context.Context, keys []uint64) ([]prefixtree.KV
 	}
 	for i, k := range keys {
 		v, found := findKV(kvs, k)
-		if w.corruptReads > 0 {
-			w.corruptReads--
-			v, found = v+1, true
-		}
 		w.log.returnReadAt(t2, seq0+uint32(i), found, v)
 	}
 	return kvs, nil

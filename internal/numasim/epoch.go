@@ -2,7 +2,6 @@ package numasim
 
 import (
 	"fmt"
-	"sort"
 
 	"eris/internal/topology"
 )
@@ -16,7 +15,6 @@ type Epoch struct {
 	ops0       []int64
 	link0      []int64
 	mc0        []int64
-	local0     []int64
 	cacheStats bool
 }
 
@@ -28,7 +26,6 @@ func (m *Machine) StartEpoch() *Epoch {
 		ops0:    make([]int64, len(m.cores)),
 		link0:   make([]int64, len(m.linkBytes)),
 		mc0:     make([]int64, len(m.mcBytes)),
-		local0:  make([]int64, len(m.routeHit)),
 	}
 	for i := range m.cores {
 		e.clocks0[i] = m.cores[i].clock.Load()
@@ -39,7 +36,6 @@ func (m *Machine) StartEpoch() *Epoch {
 	}
 	for i := range m.mcBytes {
 		e.mc0[i] = m.mcBytes[i].Load()
-		e.local0[i] = m.routeHit[i].Load()
 	}
 	return e
 }
@@ -82,11 +78,6 @@ func (e *Epoch) TotalMCBytes() int64 {
 		sum += e.m.mcBytes[i].Load() - e.mc0[i]
 	}
 	return sum
-}
-
-// LocalBytes returns bytes that were served without crossing a link.
-func (e *Epoch) LocalBytes(n topology.NodeID) int64 {
-	return e.m.routeHit[n].Load() - e.local0[n]
 }
 
 // Duration returns the modeled wall-clock length of the epoch in seconds:
@@ -165,25 +156,4 @@ func (e *Epoch) BoundBy() string {
 		}
 	}
 	return what
-}
-
-// BusiestLinks returns the n links with the most epoch traffic, for
-// diagnostics and the eristop display.
-func (e *Epoch) BusiestLinks(n int) []LinkUsage {
-	topo := e.m.topo
-	out := make([]LinkUsage, 0, len(topo.Links))
-	for i := range topo.Links {
-		out = append(out, LinkUsage{Link: topo.Links[i], Bytes: e.LinkBytes(topology.LinkID(i))})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Bytes > out[j].Bytes })
-	if n < len(out) {
-		out = out[:n]
-	}
-	return out
-}
-
-// LinkUsage pairs a link with its traffic during an epoch.
-type LinkUsage struct {
-	Link  topology.Link
-	Bytes int64
 }

@@ -211,18 +211,6 @@ func (m *Machine) MaxClock() int64 {
 	return max
 }
 
-// SyncClockTo lifts core's clock to at least ps (used when a worker waits
-// for an event that happens at a later virtual time).
-func (m *Machine) SyncClockTo(core topology.CoreID, ps int64) {
-	c := &m.cores[core].clock
-	for {
-		cur := c.Load()
-		if cur >= ps || c.CompareAndSwap(cur, ps) {
-			return
-		}
-	}
-}
-
 // chargeRoute accounts bytes on every link between src and home and on the
 // home node's memory controller (when mc is true).
 //

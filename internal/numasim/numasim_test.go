@@ -95,7 +95,7 @@ func TestStreamAccounting(t *testing.T) {
 	if got := e.TotalLinkBytes(); got != bytes {
 		t.Errorf("after local stream link bytes = %d, want unchanged %d", got, bytes)
 	}
-	if got := e.LocalBytes(0); got != bytes {
+	if got := m.routeHit[0].Load(); got != bytes {
 		t.Errorf("local bytes = %d, want %d", got, bytes)
 	}
 }
@@ -228,14 +228,13 @@ func TestSyncAndMinClock(t *testing.T) {
 	if got := m.MinClock(0, 4); got != 0 {
 		t.Errorf("MinClock = %d, want 0 (cores 2,3 idle)", got)
 	}
-	m.SyncClockTo(2, 500_000)
-	m.SyncClockTo(3, 400_000)
+	m.AdvanceNS(2, 500)
+	m.AdvanceNS(3, 400)
 	if got := m.MinClock(0, 4); got != 50_000 {
 		t.Errorf("MinClock = %d, want 50000", got)
 	}
-	m.SyncClockTo(2, 1) // must not move the clock backwards
-	if got := m.Clock(2); got != 500_000 {
-		t.Errorf("SyncClockTo moved clock backwards: %d", got)
+	if got := m.MinClock(2, 4); got != 400_000 {
+		t.Errorf("MinClock(2, 4) = %d, want 400000", got)
 	}
 }
 
@@ -286,9 +285,22 @@ func TestBusiestLinks(t *testing.T) {
 	e := m.StartEpoch()
 	m.Stream(0, 1, 1000)
 	m.Stream(0, 2, 500)
-	top := e.BusiestLinks(2)
-	if len(top) != 2 || top[0].Bytes != 1000 || top[1].Bytes != 500 {
-		t.Errorf("BusiestLinks = %+v", top)
+	// Each stream crosses the one direct link to its home node; the epoch
+	// charges its bytes to that link alone.
+	for _, c := range []struct {
+		home  topology.NodeID
+		bytes int64
+	}{{1, 1000}, {2, 500}} {
+		route := topo.Route(0, c.home)
+		if len(route) != 1 {
+			t.Fatalf("route 0->%d = %v, want one direct link", c.home, route)
+		}
+		if got := e.LinkBytes(route[0]); got != c.bytes {
+			t.Errorf("link 0->%d carried %d bytes, want %d", c.home, got, c.bytes)
+		}
+	}
+	if got := e.TotalLinkBytes(); got != 1500 {
+		t.Errorf("total link bytes = %d, want 1500", got)
 	}
 }
 

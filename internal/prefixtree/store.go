@@ -180,12 +180,6 @@ func newStore(machine *numasim.Machine, cfg Config, alloc allocFunc) (*Store, er
 // Config returns the store's effective configuration.
 func (s *Store) Config() Config { return s.cfg }
 
-// Levels returns the tree depth (number of node visits per lookup).
-func (s *Store) Levels() int { return s.levels }
-
-// Fanout returns the children per node (1 << PrefixBits).
-func (s *Store) Fanout() int { return s.fanout }
-
 // MaxKey returns the largest representable key.
 func (s *Store) MaxKey() uint64 {
 	if s.cfg.KeyBits == 64 {

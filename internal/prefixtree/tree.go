@@ -36,15 +36,6 @@ func NewTree(src nodeSource) *Tree {
 	return &Tree{src: src}
 }
 
-// SetSource rebinds the tree to another session (same store); used when a
-// partition is handed to a different AEU on the same node.
-func (t *Tree) SetSource(src nodeSource) {
-	if src.Store() != t.src.Store() {
-		panic("prefixtree: SetSource across stores")
-	}
-	t.src = src
-}
-
 // Store returns the node store backing this tree.
 func (t *Tree) Store() *Store { return t.src.Store() }
 
@@ -366,123 +357,6 @@ func prefixAt(key uint64, s *Store, level int, prefix uint64) int {
 		return -1
 	}
 	return s.nibble(key, level)
-}
-
-// RankSelect returns the rank-th smallest key (0-based) using the subtree
-// counters, without touching the leaves below the selected path. The load
-// balancer uses it to compute split keys that move an exact number of
-// tuples.
-func (t *Tree) RankSelect(core topology.CoreID, rank int64) (uint64, bool) {
-	s := t.src.Store()
-	if rank < 0 || rank >= t.count.Load() {
-		return 0, false
-	}
-	m := s.machine
-	ref := t.root.Load()
-	var key uint64
-	for level := 0; ; level++ {
-		if ref == nilRef {
-			return 0, false // counter drift would be a bug; fail closed
-		}
-		shift := uint(s.cfg.KeyBits - s.cfg.PrefixBits*(level+1))
-		if level == s.levels-1 {
-			sl, off := s.leafAt(ref)
-			home, addr := s.leafAddr(ref, 0)
-			m.Read(core, home, addr, int64(s.fanout)*8, 1)
-			for j := 0; j < s.fanout; j++ {
-				w, bit := off*s.bitmapWords+j/64, uint64(1)<<uint(j%64)
-				if sl.bitmap[w].Load()&bit == 0 {
-					continue
-				}
-				if rank == 0 {
-					return key | uint64(j), true
-				}
-				rank--
-			}
-			return 0, false
-		}
-		home, addr := s.innerAddr(ref, 0)
-		m.Read(core, home, addr, int64(s.fanout)*4, 1)
-		advanced := false
-		for j := 0; j < s.fanout; j++ {
-			child := s.innerSlot(ref, j).Load()
-			c := s.nodeCount(child, level+1)
-			if rank < c {
-				key |= uint64(j) << shift
-				ref = child
-				advanced = true
-				break
-			}
-			rank -= c
-		}
-		if !advanced {
-			return 0, false
-		}
-	}
-}
-
-// MinKey returns the smallest key in the tree.
-func (t *Tree) MinKey(core topology.CoreID) (uint64, bool) {
-	return t.RankSelect(core, 0)
-}
-
-// MaxKeyStored returns the largest key in the tree.
-func (t *Tree) MaxKeyStored(core topology.CoreID) (uint64, bool) {
-	return t.RankSelect(core, t.count.Load()-1)
-}
-
-// CountRange returns the number of keys in [lo, hi] using the subtree
-// counters; only boundary paths are visited.
-func (t *Tree) CountRange(core topology.CoreID, lo, hi uint64) int64 {
-	s := t.src.Store()
-	if lo > hi {
-		return 0
-	}
-	if hi > s.MaxKey() {
-		hi = s.MaxKey()
-	}
-	return t.countNode(core, t.root.Load(), 0, 0, lo, hi)
-}
-
-func (t *Tree) countNode(core topology.CoreID, ref uint32, level int, prefix, lo, hi uint64) int64 {
-	if ref == nilRef {
-		return 0
-	}
-	s := t.src.Store()
-	shift := uint(s.cfg.KeyBits - s.cfg.PrefixBits*(level+1))
-	mask := subtreeMask(shift)
-	if level == s.levels-1 {
-		sl, off := s.leafAt(ref)
-		var n int64
-		for j := 0; j < s.fanout; j++ {
-			key := prefix | uint64(j)
-			if key < lo || key > hi {
-				continue
-			}
-			w, bit := off*s.bitmapWords+j/64, uint64(1)<<uint(j%64)
-			if sl.bitmap[w].Load()&bit != 0 {
-				n++
-			}
-		}
-		return n
-	}
-	var n int64
-	for j := 0; j < s.fanout; j++ {
-		childPrefix := prefix | uint64(j)<<shift
-		if childPrefix > hi || childPrefix|mask < lo {
-			continue
-		}
-		child := s.innerSlot(ref, j).Load()
-		if child == nilRef {
-			continue
-		}
-		if childPrefix >= lo && childPrefix|mask <= hi {
-			n += s.nodeCount(child, level+1)
-			continue
-		}
-		n += t.countNode(core, child, level+1, childPrefix, lo, hi)
-	}
-	return n
 }
 
 // popcount64 wraps math/bits for readability at call sites.

@@ -334,32 +334,6 @@ func TestDiscardRecyclesNodes(t *testing.T) {
 	}
 }
 
-func TestRankSelect(t *testing.T) {
-	f := newFixture(t, Config{KeyBits: 16, PrefixBits: 4})
-	keys := []uint64{10, 20, 30, 40, 50000}
-	for _, k := range keys {
-		f.tree.Upsert(0, k, k, 1)
-	}
-	for i, want := range keys {
-		got, ok := f.tree.RankSelect(0, int64(i))
-		if !ok || got != want {
-			t.Errorf("rank %d = (%d,%v), want %d", i, got, ok, want)
-		}
-	}
-	if _, ok := f.tree.RankSelect(0, 5); ok {
-		t.Error("rank beyond count succeeded")
-	}
-	if _, ok := f.tree.RankSelect(0, -1); ok {
-		t.Error("negative rank succeeded")
-	}
-	if k, ok := f.tree.MinKey(0); !ok || k != 10 {
-		t.Errorf("MinKey = (%d,%v)", k, ok)
-	}
-	if k, ok := f.tree.MaxKeyStored(0); !ok || k != 50000 {
-		t.Errorf("MaxKeyStored = (%d,%v)", k, ok)
-	}
-}
-
 func TestCountRange(t *testing.T) {
 	f := newFixture(t, Config{KeyBits: 16, PrefixBits: 4})
 	for k := uint64(0); k < 1000; k++ {
@@ -377,8 +351,8 @@ func TestCountRange(t *testing.T) {
 		{2997, 65535, 1},
 	}
 	for _, c := range cases {
-		if got := f.tree.CountRange(0, c.lo, c.hi); got != c.want {
-			t.Errorf("CountRange(%d,%d) = %d, want %d", c.lo, c.hi, got, c.want)
+		if got := f.tree.Scan(0, c.lo, c.hi, func(_, _ uint64) bool { return true }); got != c.want {
+			t.Errorf("Scan(%d,%d) visited %d keys, want %d", c.lo, c.hi, got, c.want)
 		}
 	}
 }
@@ -499,22 +473,6 @@ func TestKeyOutsideDomainPanics(t *testing.T) {
 		}
 	}()
 	f.tree.Upsert(0, 1<<20, 0, 1)
-}
-
-func TestSetSourceSameStore(t *testing.T) {
-	f := newFixture(t, Config{KeyBits: 16, PrefixBits: 8})
-	sess2 := f.store.NewSession()
-	f.tree.SetSource(sess2) // must not panic
-	store2, err := NewStore(f.machine, f.sys.Node(1), f.store.Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("SetSource across stores did not panic")
-		}
-	}()
-	f.tree.SetSource(store2.NewSession())
 }
 
 func TestSingleLevelTree(t *testing.T) {

@@ -210,16 +210,6 @@ func (r *Router) UpdateRange(id ObjectID, entries []csbtree.Entry) error {
 	return o.ranged.Update(entries)
 }
 
-// UpdateSize publishes a new holder set for a size-partitioned object.
-func (r *Router) UpdateSize(id ObjectID, holders []uint32) error {
-	o := r.object(id)
-	if o.kind != SizePartitioned {
-		return fmt.Errorf("routing: object %d is not size partitioned", id)
-	}
-	o.bitmap.Update(holders, r.numAEUs)
-	return nil
-}
-
 // Holders appends the AEUs holding a size-partitioned object to dst.
 func (r *Router) Holders(id ObjectID, dst []uint32) []uint32 {
 	return r.object(id).bitmap.Holders(dst)

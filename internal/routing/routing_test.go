@@ -185,9 +185,6 @@ func TestUpdateRangeRedirects(t *testing.T) {
 	if got := r.Owner(1, 500); got != 1 {
 		t.Fatalf("owner after update = %d", got)
 	}
-	if err := r.UpdateSize(1, nil); err == nil {
-		t.Fatal("UpdateSize on range object accepted")
-	}
 }
 
 func TestInboxDescriptorProtocol(t *testing.T) {

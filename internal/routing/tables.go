@@ -93,37 +93,24 @@ func (rt *RangeTable) Update(entries []csbtree.Entry) error {
 }
 
 // BitmapTable records which AEUs hold a partition of a size-partitioned
-// object. The bitmap is immutable once published; updates swap the pointer.
+// object. The holder set is fixed when the object is registered, so the
+// bitmap is immutable and read without synchronization.
 type BitmapTable struct {
-	words atomic.Pointer[[]uint64]
+	words []uint64
 }
 
 // NewBitmapTable builds a table with the given AEUs set.
 func NewBitmapTable(aeus []uint32, numAEUs int) *BitmapTable {
-	bt := &BitmapTable{}
-	bt.Update(aeus, numAEUs)
-	return bt
-}
-
-// Update publishes a new holder set.
-func (bt *BitmapTable) Update(aeus []uint32, numAEUs int) {
-	words := make([]uint64, (numAEUs+63)/64)
+	bt := &BitmapTable{words: make([]uint64, (numAEUs+63)/64)}
 	for _, a := range aeus {
-		words[a/64] |= 1 << (a % 64)
+		bt.words[a/64] |= 1 << (a % 64)
 	}
-	bt.words.Store(&words)
-}
-
-// Holds reports whether aeu stores a partition.
-func (bt *BitmapTable) Holds(aeu uint32) bool {
-	words := *bt.words.Load()
-	return words[aeu/64]&(1<<(aeu%64)) != 0
+	return bt
 }
 
 // Holders appends all holding AEUs to dst in ascending order.
 func (bt *BitmapTable) Holders(dst []uint32) []uint32 {
-	words := *bt.words.Load()
-	for w, m := range words {
+	for w, m := range bt.words {
 		for ; m != 0; m &= m - 1 {
 			dst = append(dst, uint32(w*64+bits.TrailingZeros64(m)))
 		}
@@ -133,9 +120,8 @@ func (bt *BitmapTable) Holders(dst []uint32) []uint32 {
 
 // Count returns the number of holders.
 func (bt *BitmapTable) Count() int {
-	words := *bt.words.Load()
 	n := 0
-	for _, m := range words {
+	for _, m := range bt.words {
 		n += bits.OnesCount64(m)
 	}
 	return n

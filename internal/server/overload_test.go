@@ -256,14 +256,14 @@ func TestClientRetriesOverloadToSuccess(t *testing.T) {
 		if t.Failed() {
 			break
 		}
-		retried = reg.Counter("client.retries").Load() > 0
+		retried = reg.Snapshot().Counter("client.retries") > 0
 	}
 	close(stop)
 	hogWG.Wait()
 	if !retried && !t.Failed() {
 		t.Skip("budget never saturated on this machine; retry path not exercised")
 	}
-	if retried && reg.Counter("client.overloaded").Load() == 0 {
+	if retried && reg.Snapshot().Counter("client.overloaded") == 0 {
 		t.Error("client.overloaded never moved despite retries")
 	}
 }
@@ -307,7 +307,8 @@ func TestServerDeadlineExceededCode(t *testing.T) {
 // checks each connection is cut at (or before) the handshake timeout
 // without leaking its goroutines.
 func TestHandshakeHardening(t *testing.T) {
-	_, _, addr := startServerOpts(t, 2, server.Options{HandshakeTimeout: 150 * time.Millisecond})
+	server.SetHandshakeTimeout(t, 150*time.Millisecond)
+	_, _, addr := startServerOpts(t, 2, server.Options{})
 
 	before := runtime.NumGoroutine()
 	cases := []struct {

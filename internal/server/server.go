@@ -48,9 +48,6 @@ type Options struct {
 	// DefaultDeadline, when non-zero, is applied to every request that
 	// carries no deadline of its own (DeadlineUS = 0).
 	DefaultDeadline time.Duration
-	// HandshakeTimeout bounds how long a fresh connection may take to send
-	// its Hello (default 5s).
-	HandshakeTimeout time.Duration
 	// Faults, when non-nil, threads the engine's deterministic fault
 	// injector through the serving path (DropConn, SlowWrite).
 	Faults *faults.Injector
@@ -60,11 +57,12 @@ func (o Options) withDefaults() Options {
 	if o.GlobalInFlight == 0 {
 		o.GlobalInFlight = 1024
 	}
-	if o.HandshakeTimeout == 0 {
-		o.HandshakeTimeout = 5 * time.Second
-	}
 	return o
 }
+
+// handshakeTimeout bounds how long a fresh connection may take to send its
+// Hello. It is a variable only so the hardening test can shorten it.
+var handshakeTimeout = 5 * time.Second
 
 // Server serves one engine over TCP.
 type Server struct {
@@ -265,7 +263,7 @@ func (c *conn) serve() {
 // Hello with the wrong magic or naming any version other than
 // wire.Version fails it, and the caller closes the connection.
 func (c *conn) handshake() error {
-	c.nc.SetReadDeadline(time.Now().Add(c.s.opts.HandshakeTimeout))
+	c.nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	var m wire.Msg
 	if _, err := wire.ReadMsgV(c.nc, &m, nil, wire.Version); err != nil {
 		return err

@@ -142,24 +142,3 @@ func FillBatch(gen KeyGen, rng *rand.Rand, tSec float64, keys []uint64) {
 		keys[i] = gen.Key(rng, tSec)
 	}
 }
-
-// SequentialLoader yields the dense key domain [0, Domain) in order, for
-// bulk-loading indexes before a benchmark run; Done reports completion.
-type SequentialLoader struct {
-	Domain uint64
-	next   uint64
-}
-
-// NextBatch fills keys with the next consecutive keys and returns how many
-// were produced (0 when the domain is exhausted).
-func (l *SequentialLoader) NextBatch(keys []uint64) int {
-	n := 0
-	for ; n < len(keys) && l.next < l.Domain; n++ {
-		keys[n] = l.next
-		l.next++
-	}
-	return n
-}
-
-// Done reports whether the whole domain was emitted.
-func (l *SequentialLoader) Done() bool { return l.next >= l.Domain }

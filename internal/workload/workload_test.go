@@ -113,24 +113,3 @@ func TestFillBatch(t *testing.T) {
 		}
 	}
 }
-
-func TestSequentialLoader(t *testing.T) {
-	l := &SequentialLoader{Domain: 10}
-	buf := make([]uint64, 4)
-	var got []uint64
-	for !l.Done() {
-		n := l.NextBatch(buf)
-		got = append(got, buf[:n]...)
-	}
-	if len(got) != 10 {
-		t.Fatalf("loaded %d keys", len(got))
-	}
-	for i, k := range got {
-		if k != uint64(i) {
-			t.Fatalf("key[%d] = %d", i, k)
-		}
-	}
-	if n := l.NextBatch(buf); n != 0 {
-		t.Fatalf("exhausted loader produced %d", n)
-	}
-}
