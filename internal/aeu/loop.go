@@ -501,7 +501,7 @@ func (a *AEU) processLookups(k groupKey, g *group, p *Partition) {
 	}
 	values := a.scratch.values[:len(valid)]
 	found := a.scratch.found[:len(valid)]
-	p.Tree.LookupBatch(a.Core, valid, values, found) //eris:allowalloc index kernel entry; node growth inside the tree is slab-amortized
+	p.Tree.LookupBatch(a.Core, valid, values, found)
 	p.accesses.Add(int64(len(valid)))
 	a.countOps(int64(len(valid)))
 
@@ -524,7 +524,7 @@ func (a *AEU) processDeletes(k groupKey, g *group, p *Partition) {
 	if len(valid) == 0 {
 		return
 	}
-	p.Tree.DeleteBatch(a.Core, valid) //eris:allowalloc index kernel entry; node reclamation inside the tree is slab-amortized
+	p.Tree.DeleteBatch(a.Core, valid)
 	p.accesses.Add(int64(len(valid)))
 	a.countOps(int64(len(valid)))
 	var seq uint64
@@ -542,7 +542,7 @@ func (a *AEU) processUpserts(k groupKey, g *group, p *Partition) {
 	if len(validKVs) == 0 {
 		return
 	}
-	p.Tree.UpsertBatch(a.Core, validKVs) //eris:allowalloc index kernel entry; node growth inside the tree is slab-amortized
+	p.Tree.UpsertBatch(a.Core, validKVs)
 	p.accesses.Add(int64(len(validKVs)))
 	a.countOps(int64(len(validKVs)))
 	var seq uint64

@@ -161,9 +161,20 @@ func (m *Machine) Alloc(size int64) uint64 {
 //
 //eris:hotpath
 func (m *Machine) AdvanceNS(core topology.CoreID, ns float64) {
-	if ns > 0 {
-		m.cores[core].clock.Add(int64(ns * psPerNS))
+	if ps := computePS(ns); ps > 0 {
+		m.cores[core].clock.Add(ps)
 	}
+}
+
+// computePS converts ns of compute time into the picoseconds a clock
+// advances by; negative time charges nothing.
+//
+//eris:hotpath
+func computePS(ns float64) int64 {
+	if ns > 0 {
+		return int64(ns * psPerNS)
+	}
+	return 0
 }
 
 // CountOps adds n completed operations to core's throughput counter.
@@ -235,7 +246,9 @@ func (m *Machine) chargeRoute(src, home topology.NodeID, bytes int64, mc bool) {
 //
 //eris:hotpath
 func (m *Machine) Read(core topology.CoreID, home topology.NodeID, addr uint64, bytes int64, overlap int) {
-	m.access(core, home, addr, bytes, overlap, false)
+	t := m.Tally(core)
+	t.Read(home, addr, bytes, overlap)
+	t.Commit()
 }
 
 // Write charges core with one latency-sensitive write (read-for-ownership
@@ -243,12 +256,19 @@ func (m *Machine) Read(core topology.CoreID, home topology.NodeID, addr uint64, 
 //
 //eris:hotpath
 func (m *Machine) Write(core topology.CoreID, home topology.NodeID, addr uint64, bytes int64, overlap int) {
-	m.access(core, home, addr, bytes, overlap, true)
+	t := m.Tally(core)
+	t.Write(home, addr, bytes, overlap)
+	t.Commit()
 }
 
+// accessPS returns the virtual cost in picoseconds of one random access
+// from src, with latency divided by min(overlap, mlp). With the LLC model
+// on it runs the access through the cache, which charges the traffic of
+// every line itself; with the model off every access misses, and the
+// caller charges bytes on the route to home.
+//
 //eris:hotpath
-func (m *Machine) access(core topology.CoreID, home topology.NodeID, addr uint64, bytes int64, overlap int, write bool) {
-	src := m.topo.NodeOfCore(core)
+func (m *Machine) accessPS(src, home topology.NodeID, addr uint64, bytes int64, overlap int, write bool) int64 {
 	if overlap < 1 {
 		overlap = 1
 	}
@@ -261,12 +281,11 @@ func (m *Machine) access(core topology.CoreID, home topology.NodeID, addr uint64
 	} else {
 		cost := m.topo.Cost(src, home)
 		ps = cost.LatencyNS*psPerNS + float64(bytes)*psPerByte(cost.BandwidthGBs)
-		m.chargeRoute(src, home, bytes, true)
 	}
 	// Only the latency component overlaps; we approximate by dividing the
 	// whole per-access cost, which is dominated by latency for the small
 	// transfers random accesses make.
-	m.cores[core].clock.Add(int64(ps / float64(overlap)))
+	return int64(ps / float64(overlap))
 }
 
 // cachedAccessPS runs the access through the LLC simulator line by line and

@@ -11,10 +11,14 @@
 // move. Cross-node transfers flatten a subtree into an exchange format and
 // rebuild it in the target node's Store (the "copy" transfer).
 //
-// Every operation takes the calling core so that each visited node charges
-// the simulated machine with a memory access at the node's home
-// multiprocessor; this is what makes the shared (NUMA-agnostic) baseline
-// measurably slower than partitioned ERIS trees.
+// Every operation takes the calling core, and each visited node costs a
+// memory access at the node's home multiprocessor; this is what makes the
+// shared (NUMA-agnostic) baseline measurably slower than partitioned ERIS
+// trees. The data-path operations (batch lookup, upsert and delete, and
+// scans) add those costs up in one numasim.Tally per call and charge the
+// simulated machine once, at the end of the batch. Batch lookups descend
+// level by level, a group of keys at a time, so that their memory misses
+// overlap the way the cost model assumes.
 package prefixtree
 
 import (
@@ -181,6 +185,8 @@ func newStore(machine *numasim.Machine, cfg Config, alloc allocFunc) (*Store, er
 func (s *Store) Config() Config { return s.cfg }
 
 // MaxKey returns the largest representable key.
+//
+//eris:hotpath
 func (s *Store) MaxKey() uint64 {
 	if s.cfg.KeyBits == 64 {
 		return ^uint64(0)
@@ -188,47 +194,60 @@ func (s *Store) MaxKey() uint64 {
 	return 1<<uint(s.cfg.KeyBits) - 1
 }
 
-// growInner appends a fresh inner slab; callers hold s.mu.
-func (s *Store) growInner() error {
+// growInner appends a fresh inner slab and reports false when the slab
+// directory is full; callers hold s.mu.
+//
+//eris:hotpath
+func (s *Store) growInner() bool {
 	if s.innerLen == len(s.inner) {
-		return fmt.Errorf("prefixtree: inner slab limit %d exhausted", len(s.inner))
+		return false
 	}
-	n := slabNodes
-	s.inner[s.innerLen] = &innerSlab{
-		slots:  make([]atomic.Uint32, n*s.fanout),
-		counts: make([]atomic.Int64, n),
-		block:  s.alloc(int64(n) * s.innerNodeBytes),
-	}
+	s.inner[s.innerLen] = s.newInnerSlab() //eris:allowalloc slab growth: one slab per slabNodes nodes, amortized over the nodes' lifetime
 	s.innerLen++
 	s.innerNext = 0
-	return nil
+	return true
 }
 
-func (s *Store) growLeaf() error {
+//eris:hotpath
+func (s *Store) growLeaf() bool {
 	if s.leafLen == len(s.leaf) {
-		return fmt.Errorf("prefixtree: leaf slab limit %d exhausted", len(s.leaf))
+		return false
 	}
-	n := slabNodes
-	s.leaf[s.leafLen] = &leafSlab{
-		values: make([]atomic.Uint64, n*s.fanout),
-		bitmap: make([]atomic.Uint64, n*s.bitmapWords),
-		counts: make([]atomic.Int64, n),
-		block:  s.alloc(int64(n) * s.leafNodeBytes),
-	}
+	s.leaf[s.leafLen] = s.newLeafSlab() //eris:allowalloc slab growth: one slab per slabNodes nodes, amortized over the nodes' lifetime
 	s.leafLen++
 	s.leafNext = 0
-	return nil
+	return true
 }
 
-// allocInnerNodes hands out up to want fresh inner node refs; used by
-// Sessions to refill their free lists in batches.
-func (s *Store) allocInnerNodes(want int, out []uint32) ([]uint32, error) {
+func (s *Store) newInnerSlab() *innerSlab {
+	return &innerSlab{
+		slots:  make([]atomic.Uint32, slabNodes*s.fanout),
+		counts: make([]atomic.Int64, slabNodes),
+		block:  s.alloc(slabNodes * s.innerNodeBytes),
+	}
+}
+
+func (s *Store) newLeafSlab() *leafSlab {
+	return &leafSlab{
+		values: make([]atomic.Uint64, slabNodes*s.fanout),
+		bitmap: make([]atomic.Uint64, slabNodes*s.bitmapWords),
+		counts: make([]atomic.Int64, slabNodes),
+		block:  s.alloc(slabNodes * s.leafNodeBytes),
+	}
+}
+
+// allocInnerNodes appends want fresh inner node refs to out; used by
+// Sessions to refill their free lists in batches. It reports false when the
+// slab directory is exhausted.
+//
+//eris:hotpath
+func (s *Store) allocInnerNodes(want int, out []uint32) ([]uint32, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for len(out) < want {
 		if s.innerLen == 0 || s.innerNext == slabNodes {
-			if err := s.growInner(); err != nil {
-				return out, err
+			if !s.growInner() {
+				return out, false
 			}
 		}
 		slab := s.innerLen - 1
@@ -236,66 +255,85 @@ func (s *Store) allocInnerNodes(want int, out []uint32) ([]uint32, error) {
 		out = append(out, uint32(slab*slabNodes+s.innerNext)+1)
 		s.innerNext++
 	}
-	return out, nil
+	return out, true
 }
 
-func (s *Store) allocLeafNodes(want int, out []uint32) ([]uint32, error) {
+//eris:hotpath
+func (s *Store) allocLeafNodes(want int, out []uint32) ([]uint32, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for len(out) < want {
 		if s.leafLen == 0 || s.leafNext == slabNodes {
-			if err := s.growLeaf(); err != nil {
-				return out, err
+			if !s.growLeaf() {
+				return out, false
 			}
 		}
 		slab := s.leafLen - 1
 		out = append(out, uint32(slab*slabNodes+s.leafNext)+1)
 		s.leafNext++
 	}
-	return out, nil
+	return out, true
+}
+
+func (s *Store) slabsExhausted(kind string) {
+	panic(fmt.Sprintf("prefixtree: %s allocation failed: slab limit %d exhausted", kind, maxSlabs))
 }
 
 // innerAt resolves an inner node ref to its slab and intra-slab offset.
+//
+//eris:hotpath
 func (s *Store) innerAt(ref uint32) (*innerSlab, int) {
 	idx := int(ref - 1)
 	return s.inner[idx/slabNodes], idx % slabNodes
 }
 
+//eris:hotpath
 func (s *Store) leafAt(ref uint32) (*leafSlab, int) {
 	idx := int(ref - 1)
 	return s.leaf[idx/slabNodes], idx % slabNodes
 }
 
 // innerSlot returns the child slot j of inner node ref.
+//
+//eris:hotpath
 func (s *Store) innerSlot(ref uint32, j int) *atomic.Uint32 {
 	sl, off := s.innerAt(ref)
 	return &sl.slots[off*s.fanout+j]
 }
 
 // innerCount returns the subtree key counter of inner node ref.
+//
+//eris:hotpath
 func (s *Store) innerCount(ref uint32) *atomic.Int64 {
 	sl, off := s.innerAt(ref)
 	return &sl.counts[off]
 }
 
+//eris:hotpath
 func (s *Store) leafCount(ref uint32) *atomic.Int64 {
 	sl, off := s.leafAt(ref)
 	return &sl.counts[off]
 }
 
 // innerAddr returns (home, synthetic address) of slot j in inner node ref.
+//
+//eris:hotpath
 func (s *Store) innerAddr(ref uint32, j int) (topology.NodeID, uint64) {
 	sl, off := s.innerAt(ref)
 	return sl.block.Home, sl.block.Addr + uint64(int64(off)*s.innerNodeBytes) + uint64(j*4)
 }
 
 // leafAddr returns (home, synthetic address) of value j in leaf node ref.
+//
+//eris:hotpath
 func (s *Store) leafAddr(ref uint32, j int) (topology.NodeID, uint64) {
 	sl, off := s.leafAt(ref)
 	return sl.block.Home, sl.block.Addr + uint64(int64(off)*s.leafNodeBytes) + uint64(j*8)
 }
 
 // zeroInner clears a recycled inner node.
+//
+//eris:hotpath
 func (s *Store) zeroInner(ref uint32) {
 	sl, off := s.innerAt(ref)
 	base := off * s.fanout
@@ -305,6 +343,7 @@ func (s *Store) zeroInner(ref uint32) {
 	sl.counts[off].Store(0)
 }
 
+//eris:hotpath
 func (s *Store) zeroLeaf(ref uint32) {
 	sl, off := s.leafAt(ref)
 	for w := 0; w < s.bitmapWords; w++ {
@@ -348,6 +387,7 @@ type nodeSource interface {
 // Store returns the backing store.
 func (se *Session) Store() *Store { return se.store }
 
+//eris:hotpath
 func (se *Session) allocInner() uint32 {
 	if n := len(se.freeInner); n > 0 {
 		ref := se.freeInner[n-1]
@@ -355,9 +395,9 @@ func (se *Session) allocInner() uint32 {
 		se.store.zeroInner(ref)
 		return ref
 	}
-	out, err := se.store.allocInnerNodes(sessionRefill, se.freeInner)
-	if err != nil || len(out) == 0 {
-		panic(fmt.Sprintf("prefixtree: inner allocation failed: %v", err))
+	out, ok := se.store.allocInnerNodes(sessionRefill, se.freeInner)
+	if !ok {
+		se.store.slabsExhausted("inner") //eris:allowalloc cold panic path: the slab directory is full
 	}
 	se.freeInner = out
 	ref := se.freeInner[len(se.freeInner)-1]
@@ -365,6 +405,7 @@ func (se *Session) allocInner() uint32 {
 	return ref
 }
 
+//eris:hotpath
 func (se *Session) allocLeaf() uint32 {
 	if n := len(se.freeLeaf); n > 0 {
 		ref := se.freeLeaf[n-1]
@@ -372,9 +413,9 @@ func (se *Session) allocLeaf() uint32 {
 		se.store.zeroLeaf(ref)
 		return ref
 	}
-	out, err := se.store.allocLeafNodes(sessionRefill, se.freeLeaf)
-	if err != nil || len(out) == 0 {
-		panic(fmt.Sprintf("prefixtree: leaf allocation failed: %v", err))
+	out, ok := se.store.allocLeafNodes(sessionRefill, se.freeLeaf)
+	if !ok {
+		se.store.slabsExhausted("leaf") //eris:allowalloc cold panic path: the slab directory is full
 	}
 	se.freeLeaf = out
 	ref := se.freeLeaf[len(se.freeLeaf)-1]
@@ -382,8 +423,11 @@ func (se *Session) allocLeaf() uint32 {
 	return ref
 }
 
+//eris:hotpath
 func (se *Session) freeInnerNode(ref uint32) { se.freeInner = append(se.freeInner, ref) }
-func (se *Session) freeLeafNode(ref uint32)  { se.freeLeaf = append(se.freeLeaf, ref) }
+
+//eris:hotpath
+func (se *Session) freeLeafNode(ref uint32) { se.freeLeaf = append(se.freeLeaf, ref) }
 
 // LockedSession is a mutex-guarded Session for the shared baseline, where
 // many worker threads insert into one tree concurrently.

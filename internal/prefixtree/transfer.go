@@ -292,10 +292,7 @@ func (t *Tree) RebuildFrom(core topology.CoreID, kvs []KV) {
 	// The stream arrives sorted; amortize the modeled cost as a sequential
 	// write of the rebuilt structure rather than per-key random writes.
 	m.Stream(core, homeOfSource(t.src), int64(len(kvs))*16)
-	overlap := 16
-	for _, kv := range kvs {
-		t.Upsert(core, kv.Key, kv.Value, overlap)
-	}
+	t.upsertBatch(core, kvs, 16)
 }
 
 // homeOfSource reports the home node new allocations of src land on.

@@ -3,9 +3,9 @@ package prefixtree
 import (
 	"fmt"
 	"math/bits"
-
 	"sync/atomic"
 
+	"eris/internal/numasim"
 	"eris/internal/topology"
 )
 
@@ -43,6 +43,8 @@ func (t *Tree) Store() *Store { return t.src.Store() }
 func (t *Tree) Count() int64 { return t.count.Load() }
 
 // nibble extracts the child index for key at level.
+//
+//eris:hotpath
 func (s *Store) nibble(key uint64, level int) int {
 	shift := uint(s.cfg.KeyBits - s.cfg.PrefixBits*(level+1))
 	return int(key>>shift) & (s.fanout - 1)
@@ -50,71 +52,151 @@ func (s *Store) nibble(key uint64, level int) int {
 
 // checkKey panics on keys outside the configured domain; catching this in
 // tests is cheaper than debugging silent truncation.
+//
+//eris:hotpath
 func (s *Store) checkKey(key uint64) {
 	if key > s.MaxKey() {
-		panic(fmt.Sprintf("prefixtree: key %#x exceeds %d-bit domain", key, s.cfg.KeyBits))
+		s.keyOutsideDomain(key) //eris:allowalloc cold panic path: formats its message only for a key outside the domain
 	}
 }
 
-// Lookup finds key and returns its value. overlap is the number of
-// independent lookups the caller has batched (the AEU command-grouping
-// optimization); it lets the cost model overlap memory latencies.
+func (s *Store) keyOutsideDomain(key uint64) {
+	panic(fmt.Sprintf("prefixtree: key %#x exceeds %d-bit domain", key, s.cfg.KeyBits))
+}
+
+// lookupGroup is how many keys of a lookup batch descend together, one tree
+// level at a time. The loads of one level are independent, so the core
+// overlaps their misses — the overlap the cost model charges for batching.
+const lookupGroup = 16
+
+// LookupBatch looks up a batch of keys, writing values and presence flags;
+// the batch size drives the modeled memory-level parallelism.
+//
+//eris:hotpath
+func (t *Tree) LookupBatch(core topology.CoreID, keys []uint64, values []uint64, found []bool) {
+	t.lookupBatch(core, keys, values, found, len(keys))
+}
+
+// Lookup finds key and returns its value: LookupBatch for one key. overlap
+// is the number of independent lookups the caller has batched; it lets the
+// cost model overlap memory latencies.
 func (t *Tree) Lookup(core topology.CoreID, key uint64, overlap int) (uint64, bool) {
+	keys := [1]uint64{key}
+	var values [1]uint64
+	var found [1]bool
+	t.lookupBatch(core, keys[:], values[:], found[:], overlap)
+	return values[0], found[0]
+}
+
+// lookupBatch descends keys in groups of lookupGroup, level-synchronously:
+// every key of a group takes one step before any takes the next. Each level
+// first charges the group's reads in key order — the LLC model, when on,
+// sees the accesses in that level-major order — and then issues the loads
+// back to back, so that the core has all of them in flight at once.
+//
+//eris:hotpath
+func (t *Tree) lookupBatch(core topology.CoreID, keys []uint64, values []uint64, found []bool, overlap int) {
 	s := t.src.Store()
-	s.checkKey(key)
-	m := s.machine
-	ref := t.root.Load()
-	for level := 0; level < s.levels-1; level++ {
-		if ref == nilRef {
-			return 0, false
+	tl := s.machine.Tally(core)
+	var refs [lookupGroup]uint32
+	for base := 0; base < len(keys); base += lookupGroup {
+		group := keys[base:min(base+lookupGroup, len(keys))]
+		root := t.root.Load()
+		for i, key := range group {
+			s.checkKey(key)
+			refs[i] = root
 		}
-		j := s.nibble(key, level)
-		home, addr := s.innerAddr(ref, j)
-		m.Read(core, home, addr, 4, overlap)
-		m.AdvanceNS(core, computeNSPerLevel)
-		ref = s.innerSlot(ref, j).Load()
+		for level := 0; level < s.levels-1; level++ {
+			for i, key := range group {
+				if refs[i] != nilRef {
+					home, addr := s.innerAddr(refs[i], s.nibble(key, level))
+					tl.Read(home, addr, 4, overlap)
+					tl.AdvanceNS(computeNSPerLevel)
+				}
+			}
+			for i, key := range group {
+				if refs[i] != nilRef {
+					refs[i] = s.innerSlot(refs[i], s.nibble(key, level)).Load()
+				}
+			}
+		}
+		leaf := s.levels - 1
+		for i, key := range group {
+			if refs[i] != nilRef {
+				home, addr := s.leafAddr(refs[i], s.nibble(key, leaf))
+				tl.Read(home, addr, 8, overlap)
+				tl.AdvanceNS(computeNSPerLevel)
+			}
+		}
+		for i, key := range group {
+			values[base+i], found[base+i] = s.leafValue(refs[i], s.nibble(key, leaf))
+		}
 	}
+	tl.Commit()
+}
+
+// leafValue returns value j of leaf ref and its presence bit; a nil leaf
+// holds nothing.
+//
+//eris:hotpath
+func (s *Store) leafValue(ref uint32, j int) (uint64, bool) {
 	if ref == nilRef {
 		return 0, false
 	}
-	j := s.nibble(key, s.levels-1)
-	home, addr := s.leafAddr(ref, j)
-	m.Read(core, home, addr, 8, overlap)
-	m.AdvanceNS(core, computeNSPerLevel)
 	sl, off := s.leafAt(ref)
-	w, bit := off*s.bitmapWords+j/64, uint64(1)<<uint(j%64)
-	if sl.bitmap[w].Load()&bit == 0 {
+	if sl.bitmap[off*s.bitmapWords+j/64].Load()&(1<<uint(j%64)) == 0 {
 		return 0, false
 	}
 	return sl.values[off*s.fanout+j].Load(), true
 }
 
-// LookupBatch looks up a batch of keys, writing values and presence flags;
-// the batch size drives the modeled memory-level parallelism.
-func (t *Tree) LookupBatch(core topology.CoreID, keys []uint64, values []uint64, found []bool) {
-	overlap := len(keys)
-	for i, k := range keys {
-		values[i], found[i] = t.Lookup(core, k, overlap)
-	}
+// UpsertBatch upserts a batch of pairs with overlapped latencies and
+// reports how many keys were new.
+//
+//eris:hotpath
+func (t *Tree) UpsertBatch(core topology.CoreID, kvs []KV) int64 {
+	return t.upsertBatch(core, kvs, len(kvs))
 }
 
-// Upsert inserts or overwrites key and reports whether the key was new.
+// Upsert inserts or overwrites key and reports whether the key was new:
+// UpsertBatch for one pair, with overlap as for Lookup.
 func (t *Tree) Upsert(core topology.CoreID, key, value uint64, overlap int) bool {
+	kvs := [1]KV{{Key: key, Value: value}}
+	return t.upsertBatch(core, kvs[:], overlap) == 1
+}
+
+//eris:hotpath
+func (t *Tree) upsertBatch(core topology.CoreID, kvs []KV, overlap int) int64 {
+	tl := t.src.Store().machine.Tally(core)
+	var fresh int64
+	for _, kv := range kvs {
+		if t.upsert(&tl, kv.Key, kv.Value, overlap) {
+			fresh++
+		}
+	}
+	tl.Commit()
+	return fresh
+}
+
+// upsert descends one key, installing missing nodes, and reports whether
+// the key was new.
+//
+//eris:hotpath
+func (t *Tree) upsert(tl *numasim.Tally, key, value uint64, overlap int) bool {
 	s := t.src.Store()
 	s.checkKey(key)
-	m := s.machine
 
 	var path [32]uint32 // inner refs along the descent, for count updates
 	depth := 0
 
-	ref := t.rootOrCreate(core)
+	ref := t.rootOrCreate()
 	for level := 0; level < s.levels-1; level++ {
 		path[depth] = ref
 		depth++
 		j := s.nibble(key, level)
 		home, addr := s.innerAddr(ref, j)
-		m.Read(core, home, addr, 4, overlap)
-		m.AdvanceNS(core, computeNSPerLevel)
+		tl.Read(home, addr, 4, overlap)
+		tl.AdvanceNS(computeNSPerLevel)
 		slot := s.innerSlot(ref, j)
 		child := slot.Load()
 		if child == nilRef {
@@ -123,7 +205,7 @@ func (t *Tree) Upsert(core topology.CoreID, key, value uint64, overlap int) bool
 				t.freeNode(child, level+1)
 				child = slot.Load()
 			} else {
-				m.Write(core, home, addr, 4, overlap)
+				tl.Write(home, addr, 4, overlap)
 			}
 		}
 		ref = child
@@ -133,8 +215,8 @@ func (t *Tree) Upsert(core topology.CoreID, key, value uint64, overlap int) bool
 	home, addr := s.leafAddr(ref, j)
 	sl, off := s.leafAt(ref)
 	sl.values[off*s.fanout+j].Store(value)
-	m.Write(core, home, addr, 8, overlap)
-	m.AdvanceNS(core, computeNSPerLevel)
+	tl.Write(home, addr, 8, overlap)
+	tl.AdvanceNS(computeNSPerLevel)
 	w, bit := off*s.bitmapWords+j/64, uint64(1)<<uint(j%64)
 	old := sl.bitmap[w].Or(bit)
 	if old&bit != 0 {
@@ -148,27 +230,30 @@ func (t *Tree) Upsert(core topology.CoreID, key, value uint64, overlap int) bool
 	return true
 }
 
-// UpsertBatch upserts a batch of pairs with overlapped latencies and
-// reports how many keys were new.
-func (t *Tree) UpsertBatch(core topology.CoreID, kvs []KV) int64 {
-	overlap := len(kvs)
-	var fresh int64
-	for _, kv := range kvs {
-		if t.Upsert(core, kv.Key, kv.Value, overlap) {
-			fresh++
+// DeleteBatch deletes a batch of keys with overlapped latencies and reports
+// how many were present. Nodes emptied by deletion stay linked (like the
+// losers of upsert's install races); only their presence bits and counters
+// change, so concurrent readers never see a dangling reference.
+//
+//eris:hotpath
+func (t *Tree) DeleteBatch(core topology.CoreID, keys []uint64) int64 {
+	tl := t.src.Store().machine.Tally(core)
+	var removed int64
+	for _, k := range keys {
+		if t.delete(&tl, k, len(keys)) {
+			removed++
 		}
 	}
-	return fresh
+	tl.Commit()
+	return removed
 }
 
-// Delete removes key and reports whether it was present. Nodes emptied by
-// deletion stay linked (like the losers of Upsert's install races); only
-// their presence bits and counters change, so concurrent readers never see
-// a dangling reference.
-func (t *Tree) Delete(core topology.CoreID, key uint64, overlap int) bool {
+// delete descends one key and reports whether it was present.
+//
+//eris:hotpath
+func (t *Tree) delete(tl *numasim.Tally, key uint64, overlap int) bool {
 	s := t.src.Store()
 	s.checkKey(key)
-	m := s.machine
 
 	var path [32]uint32 // inner refs along the descent, for count updates
 	depth := 0
@@ -182,8 +267,8 @@ func (t *Tree) Delete(core topology.CoreID, key uint64, overlap int) bool {
 		depth++
 		j := s.nibble(key, level)
 		home, addr := s.innerAddr(ref, j)
-		m.Read(core, home, addr, 4, overlap)
-		m.AdvanceNS(core, computeNSPerLevel)
+		tl.Read(home, addr, 4, overlap)
+		tl.AdvanceNS(computeNSPerLevel)
 		ref = s.innerSlot(ref, j).Load()
 	}
 	if ref == nilRef {
@@ -191,15 +276,15 @@ func (t *Tree) Delete(core topology.CoreID, key uint64, overlap int) bool {
 	}
 	j := s.nibble(key, s.levels-1)
 	home, addr := s.leafAddr(ref, j)
-	m.Read(core, home, addr, 8, overlap)
-	m.AdvanceNS(core, computeNSPerLevel)
+	tl.Read(home, addr, 8, overlap)
+	tl.AdvanceNS(computeNSPerLevel)
 	sl, off := s.leafAt(ref)
 	w, bit := off*s.bitmapWords+j/64, uint64(1)<<uint(j%64)
 	old := sl.bitmap[w].And(^bit)
 	if old&bit == 0 {
 		return false // was not present
 	}
-	m.Write(core, home, addr, 8, overlap)
+	tl.Write(home, addr, 8, overlap)
 	sl.counts[off].Add(-1)
 	for i := 0; i < depth; i++ {
 		s.innerCount(path[i]).Add(-1)
@@ -208,21 +293,10 @@ func (t *Tree) Delete(core topology.CoreID, key uint64, overlap int) bool {
 	return true
 }
 
-// DeleteBatch deletes a batch of keys with overlapped latencies and reports
-// how many were present.
-func (t *Tree) DeleteBatch(core topology.CoreID, keys []uint64) int64 {
-	overlap := len(keys)
-	var removed int64
-	for _, k := range keys {
-		if t.Delete(core, k, overlap) {
-			removed++
-		}
-	}
-	return removed
-}
-
 // rootOrCreate returns the root node, installing one on first use.
-func (t *Tree) rootOrCreate(core topology.CoreID) uint32 {
+//
+//eris:hotpath
+func (t *Tree) rootOrCreate() uint32 {
 	ref := t.root.Load()
 	if ref != nilRef {
 		return ref
@@ -236,6 +310,8 @@ func (t *Tree) rootOrCreate(core topology.CoreID) uint32 {
 }
 
 // allocNode allocates an inner or leaf node appropriate for level.
+//
+//eris:hotpath
 func (t *Tree) allocNode(level int) uint32 {
 	if level == t.src.Store().levels-1 {
 		return t.src.allocLeaf()
@@ -243,6 +319,7 @@ func (t *Tree) allocNode(level int) uint32 {
 	return t.src.allocInner()
 }
 
+//eris:hotpath
 func (t *Tree) freeNode(ref uint32, level int) {
 	if level == t.src.Store().levels-1 {
 		t.src.freeLeafNode(ref)
@@ -266,6 +343,8 @@ func (s *Store) nodeCount(ref uint32, level int) int64 {
 // avoids overflow at the top of the key domain) in ascending order, calling
 // fn for each until fn returns false. It returns the number of visited
 // keys.
+//
+//eris:hotpath
 func (t *Tree) Scan(core topology.CoreID, lo, hi uint64, fn func(key, value uint64) bool) int64 {
 	s := t.src.Store()
 	s.checkKey(lo)
@@ -276,7 +355,9 @@ func (t *Tree) Scan(core topology.CoreID, lo, hi uint64, fn func(key, value uint
 		return 0
 	}
 	var visited int64
-	t.scanNode(core, t.root.Load(), 0, 0, lo, hi, fn, &visited)
+	tl := s.machine.Tally(core)
+	t.scanNode(&tl, t.root.Load(), 0, 0, lo, hi, fn, &visited)
+	tl.Commit()
 	return visited
 }
 
@@ -284,12 +365,12 @@ func (t *Tree) Scan(core topology.CoreID, lo, hi uint64, fn func(key, value uint
 // range scan (prefetchable sibling leaves).
 const scanOverlap = 4
 
-func (t *Tree) scanNode(core topology.CoreID, ref uint32, level int, prefix, lo, hi uint64, fn func(uint64, uint64) bool, visited *int64) bool {
+//eris:hotpath
+func (t *Tree) scanNode(tl *numasim.Tally, ref uint32, level int, prefix, lo, hi uint64, fn func(uint64, uint64) bool, visited *int64) bool {
 	if ref == nilRef {
 		return true
 	}
 	s := t.src.Store()
-	m := s.machine
 	shift := uint(s.cfg.KeyBits - s.cfg.PrefixBits*(level+1))
 	mask := subtreeMask(shift)
 	jLo, jHi := 0, s.fanout-1
@@ -302,7 +383,7 @@ func (t *Tree) scanNode(core topology.CoreID, ref uint32, level int, prefix, lo,
 	if level == s.levels-1 {
 		sl, off := s.leafAt(ref)
 		home, addr := s.leafAddr(ref, 0)
-		m.Read(core, home, addr, int64(s.fanout)*8, scanOverlap)
+		tl.Read(home, addr, int64(s.fanout)*8, scanOverlap)
 		for j := jLo; j <= jHi; j++ {
 			w, bit := off*s.bitmapWords+j/64, uint64(1)<<uint(j%64)
 			if sl.bitmap[w].Load()&bit == 0 {
@@ -320,15 +401,15 @@ func (t *Tree) scanNode(core topology.CoreID, ref uint32, level int, prefix, lo,
 		return true
 	}
 	home, addr := s.innerAddr(ref, jLo)
-	m.Read(core, home, addr, int64(jHi-jLo+1)*4, scanOverlap)
-	m.AdvanceNS(core, computeNSPerLevel)
+	tl.Read(home, addr, int64(jHi-jLo+1)*4, scanOverlap)
+	tl.AdvanceNS(computeNSPerLevel)
 	for j := jLo; j <= jHi; j++ {
 		childPrefix := prefix | uint64(j)<<shift
 		// Skip subtrees entirely outside the range.
 		if childPrefix > hi || childPrefix|mask < lo {
 			continue
 		}
-		if !t.scanNode(core, s.innerSlot(ref, j).Load(), level+1, childPrefix, lo, hi, fn, visited) {
+		if !t.scanNode(tl, s.innerSlot(ref, j).Load(), level+1, childPrefix, lo, hi, fn, visited) {
 			return false
 		}
 	}
@@ -336,6 +417,8 @@ func (t *Tree) scanNode(core topology.CoreID, ref uint32, level int, prefix, lo,
 }
 
 // subtreeMask returns the mask of key bits below the given shift.
+//
+//eris:hotpath
 func subtreeMask(shift uint) uint64 {
 	if shift >= 64 {
 		return ^uint64(0)
@@ -345,6 +428,8 @@ func subtreeMask(shift uint) uint64 {
 
 // prefixAt returns key's nibble at level when key lies inside this node's
 // prefix, else -1 (meaning the bound does not constrain this subtree).
+//
+//eris:hotpath
 func prefixAt(key uint64, s *Store, level int, prefix uint64) int {
 	shift := uint(s.cfg.KeyBits - s.cfg.PrefixBits*level)
 	var upper uint64
