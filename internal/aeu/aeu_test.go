@@ -17,6 +17,14 @@ import (
 
 const testObj routing.ObjectID = 1
 
+// lookupOne looks up a single key: a one-key LookupBatch.
+func lookupOne(tree *prefixtree.Tree, core topology.CoreID, key uint64) (uint64, bool) {
+	var values [1]uint64
+	var found [1]bool
+	tree.LookupBatch(core, []uint64{key}, values[:], found[:])
+	return values[0], found[0]
+}
+
 type harness struct {
 	machine *numasim.Machine
 	mems    *mem.System
@@ -219,7 +227,7 @@ func TestBalanceFetchLinkSameNode(t *testing.T) {
 		t.Fatalf("aeu1 count = %d", got)
 	}
 	// Moved keys are found at the new owner.
-	v, ok := h.aeus[1].Partition(testObj).Tree.Lookup(1, 300, 1)
+	v, ok := lookupOne(h.aeus[1].Partition(testObj).Tree, 1, 300)
 	if !ok || v != 300 {
 		t.Fatalf("moved key: (%d,%v)", v, ok)
 	}
@@ -255,7 +263,7 @@ func TestBalanceFetchCopyCrossNode(t *testing.T) {
 	if e.TotalLinkBytes() == 0 {
 		t.Error("cross-node copy produced no link traffic")
 	}
-	v, ok := dst.Partition(testObj).Tree.Lookup(dst.Core, 700, 1)
+	v, ok := lookupOne(dst.Partition(testObj).Tree, dst.Core, 700)
 	if !ok || v != 2100 {
 		t.Fatalf("moved key: (%d,%v)", v, ok)
 	}

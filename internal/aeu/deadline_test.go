@@ -116,7 +116,7 @@ func TestDeferredCommandExpiresOnRequeue(t *testing.T) {
 	if len(*got) != 1 || !errors.Is((*got)[0].err, ErrExpired) {
 		t.Fatalf("results = %+v", *got)
 	}
-	if v, ok := a1.Partition(testObj).Tree.Lookup(a1.Core, 450, 1); ok {
+	if v, ok := lookupOne(a1.Partition(testObj).Tree, a1.Core, 450); ok {
 		t.Fatalf("expired upsert was applied: value %d", v)
 	}
 }
@@ -149,7 +149,7 @@ func TestLiveDeadlineSurvivesDeferral(t *testing.T) {
 	if len(*got) != 1 || (*got)[0].err != nil {
 		t.Fatalf("results = %+v", *got)
 	}
-	if v, ok := a1.Partition(testObj).Tree.Lookup(a1.Core, 450, 1); !ok || v != 7 {
+	if v, ok := lookupOne(a1.Partition(testObj).Tree, a1.Core, 450); !ok || v != 7 {
 		t.Fatalf("deferred upsert lost: (%d,%v)", v, ok)
 	}
 }
@@ -238,10 +238,10 @@ func TestMixedDeadlineGroupExpiresOnlyCarriers(t *testing.T) {
 	h.step(1)
 	a1.drainRequeue()
 	a1.processGroups()
-	if v, ok := a1.Partition(testObj).Tree.Lookup(a1.Core, 450, 1); !ok || v != 7 {
+	if v, ok := lookupOne(a1.Partition(testObj).Tree, a1.Core, 450); !ok || v != 7 {
 		t.Fatalf("deadline-free write lost to a batchmate's deadline: (%d,%v)", v, ok)
 	}
-	if _, ok := a1.Partition(testObj).Tree.Lookup(a1.Core, 460, 1); ok {
+	if _, ok := lookupOne(a1.Partition(testObj).Tree, a1.Core, 460); ok {
 		t.Fatal("expired upsert was applied")
 	}
 	if n := a1.expired.Load(); n != 1 {

@@ -59,10 +59,10 @@ func TestDeferredUpsertClonedFromScratch(t *testing.T) {
 	h.step(0)
 	h.step(1)
 	h.step(1)
-	if v, ok := a1.Partition(testObj).Tree.Lookup(a1.Core, 450, 1); !ok || v != 7 {
+	if v, ok := lookupOne(a1.Partition(testObj).Tree, a1.Core, 450); !ok || v != 7 {
 		t.Fatalf("deferred upsert lost: (%d,%v)", v, ok)
 	}
-	if v, ok := a1.Partition(testObj).Tree.Lookup(a1.Core, 460, 1); !ok || v != 8 {
+	if v, ok := lookupOne(a1.Partition(testObj).Tree, a1.Core, 460); !ok || v != 8 {
 		t.Fatalf("deferred upsert lost: (%d,%v)", v, ok)
 	}
 }

@@ -25,7 +25,11 @@ type Tally struct {
 	home  topology.NodeID
 	bytes int64
 	// Without the LLC model an access's cost depends only on its home, size
-	// and overlap; the last one is kept, because a batch repeats it.
+	// and overlap, and the kernels issue runs of equal ones (a lookup group
+	// charges its 16 reads of one level back to back), so the last cost is
+	// kept. It spares accessPS's float division on ~98 % of the accesses
+	// of served lookups and ~80 % of bulk-load upserts, and a third of
+	// BenchmarkLookupBatch's time (2-vCPU Xeon VM).
 	last   costKey
 	lastPS int64
 }

@@ -38,7 +38,7 @@ func TestLinkOverlappingKeysKeepsCountsAndNewerValues(t *testing.T) {
 		t.Fatalf("counters diverged from bitmaps: %v", err)
 	}
 	for k := uint64(100); k < 320; k++ {
-		v, ok := other.Lookup(0, k, 1)
+		v, ok := lookupOne(other, 0, k)
 		if !ok {
 			t.Fatalf("key %d missing after link", k)
 		}

@@ -70,32 +70,16 @@ func (s *Store) keyOutsideDomain(key uint64) {
 const lookupGroup = 16
 
 // LookupBatch looks up a batch of keys, writing values and presence flags;
-// the batch size drives the modeled memory-level parallelism.
+// the batch size drives the modeled memory-level parallelism. Keys descend
+// in groups of lookupGroup, level-synchronously: every key of a group takes
+// one step before any takes the next. Each level first charges the group's
+// reads in key order — the LLC model, when on, sees the accesses in that
+// level-major order — and then issues the loads back to back, so that the
+// core has all of them in flight at once.
 //
 //eris:hotpath
 func (t *Tree) LookupBatch(core topology.CoreID, keys []uint64, values []uint64, found []bool) {
-	t.lookupBatch(core, keys, values, found, len(keys))
-}
-
-// Lookup finds key and returns its value: LookupBatch for one key. overlap
-// is the number of independent lookups the caller has batched; it lets the
-// cost model overlap memory latencies.
-func (t *Tree) Lookup(core topology.CoreID, key uint64, overlap int) (uint64, bool) {
-	keys := [1]uint64{key}
-	var values [1]uint64
-	var found [1]bool
-	t.lookupBatch(core, keys[:], values[:], found[:], overlap)
-	return values[0], found[0]
-}
-
-// lookupBatch descends keys in groups of lookupGroup, level-synchronously:
-// every key of a group takes one step before any takes the next. Each level
-// first charges the group's reads in key order — the LLC model, when on,
-// sees the accesses in that level-major order — and then issues the loads
-// back to back, so that the core has all of them in flight at once.
-//
-//eris:hotpath
-func (t *Tree) lookupBatch(core topology.CoreID, keys []uint64, values []uint64, found []bool, overlap int) {
+	overlap := len(keys)
 	s := t.src.Store()
 	tl := s.machine.Tally(core)
 	var refs [lookupGroup]uint32
@@ -159,7 +143,8 @@ func (t *Tree) UpsertBatch(core topology.CoreID, kvs []KV) int64 {
 }
 
 // Upsert inserts or overwrites key and reports whether the key was new:
-// UpsertBatch for one pair, with overlap as for Lookup.
+// UpsertBatch for one pair. overlap is the number of independent upserts
+// the caller has batched; it lets the cost model overlap memory latencies.
 func (t *Tree) Upsert(core topology.CoreID, key, value uint64, overlap int) bool {
 	kvs := [1]KV{{Key: key, Value: value}}
 	return t.upsertBatch(core, kvs[:], overlap) == 1

@@ -35,6 +35,14 @@ func newFixture(t testing.TB, cfg Config) *fixture {
 	return &fixture{machine: machine, sys: sys, store: store, sess: sess, tree: NewTree(sess)}
 }
 
+// lookupOne looks up a single key: a one-key LookupBatch.
+func lookupOne(tree *Tree, core topology.CoreID, key uint64) (uint64, bool) {
+	var values [1]uint64
+	var found [1]bool
+	tree.LookupBatch(core, []uint64{key}, values[:], found[:])
+	return values[0], found[0]
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := []Config{{}, {KeyBits: 16, PrefixBits: 4}, {KeyBits: 8, PrefixBits: 2}}
 	for _, c := range good {
@@ -56,7 +64,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestUpsertLookupBasic(t *testing.T) {
 	f := newFixture(t, Config{KeyBits: 32, PrefixBits: 8})
-	if _, ok := f.tree.Lookup(0, 42, 1); ok {
+	if _, ok := lookupOne(f.tree, 0, 42); ok {
 		t.Fatal("empty tree found a key")
 	}
 	if !f.tree.Upsert(0, 42, 100, 1) {
@@ -65,7 +73,7 @@ func TestUpsertLookupBasic(t *testing.T) {
 	if f.tree.Upsert(0, 42, 200, 1) {
 		t.Fatal("second upsert of same key reported new")
 	}
-	v, ok := f.tree.Lookup(0, 42, 1)
+	v, ok := lookupOne(f.tree, 0, 42)
 	if !ok || v != 200 {
 		t.Fatalf("lookup = (%d, %v), want (200, true)", v, ok)
 	}
@@ -88,7 +96,7 @@ func TestAgainstReferenceMap(t *testing.T) {
 		t.Fatalf("count = %d, want %d", got, want)
 	}
 	for k, v := range ref {
-		got, ok := f.tree.Lookup(0, k, 1)
+		got, ok := lookupOne(f.tree, 0, k)
 		if !ok || got != v {
 			t.Fatalf("key %d: (%d,%v), want (%d,true)", k, got, ok, v)
 		}
@@ -96,7 +104,7 @@ func TestAgainstReferenceMap(t *testing.T) {
 	// Absent keys must stay absent.
 	for i := 0; i < 1000; i++ {
 		k := uint64(rng.Intn(1<<20)) | 1<<22
-		if _, ok := f.tree.Lookup(0, k, 1); ok {
+		if _, ok := lookupOne(f.tree, 0, k); ok {
 			t.Fatalf("found never-inserted key %d", k)
 		}
 	}
@@ -207,7 +215,7 @@ func TestExtractLinkRoundtrip(t *testing.T) {
 	}
 	// Extracted keys are gone.
 	for k := range ref {
-		_, ok := f.tree.Lookup(0, k, 1)
+		_, ok := lookupOne(f.tree, 0, k)
 		inRange := k >= 1<<18 && k <= 1<<19
 		if ok == inRange {
 			t.Fatalf("key %d: present=%v, inRange=%v", k, ok, inRange)
@@ -233,7 +241,7 @@ func TestExtractLinkRoundtrip(t *testing.T) {
 		t.Fatalf("after link back: %v", err)
 	}
 	for k, v := range ref {
-		got, ok := f.tree.Lookup(0, k, 1)
+		got, ok := lookupOne(f.tree, 0, k)
 		if !ok || got != v {
 			t.Fatalf("after roundtrip key %d: (%d,%v) want (%d,true)", k, got, ok, v)
 		}
@@ -307,7 +315,7 @@ func TestFlattenRebuildIdentity(t *testing.T) {
 		t.Fatalf("rebuilt count %d, want %d", tree2.Count(), len(ref))
 	}
 	for k, v := range ref {
-		got, ok := tree2.Lookup(10, k, 1)
+		got, ok := lookupOne(tree2, 10, k)
 		if !ok || got != v {
 			t.Fatalf("rebuilt key %d: (%d,%v)", k, got, ok)
 		}
@@ -384,7 +392,7 @@ func TestBatchingIsCheaperPerOp(t *testing.T) {
 	}
 	// Sequential lookups on core 1, batched on core 2.
 	for k := uint64(0); k < 1024; k++ {
-		f.tree.Lookup(1, k*3%4096, 1)
+		lookupOne(f.tree, 1, k*3%4096)
 	}
 	keys := make([]uint64, 1024)
 	for i := range keys {
@@ -430,7 +438,7 @@ func TestConcurrentSharedUpserts(t *testing.T) {
 	for w := 0; w < 8; w++ {
 		for i := 0; i < perWorker; i += 97 {
 			k := uint64(w*perWorker + i)
-			if v, ok := tree.Lookup(0, k, 1); !ok || v != k {
+			if v, ok := lookupOne(tree, 0, k); !ok || v != k {
 				t.Fatalf("key %d: (%d,%v)", k, v, ok)
 			}
 		}
@@ -483,7 +491,7 @@ func TestSingleLevelTree(t *testing.T) {
 	if f.tree.Count() != 256 {
 		t.Fatalf("count = %d", f.tree.Count())
 	}
-	v, ok := f.tree.Lookup(0, 200, 1)
+	v, ok := lookupOne(f.tree, 0, 200)
 	if !ok || v != 1400 {
 		t.Fatalf("lookup = (%d,%v)", v, ok)
 	}

@@ -19,6 +19,14 @@ func newMachine(t testing.TB, cacheScale float64) (*numasim.Machine, *mem.System
 	return m, mem.NewSystem(m)
 }
 
+// lookupOne looks up a single key: a one-key LookupBatch.
+func lookupOne(tree *prefixtree.Tree, core topology.CoreID, key uint64) (uint64, bool) {
+	var values [1]uint64
+	var found [1]bool
+	tree.LookupBatch(core, []uint64{key}, values[:], found[:])
+	return values[0], found[0]
+}
+
 func TestSharedIndexLoadAndLookup(t *testing.T) {
 	m, mems := newMachine(t, 0)
 	ix, err := NewIndex(m, mems, prefixtree.Config{KeyBits: 24, PrefixBits: 8}, Interleaved, 0)
@@ -33,7 +41,7 @@ func TestSharedIndexLoadAndLookup(t *testing.T) {
 	if err := ix.Tree().CheckCounts(); err != nil {
 		t.Fatal(err)
 	}
-	v, ok := ix.Tree().Lookup(0, 1234, 1)
+	v, ok := lookupOne(ix.Tree(), 0, 1234)
 	if !ok || v != 1235 {
 		t.Fatalf("lookup = (%d,%v)", v, ok)
 	}
