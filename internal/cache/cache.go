@@ -364,38 +364,3 @@ func (s *System) Flush() {
 	}
 	s.dir = make(map[uint64]uint64)
 }
-
-// checkInvariants verifies directory/LLC agreement; used by tests.
-func (s *System) checkInvariants() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for lineAddr, mask := range s.dir {
-		if mask == 0 {
-			return fmt.Errorf("line %#x: empty directory entry", lineAddr)
-		}
-		m := mask
-		var modified, fwd int
-		for m != 0 {
-			n := bits.TrailingZeros64(m)
-			m &^= 1 << uint(n)
-			c := &s.llcs[n]
-			i := c.probe(s.setIndex(c, lineAddr), lineAddr)
-			if i < 0 {
-				return fmt.Errorf("line %#x: directory says node %d holds it, LLC disagrees", lineAddr, n)
-			}
-			switch c.lines[i].state {
-			case Modified:
-				modified++
-			case Forward:
-				fwd++
-			}
-		}
-		if modified > 0 && bits.OnesCount64(mask) > 1 {
-			return fmt.Errorf("line %#x: modified with %d holders", lineAddr, bits.OnesCount64(mask))
-		}
-		if fwd > 1 {
-			return fmt.Errorf("line %#x: %d Forward holders", lineAddr, fwd)
-		}
-	}
-	return nil
-}

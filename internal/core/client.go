@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 	"time"
 
 	"eris/internal/aeu"
@@ -31,8 +33,15 @@ var ErrDeadlineExceeded = errors.New("core: deadline exceeded")
 // or deferred part produces several replies whose answered counts must sum
 // to want before the operation is complete.
 type pendingOp struct {
-	want    int
-	got     int
+	want int
+	got  int
+	born time.Time // when the call registered; the stall sweep ages it
+	// A lookup has a non-nil rows and copies each reply once into it,
+	// inserted before the first row with a larger key: every reply answers
+	// one owner's run of the batch, so sorted input stays sorted without a
+	// sort. Scans keep one copy per reply in replies, because their heads
+	// are per-reply aggregates.
+	rows    []prefixtree.KV
 	replies [][]prefixtree.KV
 	err     error
 	done    chan struct{}
@@ -57,7 +66,12 @@ func (e *Engine) deliverClientResult(tag uint64, from uint32, kvs []prefixtree.K
 		p.err = err
 	}
 	if len(kvs) > 0 {
-		p.replies = append(p.replies, append([]prefixtree.KV(nil), kvs...))
+		if p.rows != nil {
+			i, _ := slices.BinarySearchFunc(p.rows, kvs[0].Key, func(kv prefixtree.KV, k uint64) int { return cmp.Compare(kv.Key, k) })
+			p.rows = slices.Insert(p.rows, i, kvs...)
+		} else {
+			p.replies = append(p.replies, append([]prefixtree.KV(nil), kvs...))
+		}
 	}
 	p.got += answered
 	if p.got >= p.want {
@@ -66,14 +80,19 @@ func (e *Engine) deliverClientResult(tag uint64, from uint32, kvs []prefixtree.K
 	}
 }
 
-func (e *Engine) newPending(want int) (uint64, *pendingOp, error) {
+// newPending registers a call of want answer units. rows > 0 makes it a
+// lookup whose result slice holds up to rows pairs.
+func (e *Engine) newPending(want, rows int) (uint64, *pendingOp, error) {
+	p := &pendingOp{want: want, born: time.Now(), done: make(chan struct{})}
+	if rows > 0 {
+		p.rows = make([]prefixtree.KV, 0, rows)
+	}
 	e.clientMu.Lock()
 	defer e.clientMu.Unlock()
 	if e.clientClosed {
 		return 0, nil, ErrClosed
 	}
 	e.nextTag++
-	p := &pendingOp{want: want, done: make(chan struct{})}
 	e.pending[e.nextTag] = p
 	return e.nextTag, p, nil
 }
@@ -84,22 +103,55 @@ func (e *Engine) cancelPending(tag uint64) {
 	delete(e.pending, tag)
 }
 
-// failPending fails every in-flight synchronous call with ErrClosed and
-// refuses new ones; Stop calls it before taking the AEU loops down.
+// failPending fails every in-flight synchronous call with ErrClosed,
+// refuses new ones and ends the stall sweep; Stop and CrashStop call it
+// before taking the AEU loops down.
 func (e *Engine) failPending() {
 	e.clientMu.Lock()
-	defer e.clientMu.Unlock()
+	if !e.clientClosed && e.sweepStop != nil {
+		close(e.sweepStop)
+	}
 	e.clientClosed = true
 	for tag, p := range e.pending {
 		p.err = ErrClosed
 		close(p.done)
 		delete(e.pending, tag)
 	}
+	e.clientMu.Unlock()
+	e.sweeper.Wait()
 }
 
 // clientTimeout bounds synchronous client calls; the engine is in-process,
-// so a stall means a bug, not a slow network.
-const clientTimeout = 30 * time.Second
+// so a stall means a bug, not a slow network. No call arms a timer of its
+// own: newPending stamps each call's birth, and one sweep per engine
+// (sweepPending, every clientTimeout/30) fails the calls older than the
+// bound. It is a variable only so the stall test can shorten it.
+var clientTimeout = 30 * time.Second
+
+// sweepPending fails every call registered longer than clientTimeout ago,
+// every tick of clientTimeout/30, until stop closes.
+func (e *Engine) sweepPending(stop <-chan struct{}) {
+	defer e.sweeper.Done()
+	bound := clientTimeout
+	t := time.NewTicker(bound / 30)
+	defer t.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case now := <-t.C:
+			e.clientMu.Lock()
+			for tag, p := range e.pending {
+				if now.Sub(p.born) >= bound {
+					p.err = fmt.Errorf("core: client request %d timed out", tag)
+					close(p.done)
+					delete(e.pending, tag)
+				}
+			}
+			e.clientMu.Unlock()
+		}
+	}
+}
 
 // deadlineOf returns ctx's deadline as absolute unix nanoseconds for
 // command headers; zero when ctx has none.
@@ -113,13 +165,14 @@ func deadlineOf(ctx context.Context) uint64 {
 // call is the bracket every synchronous client call shares: it registers
 // want answer units under a fresh tag, injects each command at the AEU its
 // Source names with the client reply address, the tag and ctx's deadline
-// stamped on, and waits until every unit is answered. No commands means
-// nothing to wait for.
-func (e *Engine) call(ctx context.Context, want int, cmds []command.Command) (*pendingOp, error) {
+// stamped on, and waits until every unit is answered. rows > 0 merges the
+// replies into one result of at most rows pairs (see pendingOp). No
+// commands means nothing to wait for.
+func (e *Engine) call(ctx context.Context, want, rows int, cmds []command.Command) (*pendingOp, error) {
 	if len(cmds) == 0 {
 		return &pendingOp{}, nil
 	}
-	tag, p, err := e.newPending(want)
+	tag, p, err := e.newPending(want, rows)
 	if err != nil {
 		return nil, err
 	}
@@ -148,45 +201,117 @@ func (e *Engine) index(what string, id routing.ObjectID) (*objectMeta, error) {
 	return meta, nil
 }
 
+// callScratch is the per-call working memory of pointCall, pooled across
+// calls: the batch's keys, their owners, the per-AEU key counts, and the
+// commands with the owner-grouped keys or pairs they carry. Nothing of it
+// outlives the call, because Inject copies each command into the inbox.
+type callScratch struct {
+	keys   []uint64
+	owners []uint32
+	counts []int
+	cmds   []command.Command
+	keyBuf []uint64
+	kvBuf  []prefixtree.KV
+}
+
+// callScratchPool holds *callScratch for every engine. It is a package
+// variable on purpose: the runtime keeps each used sync.Pool reachable
+// until two collections after its last use, and a pool inside Engine
+// would keep a closed engine, with all its partitions, alive that long.
+// Only scratch of batches up to maxPooledKeys returns to it, so a bulk
+// load's buffers are not kept after the load.
+var callScratchPool sync.Pool
+
+const maxPooledKeys = 1024
+
+// grow returns s resized to n elements, reallocating only when n exceeds
+// its capacity.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // pointCall is the one path of the point operations: validate the batch
 // against index id, split it by owner (the client does its own
 // routing-table lookup) and run one command per owner as a single call.
-// keys carries a lookup or delete batch, kvs an upsert batch.
+// keys carries a lookup or delete batch, kvs an upsert batch. The owners
+// come from one pass over the partition table, and each owner's command
+// keeps the batch's order, so a sorted batch yields one ascending run per
+// owner. Lookups merge their replies into a result of at most len(keys)
+// pairs.
 func (e *Engine) pointCall(ctx context.Context, what string, op command.Op, id routing.ObjectID, keys []uint64, kvs []prefixtree.KV) (*pendingOp, error) {
 	meta, err := e.index(what, id)
 	if err != nil {
 		return nil, err
 	}
-	n := len(keys)
-	if op == command.OpUpsert {
-		n = len(kvs)
+	sc, _ := callScratchPool.Get().(*callScratch)
+	if sc == nil {
+		sc = new(callScratch)
 	}
-	var cmds []command.Command
-	at := map[uint32]int{} // owner -> its command in cmds
-	for i := 0; i < n; i++ {
-		var key uint64
-		if op == command.OpUpsert {
-			key = kvs[i].Key
-		} else {
-			key = keys[i]
+	if len(keys)+len(kvs) <= maxPooledKeys {
+		defer callScratchPool.Put(sc)
+	}
+	upsert := op == command.OpUpsert
+	if upsert {
+		sc.keys = sc.keys[:0]
+		for _, kv := range kvs {
+			sc.keys = append(sc.keys, kv.Key)
 		}
+		keys = sc.keys
+	}
+	for _, key := range keys {
 		if key >= meta.domain {
 			return nil, fmt.Errorf("core: key %d outside domain %d", key, meta.domain)
 		}
-		o := e.router.Owner(id, key)
-		j, ok := at[o]
-		if !ok {
-			j = len(cmds)
-			at[o] = j
-			cmds = append(cmds, command.Command{Op: op, Object: uint32(id), Source: o})
-		}
-		if op == command.OpUpsert {
-			cmds[j].KVs = append(cmds[j].KVs, kvs[i])
-		} else {
-			cmds[j].Keys = append(cmds[j].Keys, key)
-		}
 	}
-	return e.call(ctx, n, cmds)
+	n := len(keys)
+	sc.owners = grow(sc.owners, n)
+	e.router.OwnersSorted(id, keys, sc.owners)
+
+	// Count the keys per owner, lay the owners' runs out back to back in
+	// AEU order, then place each key at its owner's cursor.
+	counts := grow(sc.counts, len(e.aeus))
+	clear(counts)
+	for _, o := range sc.owners {
+		counts[o]++
+	}
+	if upsert {
+		sc.kvBuf = grow(sc.kvBuf, n)
+	} else {
+		sc.keyBuf = grow(sc.keyBuf, n)
+	}
+	cmds := sc.cmds[:0]
+	off := 0
+	for a, c := range counts {
+		if c == 0 {
+			continue
+		}
+		cmd := command.Command{Op: op, Object: uint32(id), Source: uint32(a)}
+		if upsert {
+			cmd.KVs = sc.kvBuf[off : off+c]
+		} else {
+			cmd.Keys = sc.keyBuf[off : off+c]
+		}
+		cmds = append(cmds, cmd)
+		counts[a] = off
+		off += c
+	}
+	for i, o := range sc.owners {
+		if upsert {
+			sc.kvBuf[counts[o]] = kvs[i]
+		} else {
+			sc.keyBuf[counts[o]] = keys[i]
+		}
+		counts[o]++
+	}
+	sc.counts, sc.cmds = counts, cmds
+	rows := 0
+	if op == command.OpLookup {
+		rows = n
+	}
+	return e.call(ctx, n, rows, cmds)
 }
 
 // LookupCtx synchronously looks up keys in an index object and returns the
@@ -198,10 +323,16 @@ func (e *Engine) LookupCtx(ctx context.Context, id routing.ObjectID, keys []uint
 	if err != nil {
 		return nil, err
 	}
-	out := flatten(p.replies)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out, nil
+	// The merge leaves sorted batches sorted; unsorted batches, and
+	// forwarded pieces whose runs interleave, need the sort.
+	if !slices.IsSortedFunc(p.rows, compareKV) {
+		slices.SortFunc(p.rows, compareKV)
+	}
+	return p.rows, nil
 }
+
+// compareKV orders pairs by key.
+func compareKV(a, b prefixtree.KV) int { return cmp.Compare(a.Key, b.Key) }
 
 // UpsertCtx synchronously inserts or overwrites pairs in an index object;
 // ctx as in LookupCtx.
@@ -307,7 +438,7 @@ func (e *Engine) multicast(ctx context.Context, scan command.Command, targets []
 		cmds[i] = scan
 		cmds[i].Source = owner
 	}
-	return e.call(ctx, len(targets), cmds)
+	return e.call(ctx, len(targets), 0, cmds)
 }
 
 // scanOnce runs one aggregate scan fan-out and sums the {matched, sum}
@@ -354,7 +485,7 @@ func (e *Engine) ScanRangeCtx(ctx context.Context, id routing.ObjectID, lo, hi u
 // coversExactly reports whether the intervals tile [lo, hi] with no gap
 // and no overlap.
 func coversExactly(ivs []prefixtree.KV, lo, hi uint64) bool {
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].Key < ivs[j].Key })
+	slices.SortFunc(ivs, compareKV)
 	cur := lo
 	for i, iv := range ivs {
 		if iv.Key != cur || iv.Value > hi || iv.Value < iv.Key {
@@ -401,7 +532,7 @@ func (e *Engine) ScanRangeRowsCtx(ctx context.Context, id routing.ObjectID, lo, 
 		return nil, err
 	}
 	rows := flatten(p.replies)
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Key < rows[j].Key })
+	slices.SortFunc(rows, compareKV)
 	if len(rows) > limit {
 		rows = rows[:limit]
 	}
@@ -430,8 +561,5 @@ func (e *Engine) await(ctx context.Context, p *pendingOp, tag uint64) error {
 			return fmt.Errorf("core: client request %d: %w", tag, ErrDeadlineExceeded)
 		}
 		return ctx.Err()
-	case <-time.After(clientTimeout):
-		e.cancelPending(tag)
-		return fmt.Errorf("core: client request %d timed out", tag)
 	}
 }

@@ -106,6 +106,8 @@ type Engine struct {
 	nextTag      uint64
 	pending      map[uint64]*pendingOp
 	clientClosed bool
+	sweepStop    chan struct{}  // closed by failPending; ends sweepPending
+	sweeper      sync.WaitGroup // the sweepPending goroutine
 
 	timeline *aeu.Timeline
 }
@@ -363,6 +365,12 @@ func (e *Engine) Start() error {
 		}(a)
 	}
 	e.loopsUp.Store(true)
+	sweepStop := make(chan struct{})
+	e.clientMu.Lock()
+	e.sweepStop = sweepStop
+	e.clientMu.Unlock()
+	e.sweeper.Add(1)
+	go e.sweepPending(sweepStop)
 	if e.watched {
 		go e.balancer.Run()
 	}

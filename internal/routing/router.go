@@ -2,7 +2,9 @@ package routing
 
 import (
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 
 	"eris/internal/command"
 	"eris/internal/csbtree"
@@ -75,8 +77,11 @@ type Router struct {
 	// inbox, so no synchronization is needed.
 	drainDecs []command.Decoder
 
-	mu      sync.RWMutex
-	objects map[ObjectID]*object
+	// objects is the object table: an immutable map snapshot, read
+	// latch-free on every routed batch and replaced copy-on-write under
+	// regMu when an object registers.
+	regMu   sync.Mutex
+	objects atomic.Pointer[map[ObjectID]*object]
 }
 
 // New builds the routing layer for numAEUs workers.
@@ -97,11 +102,11 @@ func New(machine *numasim.Machine, mems *mem.System, numAEUs int, cfg Config) (*
 		numAEUs:       numAEUs,
 		metrics:       reg,
 		faults:        cfg.Faults,
-		objects:       make(map[ObjectID]*object),
 		corruptFrames: reg.Counter("routing.drain.corrupt_frames"),
 		unknownFrames: reg.Counter("routing.drain.unknown_frames"),
 		droppedBytes:  reg.Counter("routing.drain.dropped_bytes"),
 	}
+	r.objects.Store(&map[ObjectID]*object{})
 	topo := machine.Topology()
 	r.inboxes = make([]*Inbox, numAEUs)
 	r.outboxes = make([]*Outbox, numAEUs)
@@ -152,24 +157,27 @@ func (r *Router) RegisterRange(id ObjectID, entries []csbtree.Entry) error {
 	if err != nil {
 		return err
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.objects[id]; dup {
-		return fmt.Errorf("routing: object %d already registered", id)
-	}
-	r.objects[id] = &object{kind: RangePartitioned, ranged: rt}
-	return nil
+	return r.register(id, &object{kind: RangePartitioned, ranged: rt})
 }
 
 // RegisterSize registers a size-partitioned (scan-only) object held by the
 // given AEUs.
 func (r *Router) RegisterSize(id ObjectID, holders []uint32) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.objects[id]; dup {
+	return r.register(id, &object{kind: SizePartitioned, bitmap: NewBitmapTable(holders, r.numAEUs)})
+}
+
+// register publishes a copy of the object table with o added under id.
+// Readers keep the snapshot they loaded and never block.
+func (r *Router) register(id ObjectID, o *object) error {
+	r.regMu.Lock()
+	defer r.regMu.Unlock()
+	old := *r.objects.Load()
+	if _, dup := old[id]; dup {
 		return fmt.Errorf("routing: object %d already registered", id)
 	}
-	r.objects[id] = &object{kind: SizePartitioned, bitmap: NewBitmapTable(holders, r.numAEUs)}
+	next := maps.Clone(old)
+	next[id] = o
+	r.objects.Store(&next)
 	return nil
 }
 
@@ -178,9 +186,7 @@ func (r *Router) RegisterSize(id ObjectID, holders []uint32) error {
 //
 //eris:hotpath
 func (r *Router) object(id ObjectID) *object {
-	r.mu.RLock() //eris:allowblock read-mostly object table; write-locked only at registration time
-	o := r.objects[id]
-	r.mu.RUnlock()
+	o := (*r.objects.Load())[id]
 	if o == nil {
 		panic(fmt.Sprintf("routing: unknown object %d", id)) //eris:allowalloc allocates only on the panic path for an unregistered object; unreachable in a configured engine
 	}
@@ -193,6 +199,14 @@ func (r *Router) Kind(id ObjectID) TableKind { return r.object(id).kind }
 // Owner returns the AEU owning key in a range-partitioned object.
 func (r *Router) Owner(id ObjectID, key uint64) uint32 {
 	return r.object(id).ranged.Owner(key)
+}
+
+// OwnersSorted resolves the owners of a batch of keys of a range object in
+// one pass over its partition table (see RangeTable.OwnersSorted): one
+// descent and a linear merge for ascending keys, a fresh descent at each
+// key that breaks the order. owners must have at least len(keys) elements.
+func (r *Router) OwnersSorted(id ObjectID, keys []uint64, owners []uint32) {
+	r.object(id).ranged.OwnersSorted(keys, owners)
 }
 
 // OwnerEntries returns the current partitioning of a range object.

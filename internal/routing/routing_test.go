@@ -40,6 +40,73 @@ func uniformRanges(n int) []csbtree.Entry {
 	return entries
 }
 
+// TestRegisterWhileRouting registers objects while 4 goroutines resolve
+// owners of an existing one: the object table is read latch-free and
+// replaced copy-on-write, so readers never block and always see every
+// object registered before they started (run it under -race).
+func TestRegisterWhileRouting(t *testing.T) {
+	r := newRouter(t, 4, Config{})
+	if err := r.RegisterRange(1, uniformRanges(4)); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	errs := make(chan error, 4)
+	var readers sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			keys := []uint64{0, 1 << 18, 1 << 19, 3 << 18, 1<<20 - 1}
+			want := []uint32{0, 1, 2, 3, 3}
+			owners := make([]uint32, len(keys))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				r.OwnersSorted(1, keys, owners)
+				for i, o := range owners {
+					if o != want[i] {
+						errs <- fmt.Errorf("owner of %d = %d", keys[i], o)
+						return
+					}
+				}
+				if o := r.Owner(1, 1<<19); o != 2 {
+					errs <- fmt.Errorf("Owner(1<<19) = %d, want 2", o)
+					return
+				}
+			}
+		}()
+	}
+	for id := ObjectID(2); id < 66; id++ {
+		var err error
+		if id%2 == 0 {
+			err = r.RegisterRange(id, uniformRanges(4))
+		} else {
+			err = r.RegisterSize(id, []uint32{0, 1})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	readers.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for id := ObjectID(1); id < 66; id++ {
+		want := RangePartitioned
+		if id%2 == 1 && id > 1 {
+			want = SizePartitioned
+		}
+		if got := r.Kind(id); got != want {
+			t.Fatalf("object %d has kind %d, want %d", id, got, want)
+		}
+	}
+}
+
 func TestRegisterAndOwnership(t *testing.T) {
 	r := newRouter(t, 4, Config{})
 	if err := r.RegisterRange(1, uniformRanges(4)); err != nil {

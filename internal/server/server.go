@@ -1,14 +1,16 @@
 // Package server is the eriswire TCP serving layer: it exposes a running
 // engine (internal/core) over the length-prefixed binary protocol of
-// internal/wire. Each connection gets a reader and a writer goroutine;
-// requests decoded by the reader are dispatched to handler goroutines that
-// call the engine's synchronous batch API directly — the decoded key and
-// KV batches are handed to the engine as-is, never re-sliced — and each
-// completed handler queues its tagged response to the writer, so responses
-// leave in completion order, not arrival order. A per-connection in-flight
+// internal/wire. Each connection gets a reader and a writer goroutine, and
+// a pool of reused handler goroutines: the reader hands each decoded
+// request to an idle handler, starting a new one only when none is idle
+// (at most maxInFlight per connection; all exit with the connection). A
+// handler calls the engine's synchronous batch API directly — the decoded
+// key and KV batches are handed to the engine as-is, never re-sliced — and
+// queues its tagged response to the writer, so responses leave in
+// completion order, not arrival order. A per-connection in-flight
 // semaphore bounds concurrent handlers: when a client pipelines more than
-// maxInFlight requests, the reader simply stops reading and TCP backpressure
-// does the rest.
+// maxInFlight requests, the reader simply stops reading and TCP
+// backpressure does the rest.
 //
 // Shutdown is a graceful drain: stop accepting, stop reading, finish every
 // in-flight request, flush every queued response, then close. A write the
@@ -284,16 +286,30 @@ func (c *conn) handshake() error {
 	return nil
 }
 
+// request is one decoded request on its way from the reader to a handler.
+type request struct {
+	m                 wire.Msg
+	arrival, deadline time.Time
+}
+
 func (c *conn) readLoop() {
 	// The semaphore is the per-connection in-flight bound: acquired by the
 	// reader before dispatch, released when the handler finished encoding
 	// its response. A full semaphore stops the reader — backpressure.
 	sem := make(chan struct{}, maxInFlight)
+	// Handlers are reused: each loops over work until the connection ends,
+	// so its grown stack serves the next request too. The reader spawns a
+	// new one only when none waits on work, and never more than
+	// maxInFlight; with that many, one of them is free or about to be,
+	// because the reader holds a semaphore slot none of them does.
+	work := make(chan request)
+	defer close(work)
+	handlers := 0
 	var buf []byte
 	for {
-		var m wire.Msg
+		var r request
 		var err error
-		if buf, err = wire.ReadMsgV(c.nc, &m, buf, wire.Version); err != nil {
+		if buf, err = wire.ReadMsgV(c.nc, &r.m, buf, wire.Version); err != nil {
 			// EOF and the drain deadline are normal ends; a frame the
 			// codec rejected means the peer is corrupt — kill the
 			// connection rather than resynchronize on a byte stream.
@@ -305,12 +321,11 @@ func (c *conn) readLoop() {
 		}
 		// The request's absolute deadline: the wire field is relative to
 		// leaving the client, so its clock never needs to agree with ours.
-		arrival := time.Now()
-		var deadline time.Time
-		if m.DeadlineUS > 0 {
-			deadline = arrival.Add(time.Duration(m.DeadlineUS) * time.Microsecond)
+		r.arrival = time.Now()
+		if r.m.DeadlineUS > 0 {
+			r.deadline = r.arrival.Add(time.Duration(r.m.DeadlineUS) * time.Microsecond)
 		} else if c.s.opts.DefaultDeadline > 0 {
-			deadline = arrival.Add(c.s.opts.DefaultDeadline)
+			r.deadline = r.arrival.Add(c.s.opts.DefaultDeadline)
 		}
 		select {
 		case sem <- struct{}{}:
@@ -318,12 +333,28 @@ func (c *conn) readLoop() {
 			return
 		}
 		c.s.requests.Inc()
+		select {
+		case work <- r:
+			continue
+		default:
+		}
+		if handlers == maxInFlight {
+			work <- r
+			continue
+		}
+		handlers++
 		c.handlers.Add(1)
-		go func(m wire.Msg) {
-			defer c.handlers.Done()
-			defer func() { <-sem }()
-			c.handle(&m, arrival, deadline)
-		}(m)
+		go c.handleLoop(r, work, sem)
+	}
+}
+
+// handleLoop is one reused handler goroutine: it handles first, then every
+// request it receives on work until the reader closes it.
+func (c *conn) handleLoop(first request, work <-chan request, sem <-chan struct{}) {
+	defer c.handlers.Done()
+	for r, ok := first, true; ok; r, ok = <-work {
+		c.handle(&r.m, r.arrival, r.deadline)
+		<-sem
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -461,5 +462,57 @@ func TestPoolPipelines(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestPipelinedConnLeavesNoHandlers pipelines 64 lookups on one raw
+// connection, reads every answer, pipelines 64 more and closes without
+// reading them. The connection's handler goroutines are reused — at most
+// maxInFlight (64) of them beside its reader and writer — and every one of
+// them must be gone once the connection ends.
+func TestPipelinedConnLeavesNoHandlers(t *testing.T) {
+	_, _, addr := startServer(t, 2, 0, false)
+	before := runtime.NumGoroutine()
+	nc := dialRaw(t, addr)
+	pipeline := func(base uint64) {
+		var frames []byte
+		for i := uint64(0); i < 64; i++ {
+			req := wire.Msg{Type: wire.TLookup, Tag: base + i, Object: uint32(idxObj), Keys: []uint64{i, i + 2048}}
+			var err error
+			if frames, err = wire.AppendFrameV(frames, &req, wire.Version); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := nc.Write(frames); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pipeline(1)
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var buf []byte
+	for i := 0; i < 64; i++ {
+		var resp wire.Msg
+		var err error
+		if buf, err = wire.ReadMsgV(nc, &resp, buf, wire.Version); err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		if resp.Type != wire.TResult || len(resp.KVs) != 2 {
+			t.Fatalf("response %d = %+v", i, resp)
+		}
+	}
+	// Reader, writer and at least one handler now wait for more.
+	if n := runtime.NumGoroutine() - before; n < 3 || n > 2+64 {
+		t.Fatalf("%d goroutines serve one connection, want 3..66", n)
+	}
+	pipeline(65)
+	nc.Close()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before the connection, %d after it closed",
+				before, runtime.NumGoroutine())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -122,8 +122,9 @@ func TestModelOracle(t *testing.T) {
 					want = append(want, KV{Key: k, Value: v})
 				}
 			}
+			// Lookup returns its rows sorted by key, so got is compared
+			// as it came back.
 			sort.Slice(want, func(i, j int) bool { return want[i].Key < want[j].Key })
-			sort.Slice(got, func(i, j int) bool { return got[i].Key < got[j].Key })
 			if len(got) != len(want) {
 				t.Fatalf("step %d: lookup(%v) = %d rows, oracle %d\n got %v\nwant %v",
 					step, keys, len(got), len(want), got, want)
@@ -182,5 +183,70 @@ func TestModelOracle(t *testing.T) {
 	}
 	if err := db.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after oracle run: %v", err)
+	}
+}
+
+// TestLookupRowsSortedByKey checks Lookup's order contract on its own: on 4
+// workers every batch spans every owner, so the replies arrive in
+// completion order, and the rows must still come back sorted by key —
+// for sorted, unsorted and duplicate-key batches, with some keys missing.
+func TestLookupRowsSortedByKey(t *testing.T) {
+	const domain = 1 << 12
+	db, err := Open(Options{Machine: "single", Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	idx, err := db.CreateIndex("kv", domain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// Odd keys only, so about half of every batch misses.
+	for lo := uint64(1); lo < domain; lo += 512 {
+		kvs := make([]KV, 0, 256)
+		for k := lo; k < lo+512; k += 2 {
+			kvs = append(kvs, KV{Key: k, Value: k * 3})
+		}
+		if err := idx.Upsert(kvs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 300; round++ {
+		keys := make([]uint64, 64)
+		for i := range keys {
+			// One key per 64th of the domain: every owner is hit.
+			keys[i] = uint64(i)*(domain/64) + uint64(rng.Intn(domain/64))
+		}
+		switch round % 3 {
+		case 1: // unsorted
+			rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+		case 2: // duplicates, unsorted
+			for i := 0; i < 16; i++ {
+				keys[rng.Intn(len(keys))] = keys[rng.Intn(len(keys))]
+			}
+		}
+		got, err := idx.Lookup(keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []KV
+		for _, k := range keys {
+			if k%2 == 1 {
+				want = append(want, KV{Key: k, Value: k * 3})
+			}
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i].Key < want[j].Key })
+		if len(got) != len(want) {
+			t.Fatalf("round %d: lookup(%v) = %d rows, want %d", round, keys, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("round %d: row %d = %+v, want %+v (rows %v)", round, i, got[i], want[i], got)
+			}
+		}
 	}
 }
