@@ -10,7 +10,9 @@ import (
 )
 
 // treeConfig64 is the index shape shared by all experiments: the paper's
-// 64-bit keys with 8-bit prefix length (eight tree levels).
+// 64-bit keys with 8-bit prefix length (eight tree levels). It is explicit
+// because an engine left at KeyBits 0 fits each tree to its domain, which
+// would move the figures' cost model.
 func treeConfig64() prefixtree.Config {
 	return prefixtree.Config{KeyBits: 64, PrefixBits: 8}
 }

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"eris/internal/core"
+	"eris/internal/topology"
 )
 
 func TestTableFormatting(t *testing.T) {
@@ -127,4 +130,25 @@ func mustFloat(t *testing.T, s string) float64 {
 		t.Fatalf("parse %q: %v", s, err)
 	}
 	return v
+}
+
+// TestFigureRunsUse64BitTrees pins the experiments' index shape: an engine
+// built from engineConfig keeps 64-bit keys (eight levels) instead of
+// fitting its trees to the domain, so the figures' cost model does not move.
+func TestFigureRunsUse64BitTrees(t *testing.T) {
+	if got := treeConfig64(); got.KeyBits != 64 || got.PrefixBits != 8 {
+		t.Fatalf("treeConfig64() = %+v", got)
+	}
+	e, err := core.New(setup{Topo: topology.SingleNode(2)}.engineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop()
+	if err := e.CreateIndex(benchObj, 4<<20); err != nil {
+		t.Fatal(err)
+	}
+	cfg := e.AEUs()[0].Partition(benchObj).Tree.Store().Config()
+	if cfg.KeyBits != 64 || cfg.KeyBits/cfg.PrefixBits != 8 {
+		t.Fatalf("figure engine built a %d-bit tree of %d levels, want 64 bits and 8", cfg.KeyBits, cfg.KeyBits/cfg.PrefixBits)
+	}
 }

@@ -10,7 +10,6 @@ import (
 	"eris/internal/hwcounter"
 	"eris/internal/mem"
 	"eris/internal/numasim"
-	"eris/internal/prefixtree"
 	"eris/internal/routing"
 	"eris/internal/shared"
 	"eris/internal/topology"
@@ -43,7 +42,7 @@ func (s setup) engineConfig() core.Config {
 			OutBufBytes: s.OutBuf, InBufBytes: s.InBuf, FlushOverlap: s.FlushOlap,
 		},
 		AEU:  aeu.Config{SkewWindowNS: 1e6, NoCoalesce: s.NoCoalesce},
-		Tree: prefixtree.Config{KeyBits: 64, PrefixBits: 8},
+		Tree: treeConfig64(),
 	}
 }
 
@@ -209,7 +208,7 @@ func sharedLookupRun(topo *topology.Topology, workers int, cacheScale float64, d
 	if err != nil {
 		return hwcounter.Report{}, err
 	}
-	ix, err := shared.NewIndex(m, mems, prefixtree.Config{KeyBits: 64, PrefixBits: 8}, shared.Interleaved, 0)
+	ix, err := shared.NewIndex(m, mems, treeConfig64(), shared.Interleaved, 0)
 	if err != nil {
 		return hwcounter.Report{}, err
 	}
@@ -225,7 +224,7 @@ func sharedUpsertRun(topo *topology.Topology, workers int, cacheScale float64, d
 	if err != nil {
 		return hwcounter.Report{}, err
 	}
-	ix, err := shared.NewIndex(m, mems, prefixtree.Config{KeyBits: 64, PrefixBits: 8}, shared.Interleaved, 0)
+	ix, err := shared.NewIndex(m, mems, treeConfig64(), shared.Interleaved, 0)
 	if err != nil {
 		return hwcounter.Report{}, err
 	}

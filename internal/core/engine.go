@@ -43,7 +43,10 @@ type Config struct {
 	Routing routing.Config
 	// AEU tunes the worker loop.
 	AEU aeu.Config
-	// Tree shapes index objects. KeyBits should cover the largest domain.
+	// Tree shapes index objects. Left at zero, KeyBits is fitted to each
+	// index's domain (prefixtree.Config.ForDomain), so a tree is only as
+	// tall as its keys need; an explicit KeyBits applies to every index and
+	// must cover the largest domain.
 	Tree prefixtree.Config
 	// Column shapes column objects.
 	Column colstore.Config
@@ -213,7 +216,8 @@ func (e *Engine) Faults() *faults.Injector { return e.faults }
 func (e *Engine) NumAEUs() int { return len(e.aeus) }
 
 // CreateIndex declares a range-partitioned prefix-tree index over the key
-// domain [0, domain), split uniformly over all AEUs.
+// domain [0, domain), split uniformly over all AEUs. Its trees are fitted to
+// the domain unless Config.Tree sets KeyBits.
 func (e *Engine) CreateIndex(id routing.ObjectID, domain uint64) error {
 	if e.started {
 		return fmt.Errorf("core: DDL after Start")
@@ -224,9 +228,9 @@ func (e *Engine) CreateIndex(id routing.ObjectID, domain uint64) error {
 	if domain < uint64(len(e.aeus)) {
 		return fmt.Errorf("core: domain %d smaller than AEU count %d", domain, len(e.aeus))
 	}
-	maxKey := e.treeConfigMaxKey()
-	if domain-1 > maxKey {
-		return fmt.Errorf("core: domain %d exceeds the configured %d-bit key space", domain, e.cfg.Tree.KeyBits)
+	tcfg := e.cfg.Tree.ForDomain(domain)
+	if tcfg.KeyBits < 64 && domain-1 >= 1<<uint(tcfg.KeyBits) {
+		return fmt.Errorf("core: domain %d exceeds the configured %d-bit key space", domain, tcfg.KeyBits)
 	}
 	meta := &objectMeta{
 		id: id, kind: routing.RangePartitioned, domain: domain,
@@ -239,7 +243,7 @@ func (e *Engine) CreateIndex(id routing.ObjectID, domain uint64) error {
 		store := meta.store[a.Node]
 		if store == nil {
 			var err error
-			store, err = prefixtree.NewStore(e.machine, e.mems.Node(a.Node), e.cfg.Tree)
+			store, err = prefixtree.NewStore(e.machine, e.mems.Node(a.Node), tcfg)
 			if err != nil {
 				return err
 			}
@@ -261,17 +265,6 @@ func (e *Engine) CreateIndex(id routing.ObjectID, domain uint64) error {
 	}
 	e.objects[id] = meta
 	return nil
-}
-
-func (e *Engine) treeConfigMaxKey() uint64 {
-	bits := e.cfg.Tree.KeyBits
-	if bits == 0 {
-		bits = 64
-	}
-	if bits == 64 {
-		return ^uint64(0)
-	}
-	return 1<<uint(bits) - 1
 }
 
 // CreateColumn declares a size-partitioned column object with one partition

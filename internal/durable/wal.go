@@ -99,7 +99,11 @@ type Log struct {
 	notify atomic.Pointer[func()]
 
 	wake chan struct{}
-	done chan struct{}
+	// hurry ends a commit group the writer is gathering (see
+	// asyncGroupWindow), so that no caller waiting on the writer waits
+	// out the window.
+	hurry chan struct{}
+	done  chan struct{}
 
 	// Writer-goroutine state (no locking needed beyond the queue swap).
 	file       *os.File
@@ -111,11 +115,12 @@ type Log struct {
 
 func newLog(mgr *Manager, id, startGen int) *Log {
 	l := &Log{
-		mgr:  mgr,
-		id:   id,
-		gen:  startGen,
-		wake: make(chan struct{}, 1),
-		done: make(chan struct{}),
+		mgr:   mgr,
+		id:    id,
+		gen:   startGen,
+		wake:  make(chan struct{}, 1),
+		hurry: make(chan struct{}, 1),
+		done:  make(chan struct{}),
 	}
 	go l.writer()
 	return l
@@ -283,10 +288,7 @@ func (l *Log) Rotate() (stamp uint64, gen int) {
 	}
 	l.gen++
 	l.mu.Unlock()
-	select {
-	case l.wake <- struct{}{}:
-	default:
-	}
+	l.hurryWriter()
 	return stamp, gen
 }
 
@@ -296,10 +298,7 @@ func (l *Log) Flush(timeout time.Duration) error {
 	l.mu.Lock() //eris:allowblock Flush runs off the steady-state loop: AEUs call it once at shutdown (flushDurableAcks)
 	want := l.lastSeq
 	l.mu.Unlock()
-	select {
-	case l.wake <- struct{}{}:
-	default:
-	}
+	l.hurryWriter()
 	deadline := time.Now().Add(timeout)
 	for l.durable.Load() < want {
 		l.mu.Lock() //eris:allowblock Flush runs off the steady-state loop: AEUs call it once at shutdown (flushDurableAcks)
@@ -326,10 +325,7 @@ func (l *Log) close() {
 	}
 	l.closed = true
 	l.mu.Unlock()
-	select {
-	case l.wake <- struct{}{}:
-	default:
-	}
+	l.hurryWriter()
 	<-l.done
 }
 
@@ -347,10 +343,7 @@ func (l *Log) crash() {
 	l.queue = nil
 	l.cur = nil
 	l.mu.Unlock()
-	select {
-	case l.wake <- struct{}{}:
-	default:
-	}
+	l.hurryWriter()
 	<-l.done
 }
 
@@ -391,13 +384,43 @@ func (l *Log) recycle(segs []*segment) {
 	l.mu.Unlock()
 }
 
+// asyncGroupWindow is how long the writer of a log without SyncWrites lets
+// records gather after a wake-up before it writes them as one group: it
+// bounds the extra commit group a crash can lose. Rotate, Flush, close and
+// crash cut the window short.
+const asyncGroupWindow = 200 * time.Microsecond
+
+// hurryWriter wakes the writer and ends a commit group it is gathering.
+func (l *Log) hurryWriter() {
+	select {
+	case l.hurry <- struct{}{}:
+	default:
+	}
+	select {
+	case l.wake <- struct{}{}:
+	default:
+	}
+}
+
 // writer is the group-commit goroutine: it batches whatever accumulated
 // since the last round, writes it, fsyncs once, and publishes the covered
 // sequence number. One fsync covers every record of the batch — the group.
 func (l *Log) writer() {
 	defer close(l.done)
+	window := time.NewTimer(asyncGroupWindow)
+	window.Stop()
 	for {
 		<-l.wake
+		if !l.mgr.syncWrites {
+			// No ack waits on this log: let a commit group gather
+			// instead of paying a write and an fsync per record.
+			window.Reset(asyncGroupWindow)
+			select {
+			case <-window.C:
+			case <-l.hurry:
+				window.Stop()
+			}
+		}
 		for {
 			segs, closed, crashed := l.take()
 			if crashed {

@@ -23,6 +23,7 @@ package prefixtree
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -34,7 +35,7 @@ import (
 // Config shapes a tree.
 type Config struct {
 	// KeyBits is the width of the key domain (keys must fit in KeyBits
-	// bits). Default 64.
+	// bits). Default 64; ForDomain fits an unset width to a key domain.
 	KeyBits int
 	// PrefixBits is the span of one tree level (the paper's default is 8,
 	// i.e. fanout 256). Must divide KeyBits and be one of 2, 4, 8.
@@ -55,6 +56,20 @@ func (c Config) withDefaults() Config {
 	if c.PrefixBits == 0 {
 		c.PrefixBits = 8
 	}
+	return c
+}
+
+// ForDomain returns c with an unset KeyBits fitted to the key domain
+// [0, domain): the smallest multiple of PrefixBits that holds domain-1. A
+// tree's height is KeyBits/PrefixBits, so an index over 4 Mi keys descends
+// 3 levels instead of the 8 of a 64-bit tree, whose top levels would be
+// single-child nodes. An explicit KeyBits is returned unchanged.
+func (c Config) ForDomain(domain uint64) Config {
+	if c.KeyBits != 0 {
+		return c
+	}
+	p := c.withDefaults().PrefixBits
+	c.KeyBits = max(p, (bits.Len64(domain-1)+p-1)/p*p)
 	return c
 }
 

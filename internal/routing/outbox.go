@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"eris/internal/colstore"
@@ -431,13 +432,24 @@ func (o *Outbox) Stats() OutboxStats {
 // the outbox pre-buffering. The engine's client API and the load balancer
 // use it: both are control-plane paths without a core of their own, so no
 // virtual time is charged. The inbox protocol makes this safe from any
-// goroutine.
+// goroutine. The frame is encoded into a pooled buffer, which Append
+// copies; frames larger than injectPoolMax (bulk loads) are not kept.
 func (r *Router) Inject(aeu uint32, cmd *command.Command) {
-	buf := make([]byte, 0, 1+cmd.EncodedSize())
-	buf = append(buf, kindCmd)
+	bp := injectBufs.Get().(*[]byte)
+	buf := append((*bp)[:0], kindCmd)
 	buf = cmd.AppendEncode(buf)
 	r.inboxes[aeu].Append(buf)
+	if cap(buf) <= injectPoolMax {
+		*bp = buf
+		injectBufs.Put(bp)
+	}
 }
+
+// injectBufs recycles Inject's frame buffers; injectPoolMax bounds the
+// buffers it keeps.
+var injectBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const injectPoolMax = 16 << 10
 
 // Drain swaps the AEU's inbox and decodes every routed command, resolving
 // multicast references by pulling the command from the source AEU's

@@ -1,21 +1,26 @@
 // Package server is the eriswire TCP serving layer: it exposes a running
 // engine (internal/core) over the length-prefixed binary protocol of
-// internal/wire. Each connection gets a reader and a writer goroutine, and
-// a pool of reused handler goroutines: the reader hands each decoded
+// internal/wire. Each connection gets a reader goroutine, which reads
+// through a bufio.Reader (one read syscall per buffer, not two per frame),
+// and a pool of reused handler goroutines: the reader hands each decoded
 // request to an idle handler, starting a new one only when none is idle
 // (at most maxInFlight per connection; all exit with the connection). A
 // handler calls the engine's synchronous batch API directly — the decoded
 // key and KV batches are handed to the engine as-is, never re-sliced — and
-// queues its tagged response to the writer, so responses leave in
-// completion order, not arrival order. A per-connection in-flight
+// writes its tagged response itself, so responses leave in completion
+// order, not arrival order. There is no writer goroutine: a handler encodes
+// its response into the connection's write buffer under a write mutex,
+// and the last of a burst of concurrent writers sends the buffer, so
+// pipelined responses still leave in one write. A per-connection in-flight
 // semaphore bounds concurrent handlers: when a client pipelines more than
 // maxInFlight requests, the reader simply stops reading and TCP
 // backpressure does the rest.
 //
 // Shutdown is a graceful drain: stop accepting, stop reading, finish every
-// in-flight request, flush every queued response, then close. A write the
-// server has acknowledged is therefore durable in the engine — clients may
-// lose unanswered requests on shutdown, never acked ones.
+// in-flight request (each has sent its response when it finishes), then
+// close. A write the server has acknowledged is therefore durable in the
+// engine — clients may lose unanswered requests on shutdown, never acked
+// ones.
 package server
 
 import (
@@ -25,6 +30,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"eris/internal/core"
@@ -34,11 +40,15 @@ import (
 	"eris/internal/wire"
 )
 
-// maxInFlight bounds the requests one connection may have executing, and
-// the encoded responses queued for its writer. Beyond it the connection's
-// reader stalls, pushing back on the client through TCP flow control, so
-// a peer that writes without reading cannot pile up responses.
+// maxInFlight bounds the requests one connection may have executing or
+// writing. Beyond it the connection's reader stalls, pushing back on the
+// client through TCP flow control, so a peer that writes without reading
+// cannot pile up responses.
 const maxInFlight = 64
+
+// maxKeptWriteBuf bounds the write buffer a connection keeps between
+// bursts; a larger one (a big scan answer) is dropped after it is sent.
+const maxKeptWriteBuf = 64 << 10
 
 // Options tunes the serving layer.
 type Options struct {
@@ -155,11 +165,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return // listener closed (drain) or fatal
 		}
-		c := &conn{
-			s: s, nc: nc,
-			out:     make(chan []byte, maxInFlight),
-			aborted: make(chan struct{}),
-		}
+		c := &conn{s: s, nc: nc, br: bufio.NewReader(nc), aborted: make(chan struct{})}
 		s.mu.Lock()
 		if s.draining {
 			s.mu.Unlock()
@@ -215,10 +221,16 @@ func (s *Server) removeConn(c *conn) {
 type conn struct {
 	s  *Server
 	nc net.Conn
-	// out carries encoded response frames from handlers to the writer.
-	// The reader closes it only after every handler finished, so a send
-	// from a handler can never hit a closed channel.
-	out      chan []byte
+	br *bufio.Reader // the handshake and readLoop read through it
+
+	// The write side (see send): writers counts the handlers inside send,
+	// wmu guards wbuf (frames not yet sent) and wfailed (a write failed,
+	// so the peer is gone and later frames are dropped).
+	writers atomic.Int32
+	wmu     sync.Mutex
+	wbuf    []byte
+	wfailed bool
+
 	handlers sync.WaitGroup
 	aborted  chan struct{} // closed by abort(); unblocks queued handlers
 	abortOne sync.Once
@@ -244,9 +256,6 @@ func (c *conn) serve() {
 	defer c.s.connWG.Done()
 	defer c.s.removeConn(c)
 
-	writerDone := make(chan struct{})
-	go c.writeLoop(writerDone)
-
 	if err := c.handshake(); err != nil {
 		c.s.badFrames.Inc()
 		c.abort()
@@ -254,10 +263,8 @@ func (c *conn) serve() {
 		c.readLoop()
 	}
 	// Reader is done (EOF, error, or drain): let in-flight handlers finish
-	// and the writer flush their responses, then close the socket.
+	// (each has sent its response by then), then close the socket.
 	c.handlers.Wait()
-	close(c.out)
-	<-writerDone
 	c.nc.Close()
 }
 
@@ -267,7 +274,7 @@ func (c *conn) serve() {
 func (c *conn) handshake() error {
 	c.nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	var m wire.Msg
-	if _, err := wire.ReadMsgV(c.nc, &m, nil, wire.Version); err != nil {
+	if _, err := wire.ReadMsgV(c.br, &m, nil, wire.Version); err != nil {
 		return err
 	}
 	c.nc.SetReadDeadline(time.Time{})
@@ -278,11 +285,7 @@ func (c *conn) handshake() error {
 		return wire.ErrVersion
 	}
 	welcome := wire.Msg{Type: wire.TWelcome, Version: wire.Version, Objects: c.s.objects}
-	frame, err := wire.AppendFrameV(nil, &welcome, wire.Version)
-	if err != nil {
-		return err
-	}
-	c.out <- frame
+	c.send(&welcome)
 	return nil
 }
 
@@ -309,7 +312,7 @@ func (c *conn) readLoop() {
 	for {
 		var r request
 		var err error
-		if buf, err = wire.ReadMsgV(c.nc, &r.m, buf, wire.Version); err != nil {
+		if buf, err = wire.ReadMsgV(c.br, &r.m, buf, wire.Version); err != nil {
 			// EOF and the drain deadline are normal ends; a frame the
 			// codec rejected means the peer is corrupt — kill the
 			// connection rather than resynchronize on a byte stream.
@@ -367,7 +370,7 @@ func isProtocolErr(err error) bool {
 }
 
 // handle admits one request against the global budget, executes it, and
-// queues the tagged response. Oversized, shed or expired requests are
+// sends the tagged response. Oversized, shed or expired requests are
 // answered with their reject code without ever touching the engine.
 func (c *conn) handle(m *wire.Msg, arrival time.Time, deadline time.Time) {
 	var resp wire.Msg
@@ -388,15 +391,48 @@ func (c *conn) handle(m *wire.Msg, arrival time.Time, deadline time.Time) {
 		c.abort()
 		return
 	}
-	frame, err := wire.AppendFrameV(nil, &resp, wire.Version)
-	if err != nil {
-		errMsg := wire.Msg{Type: wire.TError, Tag: m.Tag, Err: err.Error()}
-		frame, _ = wire.AppendFrameV(nil, &errMsg, wire.Version)
+	c.send(&resp)
+	c.s.responses.Inc()
+}
+
+// send encodes m onto the connection's write buffer and, when no other
+// handler is inside send, writes the buffer out. A handler bumps writers
+// before it queues on wmu and drops it under wmu after appending, so a
+// handler that sees a non-zero count after its own decrement leaves its
+// frame to a writer still to come, which sends it with its own: pipelined
+// responses leave in one write, and the last writer of a burst never
+// finds the buffer holding someone else's unsent frame without sending it.
+// A write blocked on a peer that does not read holds wmu, so the other
+// handlers, their semaphore slots and the reader all stall: the same
+// backpressure a bounded queue to a writer goroutine gave. abort closes
+// the socket, which fails the blocked write and frees them.
+func (c *conn) send(m *wire.Msg) {
+	c.writers.Add(1)
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if c.s.opts.Faults.Should(faults.SlowWrite) {
+		c.s.slowWrites.Inc()
+		time.Sleep(slowWriteDelay)
 	}
-	select {
-	case c.out <- frame:
-		c.s.responses.Inc()
-	case <-c.aborted:
+	if !c.wfailed {
+		n := len(c.wbuf)
+		buf, err := wire.AppendFrameV(c.wbuf, m, wire.Version)
+		if err != nil {
+			errMsg := wire.Msg{Type: wire.TError, Tag: m.Tag, Err: err.Error()}
+			buf, _ = wire.AppendFrameV(buf[:n], &errMsg, wire.Version)
+		}
+		c.wbuf = buf
+	}
+	if c.writers.Add(-1) > 0 || len(c.wbuf) == 0 {
+		return
+	}
+	if _, err := c.nc.Write(c.wbuf); err != nil {
+		// The peer is gone: drop this and every later frame.
+		c.wfailed = true
+	}
+	c.wbuf = c.wbuf[:0]
+	if cap(c.wbuf) > maxKeptWriteBuf {
+		c.wbuf = nil
 	}
 }
 
@@ -474,30 +510,4 @@ func rejectCode(err error) uint8 {
 		return wire.CodeDeadlineExceeded
 	}
 	return wire.CodeForErr(err)
-}
-
-// writeLoop owns the socket's write side: it serializes queued response
-// frames, flushing whenever the queue runs empty, and exits when out is
-// closed and drained.
-func (c *conn) writeLoop(done chan<- struct{}) {
-	defer close(done)
-	bw := bufio.NewWriter(c.nc)
-	for frame := range c.out {
-		if c.s.opts.Faults.Should(faults.SlowWrite) {
-			c.s.slowWrites.Inc()
-			time.Sleep(slowWriteDelay)
-		}
-		_, err := bw.Write(frame)
-		if err == nil && len(c.out) == 0 {
-			err = bw.Flush()
-		}
-		if err != nil {
-			// Peer is gone; keep draining out so handlers never block on a
-			// dead connection.
-			for range c.out {
-			}
-			return
-		}
-	}
-	bw.Flush()
 }

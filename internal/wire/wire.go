@@ -468,12 +468,18 @@ func decodeKVs(rest []byte) []prefixtree.KV {
 
 // ReadFrame reads one length-prefixed frame payload from r into buf
 // (growing it as needed) and returns the payload slice, which aliases buf.
+// The length prefix is read into buf too: a local array would escape
+// through r, one allocation per frame. Readers on a socket should pass a
+// bufio.Reader, so that a frame costs no read syscall of its own.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4, 512)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, buf, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
+	n := int(binary.LittleEndian.Uint32(hdr))
 	if n > MaxFrame {
 		return nil, buf, ErrFrameSize
 	}
