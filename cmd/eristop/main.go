@@ -157,13 +157,15 @@ func printFrame(db *eris.DB, prev metrics.Snapshot, epoch interface {
 		delta.SumCounters("routing.outbox.", ".routed_keys"),
 		fmtBytes(delta.Counter("machine.link_bytes_total")),
 		fmtBytes(delta.Counter("machine.mc_bytes_total")))
-	scanned := delta.SumCounters("aeu.", ".colscan.blocks_scanned")
-	pruned := delta.SumCounters("aeu.", ".colscan.blocks_pruned")
-	fullHit := delta.SumCounters("aeu.", ".colscan.blocks_full_hit")
-	if scanned+pruned+fullHit > 0 {
-		fmt.Printf("colscan: +%d blocks scanned  +%d pruned  +%d full-hit (%.0f%% untouched)\n",
-			scanned, pruned, fullHit,
-			100*float64(pruned+fullHit)/float64(scanned+pruned+fullHit))
+	// blocks_scanned counts blocks streamed, once per pass however many
+	// scans shared it; pruned and full-hit count zone-map verdicts per scan.
+	passes := delta.SumCounters("aeu.", ".colscan.passes")
+	if passes > 0 {
+		fmt.Printf("colscan: +%d passes (+%d groups held for sharers)  +%d blocks streamed  +%d pruned  +%d full-hit (per scan)\n",
+			passes, delta.SumCounters("aeu.", ".colscan.holds"),
+			delta.SumCounters("aeu.", ".colscan.blocks_scanned"),
+			delta.SumCounters("aeu.", ".colscan.blocks_pruned"),
+			delta.SumCounters("aeu.", ".colscan.blocks_full_hit"))
 	}
 	if cycles := e.Balancer().Cycles(); len(cycles) > 0 {
 		last := cycles[len(cycles)-1]

@@ -6,7 +6,10 @@ package colstore
 // the whole domain). Clustered data is where zone-map pruning pays off;
 // uniform data measures the raw filter kernel with pruning defeated. The
 // shared/* sub-benchmarks time SharedScan, the pass that serves routed
-// column scans: one spec, and four specs of which two are identical.
+// column scans: one spec, and four specs of which two are identical. Their
+// 2 MiB column stays in the last-level cache; the uniform dram/* cases run
+// the same pass over 64 MiB, the memory-bound regime of a served column
+// partition, with one and with two distinct 10 % Between specs.
 //
 // Run with -benchmem: the scan path must not allocate
 // (TestSharedScanSteadyStateAllocs asserts it).
@@ -15,7 +18,10 @@ import (
 	"testing"
 )
 
-const benchEntries = 1 << 18 // 256 K values, 64 blocks of 4096
+const (
+	benchEntries = 1 << 18 // 256 K values, 64 blocks of 4096
+	dramEntries  = 8 << 20 // 8 Mi values, 64 MiB: far past any last-level cache
+)
 
 // benchColumn loads a column with benchEntries values. Clustered columns
 // hold value = position; uniform columns hold a hash of the position.
@@ -49,6 +55,14 @@ func uniformPred(frac float64) Predicate {
 	return Predicate{Op: Less, Operand: uint64(float64(1<<63) * frac * 2)}
 }
 
+// uniformBetween returns a Between predicate over the tenth of the u64
+// domain that starts at from (a fraction of the domain): on a uniform
+// column it matches about 10 %, like the benchmark ledger's column scans.
+func uniformBetween(from float64) Predicate {
+	lo := uint64(float64(1<<63) * from * 2)
+	return Predicate{Op: Between, Operand: lo, High: lo + uint64(float64(1<<63)*0.2)}
+}
+
 // benchShared times SharedScan passes over col, one spec per predicate.
 func benchShared(b *testing.B, col *Column, preds ...Predicate) {
 	specs := make([]ScanSpec, len(preds))
@@ -58,7 +72,7 @@ func benchShared(b *testing.B, col *Column, preds ...Predicate) {
 	aggs := make([]ScanAgg, len(specs))
 	var scratch ScanScratch
 	snap := col.Snapshot()
-	b.SetBytes(benchEntries * 8)
+	b.SetBytes(snap * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clear(aggs)
@@ -126,4 +140,19 @@ func BenchmarkColScanUniform(b *testing.B) {
 	b.Run("shared/4", func(b *testing.B) {
 		benchShared(b, col, uniformPred(0.1), uniformPred(0.1), uniformPred(0.01), uniformPred(0.5))
 	})
+	var dram *Column // loaded by the first dram case that runs
+	dramCol := func(b *testing.B) *Column {
+		if dram == nil {
+			f := newFixture(b)
+			dram = f.local(0, 4096)
+			chunk := hashed(1 << 16)
+			for n := 0; n < dramEntries; n += len(chunk) {
+				dram.Append(0, chunk)
+			}
+			b.ResetTimer()
+		}
+		return dram
+	}
+	b.Run("dram/1", func(b *testing.B) { benchShared(b, dramCol(b), uniformBetween(0.3)) })
+	b.Run("dram/2", func(b *testing.B) { benchShared(b, dramCol(b), uniformBetween(0.3), uniformBetween(0.6)) })
 }

@@ -186,7 +186,10 @@ func (in *Inbox) Wake() {
 }
 
 // Pending reports whether a Swap would return data. The owner calls it
-// between publishing the parked flag and blocking.
+// between publishing the parked flag and blocking, and after each column
+// scan pass (aeu.holdScans).
+//
+//eris:hotpath
 func (in *Inbox) Pending() bool {
 	return descOffset(in.desc[in.writable.Load()].Load()) > 0 || in.overflowed.Load()
 }
