@@ -165,6 +165,7 @@ func (a *AEU) handleFetch(c command.Command) {
 
 	t := transfer{obj: obj, epoch: c.Tag, from: a.ID, lo: f.Lo, hi: f.Hi, auth: true, src: p}
 	if p.Kind == routing.SizePartitioned {
+		a.runHeldScans(obj, p)
 		t.det = p.Col.DetachTail(a.Core, f.Tuples)
 	} else {
 		// The transfer is authoritative when this AEU's bounds covered the
@@ -259,6 +260,7 @@ func (a *AEU) receiveTransfers() {
 			}
 			p.Tree.RebuildFrom(a.Core, t.kvs)
 		case t.det != nil:
+			a.runHeldScans(t.obj, p)
 			if err := p.Col.LinkDetached(a.Core, a.Node, t.det); err != nil {
 				// Chunks live on another node: copy them over.
 				p.Col.CopyDetached(a.Core, t.det, a.mems.Free)

@@ -38,12 +38,12 @@ func TestScanVirtualCostPinned(t *testing.T) {
 			return ScanStats{BlocksScanned: r.BlocksScanned, BlocksPruned: r.BlocksPruned, BlocksFullHit: r.BlocksFullHit}
 		}, ScanStats{BlocksScanned: 1, BlocksPruned: 3, BlocksFullHit: 1}, 64250, 512, 512},
 		{"SharedScan/1", func() ScanStats { return shared(between) },
-			ScanStats{BlocksScanned: 1, BlocksPruned: 3, BlocksFullHit: 1}, 64250, 512, 512},
+			ScanStats{BlocksScanned: 1, BlocksPruned: 3, BlocksFullHit: 1, BlocksStreamed: 1}, 64250, 512, 512},
 		// The two identical predicates share one kernel run on their
 		// evaluated block; the third evaluates another block, so two blocks
 		// stream and two kernels run.
 		{"SharedScan/3", func() ScanStats { return shared(between, between, less) },
-			ScanStats{BlocksScanned: 3, BlocksPruned: 7, BlocksFullHit: 5}, 138500, 1024, 1024},
+			ScanStats{BlocksScanned: 3, BlocksPruned: 7, BlocksFullHit: 5, BlocksStreamed: 2}, 138500, 1024, 1024},
 	}
 	for _, c := range cases {
 		e := f.machine.StartEpoch()

@@ -140,8 +140,9 @@ func TestSharedScanSteadyStateAllocs(t *testing.T) {
 	f := newFixture(t)
 	col := f.local(0, 64)
 	col.Append(0, seq(1000))
+	less := Predicate{Op: Less, Operand: 500}
 	specs := []ScanSpec{
-		SpecOf(Predicate{Op: Less, Operand: 500}),
+		SpecOf(less),
 		SpecOf(Predicate{Op: Between, Operand: 100, High: 900}),
 		SpecOf(Predicate{Op: All}),
 	}
@@ -156,7 +157,7 @@ func TestSharedScanSteadyStateAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, run); avg != 0 {
 		t.Fatalf("SharedScan allocates %.1f times per pass in steady state", avg)
 	}
-	if avg := testing.AllocsPerRun(100, func() { col.ScanFiltered(0, snap, specs[0].Pred) }); avg != 0 {
+	if avg := testing.AllocsPerRun(100, func() { col.ScanFiltered(0, snap, less) }); avg != 0 {
 		t.Fatalf("ScanFiltered allocates %.1f times per pass", avg)
 	}
 }
