@@ -158,12 +158,14 @@ func printFrame(db *eris.DB, prev metrics.Snapshot, epoch interface {
 		fmtBytes(delta.Counter("machine.link_bytes_total")),
 		fmtBytes(delta.Counter("machine.mc_bytes_total")))
 	// blocks_scanned counts blocks streamed, once per pass however many
-	// scans shared it; pruned and full-hit count zone-map verdicts per scan.
+	// scans shared it, and bytes_streamed their bytes at the blocks' width;
+	// pruned and full-hit count zone-map verdicts per scan.
 	passes := delta.SumCounters("aeu.", ".colscan.passes")
 	if passes > 0 {
-		fmt.Printf("colscan: +%d passes (+%d groups held for sharers)  +%d blocks streamed  +%d pruned  +%d full-hit (per scan)\n",
+		fmt.Printf("colscan: +%d passes (+%d groups held for sharers)  +%d blocks streamed (+%s)  +%d pruned  +%d full-hit (per scan)\n",
 			passes, delta.SumCounters("aeu.", ".colscan.holds"),
 			delta.SumCounters("aeu.", ".colscan.blocks_scanned"),
+			fmtBytes(delta.SumCounters("aeu.", ".colscan.bytes_streamed")),
 			delta.SumCounters("aeu.", ".colscan.blocks_pruned"),
 			delta.SumCounters("aeu.", ".colscan.blocks_full_hit"))
 	}

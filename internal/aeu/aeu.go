@@ -339,9 +339,11 @@ type AEU struct {
 	// Block outcomes of column scans (colstore.ScanStats): blocks streamed
 	// (once per pass, however many scans evaluated them) vs the per-scan
 	// verdicts that skipped a block or accepted it whole by its zone map.
-	// colPasses counts passes and colHolds the client scan groups held
-	// back for sharers.
+	// colBytesStreamed counts the bytes of values those blocks streamed, 4
+	// per value of a narrow block and 8 of a wide one. colPasses counts
+	// passes and colHolds the client scan groups held back for sharers.
 	colBlocksScanned *metrics.Counter
+	colBytesStreamed *metrics.Counter
 	colBlocksPruned  *metrics.Counter
 	colBlocksFullHit *metrics.Counter
 	colPasses        *metrics.Counter
@@ -405,6 +407,7 @@ func New(r *routing.Router, mems *mem.System, id uint32, cfg Config) *AEU {
 		parks:            reg.Counter(prefix + "parks"),
 		parkTimeouts:     reg.Counter(prefix + "park_timeouts"),
 		colBlocksScanned: reg.Counter(prefix + "colscan.blocks_scanned"),
+		colBytesStreamed: reg.Counter(prefix + "colscan.bytes_streamed"),
 		colBlocksPruned:  reg.Counter(prefix + "colscan.blocks_pruned"),
 		colBlocksFullHit: reg.Counter(prefix + "colscan.blocks_full_hit"),
 		colPasses:        reg.Counter(prefix + "colscan.passes"),

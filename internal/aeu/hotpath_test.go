@@ -197,3 +197,47 @@ func TestServePathSteadyStateAllocs(t *testing.T) {
 		t.Errorf("serve path allocates %.1f times per cycle, want 0", avg)
 	}
 }
+
+// TestColScanBytesStreamed checks colscan.bytes_streamed: a pass counts the
+// bytes of the blocks it streamed at their width, 4 per value of a narrow
+// block and 8 of a wide one, while blocks_scanned counts the blocks.
+func TestColScanBytesStreamed(t *testing.T) {
+	h := newHarness(t, topology.SingleNode(2), 2, 1<<14)
+	a0 := h.aeus[0]
+	const colObj routing.ObjectID = 2
+	pc, err := a0.AddColumnPartition(colObj, colstore.Config{ChunkEntries: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.router.RegisterSize(colObj, []uint32{0}); err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]uint64, 768)
+	for i := range vals {
+		vals[i] = uint64(i)
+		if i >= 512 {
+			vals[i] += 1 << 32 // the third block holds values above 32 bits
+		}
+	}
+	pc.Col.Append(a0.Core, vals)
+	src := h.aeus[1].Outbox()
+	for _, c := range []struct {
+		pred          colstore.Predicate
+		blocks, bytes int64
+	}{
+		{colstore.Predicate{Op: colstore.Less, Operand: 100}, 1, 256 * 4},
+		{colstore.Predicate{Op: colstore.Between, Operand: 300, High: 1<<32 + 600}, 2, 256*4 + 256*8},
+	} {
+		blocks, bytes := a0.colBlocksScanned.Load(), a0.colBytesStreamed.Load()
+		src.RouteScan(colObj, c.pred, command.NoReply, 0)
+		src.Flush()
+		h.router.Drain(a0.ID, a0.classify)
+		a0.processGroups()
+		if got := a0.colBlocksScanned.Load() - blocks; got != c.blocks {
+			t.Errorf("%+v: streamed %d blocks, want %d", c.pred, got, c.blocks)
+		}
+		if got := a0.colBytesStreamed.Load() - bytes; got != c.bytes {
+			t.Errorf("%+v: streamed %d bytes, want %d", c.pred, got, c.bytes)
+		}
+	}
+}

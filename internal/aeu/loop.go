@@ -676,6 +676,7 @@ func (a *AEU) processColumnScans(g *group, p *Partition) {
 	}
 	stats := p.Col.SharedScan(a.Core, snapshot, specs, aggs, &a.scratch.scanScratch)
 	a.colBlocksScanned.Add(stats.BlocksStreamed)
+	a.colBytesStreamed.Add(a.scratch.scanScratch.BytesStreamed())
 	a.colBlocksPruned.Add(stats.BlocksPruned)
 	a.colBlocksFullHit.Add(stats.BlocksFullHit)
 	a.colPasses.Inc()
@@ -704,10 +705,11 @@ func (a *AEU) processColumnScans(g *group, p *Partition) {
 // it evaluated are the blocks the pass streamed.
 //
 //eris:hotpath
-func (a *AEU) CountColScanBlocks(scanned, pruned, fullHit int64) {
-	a.colBlocksScanned.Add(scanned)
-	a.colBlocksPruned.Add(pruned)
-	a.colBlocksFullHit.Add(fullHit)
+func (a *AEU) CountColScanBlocks(res colstore.ScanResult) {
+	a.colBlocksScanned.Add(res.BlocksScanned)
+	a.colBytesStreamed.Add(res.BytesStreamed)
+	a.colBlocksPruned.Add(res.BlocksPruned)
+	a.colBlocksFullHit.Add(res.BlocksFullHit)
 	a.colPasses.Inc()
 }
 

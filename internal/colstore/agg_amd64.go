@@ -2,13 +2,17 @@
 
 package colstore
 
-// intervalKernel is the AVX2 kernel when the CPU and the OS support it,
-// else the portable one.
-var intervalKernel = aggIntervalGo
+// intervalKernel and intervalKernel32 are the AVX2 kernels when the CPU
+// and the OS support them, else the portable ones.
+var (
+	intervalKernel   = aggIntervalGo
+	intervalKernel32 = aggInterval32Go
+)
 
 func init() {
 	if hasAVX2() {
 		intervalKernel = aggIntervalAsm
+		intervalKernel32 = aggInterval32Asm
 	}
 }
 
@@ -56,6 +60,26 @@ func aggIntervalAsm(vals []uint64, lo, width uint64) (misses, sum uint64) {
 //eris:hotpath
 //go:noescape
 func aggIntervalAVX2(vals *uint64, n int, lo, width uint64) (misses, sum uint64)
+
+// aggInterval32Asm runs the 32-bit AVX2 kernel over the whole groups of
+// sixteen values and the portable kernel over the rest.
+//
+//eris:hotpath
+func aggInterval32Asm(vals []uint32, lo, width uint32) (misses, sum uint64) {
+	n := len(vals) &^ 15
+	if n > 0 {
+		misses, sum = aggInterval32AVX2(&vals[0], n, lo, width)
+	}
+	m, s := aggInterval32Go(vals[n:], lo, width)
+	return misses + m, sum + s
+}
+
+// aggInterval32AVX2 is aggInterval32Go over n values at vals, n a multiple
+// of sixteen (agg_amd64.s).
+//
+//eris:hotpath
+//go:noescape
+func aggInterval32AVX2(vals *uint32, n int, lo, width uint32) (misses, sum uint64)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

@@ -2,6 +2,9 @@
 
 package colstore
 
-// intervalKernel is the portable kernel: there is no assembly copy for
-// this architecture.
-var intervalKernel = aggIntervalGo
+// intervalKernel and intervalKernel32 are the portable kernels: there is
+// no assembly copy for this architecture.
+var (
+	intervalKernel   = aggIntervalGo
+	intervalKernel32 = aggInterval32Go
+)

@@ -67,3 +67,67 @@ func FuzzAggInterval(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAggInterval32 checks the 32-bit kernel this CPU runs against the
+// portable Go kernel, and aggInterval32 against the definition
+// lo <= v <= hi on 64-bit bounds, which it clamps to the 32-bit domain.
+// Values come from the input bytes, four little-endian bytes each, so the
+// lengths cross the kernel's groups of sixteen and its tail.
+func FuzzAggInterval32(f *testing.F) {
+	edges := []uint32{0, math.MaxUint32, 1<<31 - 1, 1 << 31}
+	values := func(n int) []byte {
+		b := make([]byte, 4*n)
+		for i := 0; i < n; i++ {
+			v := edges[i%len(edges)]
+			if i%3 == 2 {
+				v = uint32(i) * 0x9e3779b9
+			}
+			binary.LittleEndian.PutUint32(b[4*i:], v)
+		}
+		return b
+	}
+	bounds := [][2]uint64{
+		{0, math.MaxUint32},                  // the whole 32-bit domain
+		{0, 0},                               // Equal 0
+		{math.MaxUint32, math.MaxUint32},     // Equal MaxUint32
+		{1<<31 - 1, 1<<31 - 1},               // Equal, below the sign bit
+		{1 << 31, 1 << 31},                   // Equal, at the sign bit
+		{1<<31 - 1, 1 << 31},                 // straddles the sign bit
+		{1 << 31, 1<<31 - 1},                 // lo > hi
+		{math.MaxUint32, 0},                  // lo > hi
+		{1 << 32, math.MaxUint64},            // lo >= 2^32: nothing fits
+		{math.MaxUint32 + 7, 1 << 40},        // lo >= 2^32
+		{1000, 1 << 32},                      // hi >= 2^32: clamped
+		{0, math.MaxUint64},                  // All
+		{1 << 31, math.MaxUint64},            // Greater 1<<31-1
+		{math.MaxUint32 - 5, math.MaxUint32}, // top of the domain
+	}
+	for _, n := range []int{0, 1, 15, 16, 17, 4095, 4096} {
+		for _, bd := range bounds {
+			f.Add(values(n), bd[0], bd[1])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, lo, hi uint64) {
+		vals := make([]uint32, len(data)/4)
+		for i := range vals {
+			vals[i] = binary.LittleEndian.Uint32(data[4*i:])
+		}
+		lo32, width := uint32(lo), uint32(hi)-uint32(lo)
+		gotMiss, gotSum := intervalKernel32(vals, lo32, width)
+		wantMiss, wantSum := aggInterval32Go(vals, lo32, width)
+		if gotMiss != wantMiss || gotSum != wantSum {
+			t.Fatalf("kernel(n=%d, lo=%d, width=%d) = (%d misses, sum %d), Go kernel (%d, %d)",
+				len(vals), lo32, width, gotMiss, gotSum, wantMiss, wantSum)
+		}
+		var matched, sum uint64
+		for _, v := range vals {
+			if lo <= uint64(v) && uint64(v) <= hi {
+				matched++
+				sum += uint64(v)
+			}
+		}
+		if m, s := aggInterval32(vals, lo, hi); m != matched || s != sum {
+			t.Fatalf("aggInterval32(n=%d, [%d, %d]) = (%d, %d), want (%d, %d)", len(vals), lo, hi, m, s, matched, sum)
+		}
+	})
+}

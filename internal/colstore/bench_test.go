@@ -9,7 +9,10 @@ package colstore
 // column scans: one spec, and four specs of which two are identical. Their
 // 2 MiB column stays in the last-level cache; the uniform dram/* cases run
 // the same pass over 64 MiB, the memory-bound regime of a served column
-// partition, with one and with two distinct 10 % Between specs.
+// partition, with one and with two distinct 10 % Between specs. The
+// dram32/* cases repeat them over 8 Mi values below 10^6, shaped like the
+// benchmark ledger's column: their blocks are narrow, 32 MiB of uint32.
+// Every case sets 8 bytes per value, so MB/s compares across widths.
 //
 // Run with -benchmem: the scan path must not allocate
 // (TestSharedScanSteadyStateAllocs asserts it).
@@ -19,8 +22,9 @@ import (
 )
 
 const (
-	benchEntries = 1 << 18 // 256 K values, 64 blocks of 4096
-	dramEntries  = 8 << 20 // 8 Mi values, 64 MiB: far past any last-level cache
+	benchEntries = 1 << 18   // 256 K values, 64 blocks of 4096
+	dramEntries  = 8 << 20   // 8 Mi values, 64 MiB: far past any last-level cache
+	narrowDomain = 1_000_000 // dram32 values lie below this, like the ledger's
 )
 
 // benchColumn loads a column with benchEntries values. Clustered columns
@@ -140,19 +144,34 @@ func BenchmarkColScanUniform(b *testing.B) {
 	b.Run("shared/4", func(b *testing.B) {
 		benchShared(b, col, uniformPred(0.1), uniformPred(0.1), uniformPred(0.01), uniformPred(0.5))
 	})
-	var dram *Column // loaded by the first dram case that runs
-	dramCol := func(b *testing.B) *Column {
-		if dram == nil {
+	// Each dram column is loaded by the first case that runs on it.
+	var dram, dram32 *Column
+	load := func(b *testing.B, col **Column, chunk []uint64) *Column {
+		if *col == nil {
 			f := newFixture(b)
-			dram = f.local(0, 4096)
-			chunk := hashed(1 << 16)
+			*col = f.local(0, 4096)
 			for n := 0; n < dramEntries; n += len(chunk) {
-				dram.Append(0, chunk)
+				(*col).Append(0, chunk)
 			}
 			b.ResetTimer()
 		}
-		return dram
+		return *col
+	}
+	dramCol := func(b *testing.B) *Column { return load(b, &dram, hashed(1<<16)) }
+	dram32Col := func(b *testing.B) *Column {
+		chunk := hashed(1 << 16)
+		for i := range chunk {
+			chunk[i] %= narrowDomain
+		}
+		return load(b, &dram32, chunk)
+	}
+	narrowBetween := func(lo uint64) Predicate {
+		return Predicate{Op: Between, Operand: lo, High: lo + narrowDomain/10}
 	}
 	b.Run("dram/1", func(b *testing.B) { benchShared(b, dramCol(b), uniformBetween(0.3)) })
 	b.Run("dram/2", func(b *testing.B) { benchShared(b, dramCol(b), uniformBetween(0.3), uniformBetween(0.6)) })
+	b.Run("dram32/1", func(b *testing.B) { benchShared(b, dram32Col(b), narrowBetween(300_000)) })
+	b.Run("dram32/2", func(b *testing.B) {
+		benchShared(b, dram32Col(b), narrowBetween(300_000), narrowBetween(600_000))
+	})
 }

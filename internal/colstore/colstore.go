@@ -6,16 +6,23 @@
 // min/max of its values — and their wrapping sum, updated as values are
 // appended.
 //
+// A block holds its values as uint32 while all of them are below 2^32
+// (narrow) and as uint64 otherwise (wide). The data picks the width: a
+// block's first append decides it, and a value of 2^32 or more widens a
+// narrow block once, for good. Narrow blocks halve the heap and the bytes
+// a scan streams; the simulated machine still charges 8 bytes per value.
+//
 // Scans are block-at-a-time: a predicate implies an inclusive value
 // interval (Predicate.Bounds), and each block's zone map decides, without
 // touching the values, whether the block is skipped (no overlap), accepted
 // whole (contained, matched/sum served from the block summary) or
-// evaluated. Evaluated blocks run the interval kernel (agg.go), in AVX2
-// assembly where the CPU has it. SharedScan and ScanFiltered share one
-// block walk. Virtual time is charged per block touched: pruned and
-// full-hit blocks cost one zone check, only evaluated blocks stream their
-// bytes — so zone-map pruning shows up in the simulated fig-8-style cost
-// numbers exactly as it would on the real machine.
+// evaluated. Evaluated blocks run the interval kernel of their width
+// (agg.go), in AVX2 assembly where the CPU has it. SharedScan and
+// ScanFiltered share one block walk. Virtual time is charged per block
+// touched: pruned and full-hit blocks cost one zone check, only evaluated
+// blocks stream their bytes — so zone-map pruning shows up in the
+// simulated fig-8-style cost numbers exactly as it would on the real
+// machine.
 //
 // Isolation for scan sharing comes from an MVCC-lite snapshot: the column's
 // value count at command time bounds what a scan may see, so appends never
@@ -28,6 +35,7 @@ package colstore
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"eris/internal/mem"
@@ -37,10 +45,10 @@ import (
 
 // Config shapes a column.
 type Config struct {
-	// ChunkEntries is the number of 64-bit entries per block. Default 4096
-	// (32 KiB blocks): small enough that zone maps prune at fine grain,
-	// large enough that the per-block overhead stays invisible next to the
-	// value stream.
+	// ChunkEntries is the number of values per block. Default 4096 (32 KiB
+	// of 64-bit values, 16 KiB narrow): small enough that zone maps prune
+	// at fine grain, large enough that the per-block overhead stays
+	// invisible next to the value stream.
 	ChunkEntries int
 }
 
@@ -61,26 +69,36 @@ type Free func(b mem.Block)
 // block is one fixed-size run of the column plus its incremental summary.
 //
 // Invariants (all maintained under the column mutex):
-//   - data[:used] are the block's values; blocks tile the column in order.
+//   - The values are held in exactly one of data (wide) and narrow, once
+//     the first append has picked the width; before that both are nil.
+//     A narrow block holds only values below 2^32. An append that brings a
+//     larger value widens the block once, and it stays wide.
+//   - data[:used] or narrow[:used] are the block's values; blocks tile the
+//     column in order.
 //   - zmin/zmax bound every value in the block. They are its exact min and
 //     max, except on the kept half of a split, where they stay a superset.
 //   - sum is the exact wrapping sum of the values.
 type block struct {
-	data []uint64
-	mem  mem.Block
-	used int
-	zmin uint64
-	zmax uint64
-	sum  uint64
+	data   []uint64
+	narrow []uint32
+	mem    mem.Block
+	used   int
+	zmin   uint64
+	zmax   uint64
+	sum    uint64
 }
 
 // add copies the head of values into the block's free slots, folding each
-// into the zone map and sum, and returns how many fit.
+// into the zone map and sum, and returns how many fit; size is the block's
+// capacity in values. The zone pass runs first, so its max picks the
+// width: an empty block allocates narrow when every value fits in 32 bits,
+// and a narrow block widens when one does not.
 //
 //eris:hotpath
-func (b *block) add(values []uint64) int {
-	n := copy(b.data[b.used:], values)
-	for _, v := range values[:n] {
+func (b *block) add(values []uint64, size int) int {
+	n := min(len(values), size-b.used)
+	values = values[:n]
+	for _, v := range values {
 		if v < b.zmin {
 			b.zmin = v
 		}
@@ -89,8 +107,52 @@ func (b *block) add(values []uint64) int {
 		}
 		b.sum += v
 	}
+	if b.data == nil && b.zmax <= math.MaxUint32 {
+		if b.narrow == nil {
+			b.narrow = make([]uint32, size) //eris:allowalloc block allocation amortized over size appends
+		}
+		dst := b.narrow[b.used : b.used+n]
+		for i, v := range values {
+			dst[i] = uint32(v)
+		}
+	} else {
+		if b.data == nil {
+			b.widen(size)
+		}
+		copy(b.data[b.used:], values)
+	}
 	b.used += n
 	return n
+}
+
+// widen moves the block's values, if any, into a 64-bit buffer of size
+// values.
+//
+//eris:hotpath
+func (b *block) widen(size int) {
+	b.data = make([]uint64, size) //eris:allowalloc block allocation amortized over size appends
+	for i, v := range b.narrow[:b.used] {
+		b.data[i] = uint64(v)
+	}
+	b.narrow = nil
+}
+
+// decodeRun is how many values of a narrow block values() decodes at once
+// for the transfer paths.
+const decodeRun = 256
+
+// values returns the block's values from from up to to: a subslice of a
+// wide block, or up to len(buf) of them decoded into buf from a narrow
+// one. Callers loop until they have reached to.
+func (b *block) values(from, to int, buf []uint64) []uint64 {
+	if b.narrow == nil {
+		return b.data[from:to]
+	}
+	out := buf[:min(to-from, len(buf))]
+	for i, v := range b.narrow[from : from+len(out)] {
+		out[i] = uint64(v)
+	}
+	return out
 }
 
 // Column is one partition of a columnar data object.
@@ -135,12 +197,13 @@ func (c *Column) Snapshot() int64 {
 	return c.count
 }
 
-// newBlock allocates an empty block.
+// newBlock allocates an empty block. Its value buffer waits for the first
+// append (block.add), which picks the width; the node-local allocation is
+// sized at the model's 8 bytes per value whatever the width.
 //
 //eris:hotpath
 func (c *Column) newBlock() block {
 	return block{
-		data: make([]uint64, c.cfg.ChunkEntries), //eris:allowalloc block allocation amortized over ChunkEntries appends
 		mem:  c.alloc(int64(c.cfg.ChunkEntries) * 8),
 		zmin: ^uint64(0),
 	}
@@ -166,7 +229,7 @@ func (c *Column) Append(core topology.CoreID, values []uint64) {
 	defer c.mu.Unlock()
 	for len(values) > 0 {
 		b := c.tailBlock()
-		n := b.add(values)
+		n := b.add(values, c.cfg.ChunkEntries)
 		c.machine.Stream(core, b.mem.Home, int64(n)*8)
 		c.count += int64(n)
 		values = values[n:]
@@ -293,11 +356,20 @@ type ScanStats struct {
 }
 
 // ScanScratch is the reusable per-caller state of SharedScan: the per-scan
-// verdict buffer. It grows to the largest scan count seen and then stays
-// allocation-free; one scratch must not be shared by concurrent scans.
+// verdict buffer, and the bytes the caller's last pass streamed. It grows
+// to the largest scan count seen and then stays allocation-free; one
+// scratch must not be shared by concurrent scans.
 type ScanScratch struct {
 	verdicts []uint8
+	streamed int64
 }
+
+// BytesStreamed returns the bytes of values the last SharedScan through
+// this scratch streamed: 4 per value of a narrow block, 8 of a wide one,
+// once per pass. The virtual charge stays at 8 bytes per value either way.
+//
+//eris:hotpath
+func (s *ScanScratch) BytesStreamed() int64 { return s.streamed }
 
 // Block verdicts of the zone-map check.
 const (
@@ -331,7 +403,8 @@ func (c *Column) SharedScan(core topology.CoreID, snapshot int64, specs []ScanSp
 	if cap(scratch.verdicts) < len(specs) {
 		scratch.verdicts = make([]uint8, len(specs)) //eris:allowalloc amortized scan-scratch growth, reused across shared scans
 	}
-	stats, _ := c.walk(core, snapshot, specs, aggs, scratch.verdicts[:len(specs)])
+	stats, _, streamed := c.walk(core, snapshot, specs, aggs, scratch.verdicts[:len(specs)])
+	scratch.streamed = streamed
 	return stats
 }
 
@@ -339,15 +412,18 @@ func (c *Column) SharedScan(core topology.CoreID, snapshot int64, specs []ScanSp
 // each scan's zone-map verdict is computed first; the block's values are
 // streamed only if at least one scan must evaluate them, and consecutive
 // scans with an identical interval share one kernel run. verdicts holds
-// one slot per spec. It returns the block outcomes and the positions
-// walked.
+// one slot per spec. It returns the block outcomes, the positions walked
+// and the bytes of values streamed. Narrow blocks run the 32-bit kernel
+// and stream 4 bytes per value.
 //
 // Virtual cost: one zone check per (block, scan); one byte stream per
-// evaluated block plus one per-byte compute charge per kernel run. Pruned
-// and full-hit blocks never touch their values.
+// evaluated block plus one per-byte compute charge per kernel run, both at
+// the model's 8 bytes per value whatever the block's width, so the
+// simulated figures do not depend on the data's range. Pruned and
+// full-hit blocks never touch their values.
 //
 //eris:hotpath
-func (c *Column) walk(core topology.CoreID, snapshot int64, specs []ScanSpec, aggs []ScanAgg, verdicts []uint8) (stats ScanStats, seen int64) {
+func (c *Column) walk(core topology.CoreID, snapshot int64, specs []ScanSpec, aggs []ScanAgg, verdicts []uint8) (stats ScanStats, seen, streamed int64) {
 	c.mu.RLock() //eris:allowblock column RWMutex write-locked only for bounded transfer splices; read side never waits on I/O
 	defer c.mu.RUnlock()
 	for bi := range c.blocks {
@@ -367,6 +443,11 @@ func (c *Column) walk(core topology.CoreID, snapshot int64, specs []ScanSpec, ag
 			// matter how many scans evaluate them.
 			c.machine.Stream(core, b.mem.Home, n*8)
 			stats.BlocksStreamed++
+			if b.narrow != nil {
+				streamed += n * 4
+			} else {
+				streamed += n * 8
+			}
 		}
 		var prevLo, prevHi, prevM, prevS uint64
 		havePrev := false
@@ -381,7 +462,11 @@ func (c *Column) walk(core topology.CoreID, snapshot int64, specs []ScanSpec, ag
 			default:
 				stats.BlocksScanned++
 				if !havePrev || specs[i].Lo != prevLo || specs[i].Hi != prevHi {
-					prevM, prevS = aggInterval(b.data[:n], specs[i].Lo, specs[i].Hi)
+					if b.narrow != nil {
+						prevM, prevS = aggInterval32(b.narrow[:n], specs[i].Lo, specs[i].Hi)
+					} else {
+						prevM, prevS = aggInterval(b.data[:n], specs[i].Lo, specs[i].Hi)
+					}
 					c.machine.AdvanceNS(core, float64(n*8)*scanComputeNSPerByte)
 					prevLo, prevHi, havePrev = specs[i].Lo, specs[i].Hi, true
 				}
@@ -391,7 +476,7 @@ func (c *Column) walk(core topology.CoreID, snapshot int64, specs []ScanSpec, ag
 		}
 		seen += n
 	}
-	return stats, seen
+	return stats, seen, streamed
 }
 
 // ScanResult aggregates a filtered scan.
@@ -404,6 +489,7 @@ type ScanResult struct {
 	BlocksScanned int64
 	BlocksPruned  int64
 	BlocksFullHit int64
+	BytesStreamed int64 // bytes of values the pass streamed (ScanScratch.BytesStreamed)
 }
 
 // ScanFiltered runs one predicate over the column with zone-map pruning,
@@ -415,10 +501,11 @@ func (c *Column) ScanFiltered(core topology.CoreID, snapshot int64, p Predicate)
 	specs := [1]ScanSpec{SpecOf(p)}
 	var aggs [1]ScanAgg
 	var verdicts [1]uint8
-	stats, seen := c.walk(core, snapshot, specs[:], aggs[:], verdicts[:])
+	stats, seen, streamed := c.walk(core, snapshot, specs[:], aggs[:], verdicts[:])
 	return ScanResult{
 		Scanned: seen, Matched: int64(aggs[0].Matched), Sum: aggs[0].Sum,
 		BlocksScanned: stats.BlocksScanned, BlocksPruned: stats.BlocksPruned, BlocksFullHit: stats.BlocksFullHit,
+		BytesStreamed: streamed,
 	}
 }
 
@@ -435,10 +522,11 @@ type Detached struct {
 func (d *Detached) Count() int64 { return d.count }
 
 // DetachTail removes the last n values from the column. Whole blocks move
-// by reference with their zone maps; a partially covered block is split by
-// copying its tail into a fresh block (charged as a local stream) whose
-// summary is built from the copied values. The kept block's sum stays exact
-// by subtraction; its zone map stays a superset.
+// by reference with their zone maps and their width; a partially covered
+// block is split by copying its tail into a fresh block (charged as a
+// local stream) whose summary and width are built from the copied values.
+// The kept block's sum stays exact by subtraction; its zone map stays a
+// superset.
 func (c *Column) DetachTail(core topology.CoreID, n int64) *Detached {
 	c.mu.Lock() //eris:allowblock bounded pointer-splice critical section on the transfer path; no I/O under the lock
 	defer c.mu.Unlock()
@@ -455,7 +543,10 @@ func (c *Column) DetachTail(core topology.CoreID, n int64) *Detached {
 		}
 		keep := last.used - int(n)
 		split := c.newBlock()
-		split.add(last.data[keep:last.used])
+		var buf [decodeRun]uint64
+		for from := keep; from < last.used; {
+			from += split.add(last.values(from, last.used, buf[:]), c.cfg.ChunkEntries)
+		}
 		c.machine.Stream(core, last.mem.Home, n*8)
 		c.machine.Stream(core, split.mem.Home, n*8)
 		last.used = keep
@@ -470,9 +561,9 @@ func (c *Column) DetachTail(core topology.CoreID, n int64) *Detached {
 	return d
 }
 
-// LinkDetached appends a detached run by reference. Every block must be
-// homed on node (the caller's local node): linking is only legal within one
-// memory-management domain.
+// LinkDetached appends a detached run by reference; each block keeps its
+// width. Every block must be homed on node (the caller's local node):
+// linking is only legal within one memory-management domain.
 func (c *Column) LinkDetached(core topology.CoreID, node topology.NodeID, d *Detached) error {
 	for i := range d.blocks {
 		if d.blocks[i].mem.Home != node {
@@ -504,11 +595,16 @@ func (c *Column) appendCopied(core topology.CoreID, src *block) {
 	c.mu.Lock() //eris:allowblock bounded per-block copy on the transfer path; no I/O under the lock
 	defer c.mu.Unlock()
 	var home topology.NodeID
-	for vals := src.data[:src.used]; len(vals) > 0; {
-		b := c.tailBlock()
-		n := b.add(vals)
-		c.count += int64(n)
-		home, vals = b.mem.Home, vals[n:]
+	var buf [decodeRun]uint64
+	for from := 0; from < src.used; {
+		vals := src.values(from, src.used, buf[:])
+		from += len(vals)
+		for len(vals) > 0 {
+			b := c.tailBlock()
+			n := b.add(vals, c.cfg.ChunkEntries)
+			c.count += int64(n)
+			home, vals = b.mem.Home, vals[n:]
+		}
 	}
 	// The copy loop reads the remote source and writes locally; the slower
 	// leg dominates, which StreamBetween models.
@@ -528,7 +624,13 @@ func (c *Column) Values(core topology.CoreID, snapshot int64) []uint64 {
 			break
 		}
 		c.machine.Stream(core, b.mem.Home, n*8)
-		out = append(out, b.data[:n]...)
+		if b.narrow == nil {
+			out = append(out, b.data[:n]...)
+			continue
+		}
+		for _, v := range b.narrow[:n] {
+			out = append(out, uint64(v))
+		}
 	}
 	return out
 }

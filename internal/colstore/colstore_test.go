@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -334,4 +335,176 @@ func TestConcurrentSharedScans(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestColumnWidthModel drives three columns through random appends,
+// widenings and transfers and compares every result against a plain
+// []uint64 oracle per column. Blocks hold values as uint32 while they fit,
+// so the model crosses every width change: narrow appends, a value >= 2^32
+// in the middle of a narrow block, DetachTail splits of narrow and of wide
+// blocks, LinkDetached (the block keeps its width) and CopyDetached across
+// nodes (the data picks the copy's width), then Values, ScanFiltered and
+// SharedScan with random predicates at random snapshots.
+func TestColumnWidthModel(t *testing.T) {
+	const chunk = 16
+	f := newFixture(t)
+	cols := []*Column{f.local(0, chunk), f.local(0, chunk), f.local(1, chunk)}
+	cores := []topology.CoreID{0, 0, 10} // core 10 is on node 1
+	oracle := make([][]uint64, len(cols))
+	rng := rand.New(rand.NewSource(42))
+
+	narrowValue := func() uint64 {
+		switch rng.Intn(4) {
+		case 0:
+			return []uint64{0, 1<<31 - 1, 1 << 31, math.MaxUint32}[rng.Intn(4)]
+		case 1:
+			return uint64(rng.Intn(100))
+		default:
+			return uint64(rng.Uint32())
+		}
+	}
+	wideValue := func() uint64 {
+		return []uint64{1 << 32, math.MaxUint64, 1<<32 + uint64(rng.Uint32()), rng.Uint64() | 1<<40}[rng.Intn(4)]
+	}
+	tail := func(c *Column) *block { return &c.blocks[len(c.blocks)-1] }
+	// checkWidths checks that a block is narrow exactly while its zone map
+	// stays within 32 bits: zmax is exact or, on a kept split half, a
+	// superset that a narrow block cannot have.
+	checkWidths := func(step, ci int) {
+		for bi := range cols[ci].blocks {
+			b := &cols[ci].blocks[bi]
+			narrow := b.narrow != nil
+			if narrow == (b.data != nil) || narrow != (b.zmax <= math.MaxUint32) {
+				t.Fatalf("step %d: column %d block %d: narrow %v, wide %v, zmax %d",
+					step, ci, bi, narrow, b.data != nil, b.zmax)
+			}
+		}
+	}
+	pred := func(ci int) Predicate {
+		pick := func() uint64 {
+			if o := oracle[ci]; len(o) > 0 && rng.Intn(2) == 0 {
+				return o[rng.Intn(len(o))] + uint64(rng.Intn(3)) - 1
+			}
+			return []uint64{0, math.MaxUint32, 1 << 32, math.MaxUint64, uint64(rng.Uint32())}[rng.Intn(5)]
+		}
+		switch rng.Intn(5) {
+		case 0:
+			return Predicate{Op: All}
+		case 1:
+			return Predicate{Op: Less, Operand: pick()}
+		case 2:
+			return Predicate{Op: Greater, Operand: pick()}
+		case 3:
+			return Predicate{Op: Equal, Operand: pick()}
+		}
+		lo, hi := pick(), pick()
+		if rng.Intn(4) != 0 && lo > hi {
+			lo, hi = hi, lo
+		}
+		return Predicate{Op: Between, Operand: lo, High: hi}
+	}
+	var widened, narrowSplits, wideSplits, links, copies int
+	for step := 0; step < 600; step++ {
+		ci := rng.Intn(len(cols))
+		col := cols[ci]
+		switch op := rng.Intn(10); {
+		case op < 4: // narrow appends
+			vals := make([]uint64, 1+rng.Intn(2*chunk))
+			for i := range vals {
+				vals[i] = narrowValue()
+			}
+			col.Append(cores[ci], vals)
+			oracle[ci] = append(oracle[ci], vals...)
+		case op < 6: // a value >= 2^32 lands in the middle of the tail block
+			if len(col.blocks) == 0 || tail(col).narrow == nil || tail(col).used > chunk-2 {
+				v := narrowValue()
+				col.Append(cores[ci], []uint64{v})
+				oracle[ci] = append(oracle[ci], v)
+				break
+			}
+			b := len(col.blocks) - 1
+			vals := []uint64{narrowValue(), wideValue(), narrowValue()}
+			col.Append(cores[ci], vals)
+			oracle[ci] = append(oracle[ci], vals...)
+			if col.blocks[b].data == nil {
+				t.Fatalf("step %d: block %d still narrow after a value >= 2^32", step, b)
+			}
+			widened++
+		default: // move the tail to another column
+			if len(col.blocks) == 0 {
+				continue
+			}
+			n := int64(rng.Intn(3*chunk)) + 1
+			if last := tail(col); n < int64(last.used) {
+				if last.narrow != nil {
+					narrowSplits++
+				} else {
+					wideSplits++
+				}
+			}
+			n = min(n, col.Count())
+			d := col.DetachTail(cores[ci], n)
+			moved := oracle[ci][len(oracle[ci])-int(n):]
+			oracle[ci] = oracle[ci][:len(oracle[ci])-int(n)]
+			dst := rng.Intn(len(cols))
+			if ci != 2 && dst != 2 { // both on node 0: link by reference
+				if err := cols[dst].LinkDetached(cores[dst], 0, d); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				links++
+			} else {
+				cols[dst].CopyDetached(cores[dst], d, f.sys.Free)
+				copies++
+			}
+			oracle[dst] = append(oracle[dst], moved...)
+		}
+		for ci := range cols {
+			checkWidths(step, ci)
+			col := cols[ci]
+			got := col.Values(0, col.Snapshot())
+			if len(got) != len(oracle[ci]) {
+				t.Fatalf("step %d: column %d holds %d values, oracle %d", step, ci, len(got), len(oracle[ci]))
+			}
+			for i := range got {
+				if got[i] != oracle[ci][i] {
+					t.Fatalf("step %d: column %d value %d = %d, oracle %d", step, ci, i, got[i], oracle[ci][i])
+				}
+			}
+			snap := int64(len(got))
+			if snap > 0 && rng.Intn(3) == 0 {
+				snap = rng.Int63n(snap + 1)
+			}
+			preds := []Predicate{pred(ci), pred(ci), pred(ci)}
+			preds[2] = preds[rng.Intn(2)] // a repeat shares a kernel run
+			specs := make([]ScanSpec, len(preds))
+			for i, p := range preds {
+				specs[i] = SpecOf(p)
+			}
+			aggs := make([]ScanAgg, len(specs))
+			var scratch ScanScratch
+			col.SharedScan(0, snap, specs, aggs, &scratch)
+			for i, p := range preds {
+				var wantM, wantS uint64
+				for _, v := range oracle[ci][:snap] {
+					if p.Matches(v) {
+						wantM++
+						wantS += v
+					}
+				}
+				if aggs[i] != (ScanAgg{Matched: wantM, Sum: wantS}) {
+					t.Fatalf("step %d: column %d SharedScan(%+v) at %d = %+v, oracle (%d, %d)",
+						step, ci, p, snap, aggs[i], wantM, wantS)
+				}
+				if r := col.ScanFiltered(0, snap, p); r.Scanned != snap || uint64(r.Matched) != wantM || r.Sum != wantS {
+					t.Fatalf("step %d: column %d ScanFiltered(%+v) at %d = %+v, oracle (%d, %d)",
+						step, ci, p, snap, r, wantM, wantS)
+				}
+			}
+		}
+	}
+	t.Logf("widened %d, narrow splits %d, wide splits %d, links %d, copies %d",
+		widened, narrowSplits, wideSplits, links, copies)
+	if widened == 0 || narrowSplits == 0 || wideSplits == 0 || links == 0 || copies == 0 {
+		t.Fatal("the model missed a width change it is meant to cover")
+	}
 }

@@ -135,30 +135,44 @@ func TestSharedScanManyPredicates(t *testing.T) {
 }
 
 // TestSharedScanSteadyStateAllocs guards the scan path: after warm-up,
-// neither a shared pass nor ScanFiltered may allocate.
+// neither a shared pass nor ScanFiltered may allocate, over narrow blocks
+// (values below 2^32, the 32-bit kernel) and over wide ones.
 func TestSharedScanSteadyStateAllocs(t *testing.T) {
 	f := newFixture(t)
-	col := f.local(0, 64)
-	col.Append(0, seq(1000))
-	less := Predicate{Op: Less, Operand: 500}
-	specs := []ScanSpec{
-		SpecOf(less),
-		SpecOf(Predicate{Op: Between, Operand: 100, High: 900}),
-		SpecOf(Predicate{Op: All}),
+	wide := seq(1000)
+	for i := range wide {
+		wide[i] += 1 << 40
 	}
-	aggs := make([]ScanAgg, len(specs))
-	var scratch ScanScratch
-	snap := col.Snapshot()
-	run := func() {
-		clear(aggs)
-		col.SharedScan(0, snap, specs, aggs, &scratch)
-	}
-	run() // warm-up sizes the scratch
-	if avg := testing.AllocsPerRun(100, run); avg != 0 {
-		t.Fatalf("SharedScan allocates %.1f times per pass in steady state", avg)
-	}
-	if avg := testing.AllocsPerRun(100, func() { col.ScanFiltered(0, snap, less) }); avg != 0 {
-		t.Fatalf("ScanFiltered allocates %.1f times per pass", avg)
+	for _, c := range []struct {
+		name string
+		vals []uint64
+		base uint64
+	}{{"narrow", seq(1000), 0}, {"wide", wide, 1 << 40}} {
+		col := f.local(0, 64)
+		col.Append(0, c.vals)
+		less := Predicate{Op: Less, Operand: c.base + 500}
+		specs := []ScanSpec{
+			SpecOf(less),
+			SpecOf(Predicate{Op: Between, Operand: c.base + 100, High: c.base + 900}),
+			SpecOf(Predicate{Op: All}),
+		}
+		aggs := make([]ScanAgg, len(specs))
+		var scratch ScanScratch
+		snap := col.Snapshot()
+		run := func() {
+			clear(aggs)
+			col.SharedScan(0, snap, specs, aggs, &scratch)
+		}
+		run() // warm-up sizes the scratch
+		if aggs[0].Matched != 500 || scratch.BytesStreamed() == 0 {
+			t.Fatalf("%s: pass matched %d of 500 and streamed %d bytes", c.name, aggs[0].Matched, scratch.BytesStreamed())
+		}
+		if avg := testing.AllocsPerRun(100, run); avg != 0 {
+			t.Fatalf("%s: SharedScan allocates %.1f times per pass in steady state", c.name, avg)
+		}
+		if avg := testing.AllocsPerRun(100, func() { col.ScanFiltered(0, snap, less) }); avg != 0 {
+			t.Fatalf("%s: ScanFiltered allocates %.1f times per pass", c.name, avg)
+		}
 	}
 }
 

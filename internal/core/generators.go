@@ -172,7 +172,7 @@ func (g *SelfScanGenerator) Generate(a *aeu.AEU) bool {
 		return false
 	}
 	res := p.Col.ScanFiltered(a.Core, p.Col.Snapshot(), g.Pred)
-	a.CountColScanBlocks(res.BlocksScanned, res.BlocksPruned, res.BlocksFullHit)
+	a.CountColScanBlocks(res)
 	a.CountOps(1)
 	return true
 }
