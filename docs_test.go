@@ -9,19 +9,16 @@ import (
 	"testing"
 )
 
-// TestDesignDocReferences keeps DESIGN.md honest about the code it cites:
-// every Test, Fuzz and Benchmark function it names must be defined in a
-// _test.go file of the repository (a trailing * cites every name with that
-// prefix, and one must exist), and every internal/... path must exist. A
-// path followed by .Ident (internal/routing.Outbox) names the package.
+// TestDesignDocReferences keeps DESIGN.md, EXPERIMENTS.md and README.md
+// honest about the code they cite: every Test, Fuzz and Benchmark function
+// they name must be defined in a _test.go file of the repository (a
+// trailing * cites every name with that prefix, and one must exist), and
+// every internal/... path must exist. A path followed by .Ident
+// (internal/routing.Outbox) names the package.
 func TestDesignDocReferences(t *testing.T) {
-	doc, err := os.ReadFile("DESIGN.md")
-	if err != nil {
-		t.Fatal(err)
-	}
 	defined := map[string]bool{}
 	funcRE := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w+)\(`)
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -46,25 +43,32 @@ func TestDesignDocReferences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z]\w*\*?`).FindAllString(string(doc), -1)
-	if len(names) == 0 {
-		t.Fatal("DESIGN.md cites no test; the pattern is broken")
-	}
-	for _, name := range names {
-		found := defined[name]
-		if prefix, ok := strings.CutSuffix(name, "*"); ok {
-			for d := range defined {
-				found = found || strings.HasPrefix(d, prefix)
+	nameRE := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z]\w*\*?`)
+	pathRE := regexp.MustCompile(`\binternal/[a-z0-9_]+(?:/[a-z0-9_]+)*(?:\.(?:go|s)\b)?`)
+	for _, file := range []string{"DESIGN.md", "EXPERIMENTS.md", "README.md"} {
+		doc, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := nameRE.FindAllString(string(doc), -1)
+		if file == "DESIGN.md" && len(names) == 0 {
+			t.Fatal("DESIGN.md cites no test; the pattern is broken")
+		}
+		for _, name := range names {
+			found := defined[name]
+			if prefix, ok := strings.CutSuffix(name, "*"); ok {
+				for d := range defined {
+					found = found || strings.HasPrefix(d, prefix)
+				}
+			}
+			if !found {
+				t.Errorf("%s cites %s, which no _test.go file defines", file, name)
 			}
 		}
-		if !found {
-			t.Errorf("DESIGN.md cites %s, which no _test.go file defines", name)
-		}
-	}
-	paths := regexp.MustCompile(`\binternal/[a-z0-9_]+(?:/[a-z0-9_]+)*(?:\.(?:go|s)\b)?`).FindAllString(string(doc), -1)
-	for _, p := range paths {
-		if _, err := os.Stat(p); err != nil {
-			t.Errorf("DESIGN.md cites %s, which does not exist", p)
+		for _, p := range pathRE.FindAllString(string(doc), -1) {
+			if _, err := os.Stat(p); err != nil {
+				t.Errorf("%s cites %s, which does not exist", file, p)
+			}
 		}
 	}
 }

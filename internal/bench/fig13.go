@@ -62,8 +62,9 @@ func (c fig13Config) run(name string, alg balance.Algorithm) (*fig13Run, error) 
 		AEU:      aeu.Config{SkewWindowNS: c.binSec * 1e9 / 4},
 		Tree:     treeConfig64(),
 		// Small incoming buffers keep the consumer loop much shorter than a
-		// measurement bin, so the throughput series reflects steady state
-		// rather than batch bursts.
+		// measurement bin while it keeps up. An overloaded AEU's backlog
+		// spills to its overflow queue, which one Swap drains whole, so the
+		// unbalanced run's bins swing wider than the balanced runs'.
 		Routing: routing.Config{InBufBytes: 1 << 16},
 		Balance: balance.Config{
 			SampleIntervalSec: c.sampleSec,

@@ -9,7 +9,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -441,35 +440,17 @@ func (e *Engine) Stop() {
 	}
 }
 
-// settleRound runs one Settle per AEU, each on its own goroutine, and
-// reports whether any of them did work. An AEU that finished its own keeps
-// draining its inbox until the last one has: a peer forwarding into a full
-// inbox would otherwise wait out the whole overflow backoff (2 048 spins,
-// most of them sleeps, per flushed buffer) for an owner that is not running.
+// settleRound runs one Settle per AEU, in turn on the caller's goroutine,
+// and reports whether any of them did work. A forward into a peer's full
+// inbox spills to its overflow queue, so no Settle waits on another.
 func (e *Engine) settleRound() bool {
-	var busy atomic.Bool
-	var settling atomic.Int32 // AEUs still inside their Settle of this round
-	settling.Store(int32(len(e.aeus)))
-	var wg sync.WaitGroup
+	busy := false
 	for _, a := range e.aeus {
-		wg.Add(1)
-		go func(a *aeu.AEU) {
-			defer wg.Done()
-			if a.Settle() {
-				busy.Store(true)
-			}
-			settling.Add(-1)
-			for settling.Load() > 0 {
-				if !e.router.Inbox(a.ID).Pending() {
-					runtime.Gosched()
-				} else if a.Settle() {
-					busy.Store(true)
-				}
-			}
-		}(a)
+		if a.Settle() {
+			busy = true
+		}
 	}
-	wg.Wait()
-	return busy.Load()
+	return busy
 }
 
 // Close stops the engine and, with durability enabled, cuts a final

@@ -105,9 +105,9 @@ func TestStopWithEveryAEUParked(t *testing.T) {
 // TestStopSettlesFullInboxQuickly: the loops exit with every AEU but the last
 // holding a nearly full inbox of writes whose keys the last one owns, so the
 // settle rounds forward five inboxes' worth into one. A producer finding the
-// target's buffer full gives up only after 2 048 backoff spins per flushed
-// buffer; with the target settling alongside, it drains as they push and
-// Stop takes milliseconds (one AEU at a time it took a minute on 2 vCPUs).
+// target's buffer full spills to its overflow queue instead of waiting for
+// the target to drain, so Stop takes milliseconds although the rounds settle
+// one AEU at a time (when producers waited, that took a minute on 2 vCPUs).
 func TestStopSettlesFullInboxQuickly(t *testing.T) {
 	const (
 		workers    = 6

@@ -18,25 +18,11 @@ import (
 //	bits 30..0  : writers — appends in flight (31 bits)
 const (
 	descActive     = uint64(1) << 63
-	descOffsetOne  = uint64(1) << 31
 	descWriterMask = uint64(1)<<31 - 1
 )
 
 //eris:hotpath
 func descOffset(d uint64) uint64 { return (d >> 31) & (1<<32 - 1) }
-
-// Backoff tuning for writers blocked on a full or swapping buffer: after
-// spinSpins busy iterations the writer sleeps between retries so that the
-// buffer's owner actually gets CPU time (the simulation host is often a
-// single core), and after overflowSpins total iterations it gives up and
-// diverts to the overflow queue. The queue keeps the system live when an
-// experiment undersizes the incoming buffers; its use is counted so
-// benchmarks can report it.
-const (
-	spinSpins     = 64
-	sleepBackoff  = 20 * time.Microsecond
-	overflowSpins = 1 << 11
-)
 
 // Inbox is one AEU's pair of incoming data command buffers.
 type Inbox struct {
@@ -48,9 +34,12 @@ type Inbox struct {
 	// for cost accounting.
 	blocks [2]mem.Block
 
+	// The overflow queue takes what does not fit in the writable buffer, so
+	// a producer never waits on the owner; its use is counted so benchmarks
+	// can report it. The owner's next Swap drains it after the buffer.
 	overflowMu sync.Mutex
 	overflow   []byte
-	overflowed atomic.Bool // overflow is non-empty; lets Pending skip the lock
+	overflowed atomic.Bool // overflow is non-empty: appends join it, and Pending skips the lock
 
 	// Idle parking (see DESIGN.md "Idle strategy and wake-up protocol").
 	// The owner sets parked before it re-checks its wake sources and blocks
@@ -98,49 +87,40 @@ func newInbox(mgr *mem.Manager, size int, reg *metrics.Registry, id uint32) *Inb
 func (in *Inbox) Capacity() int { return len(in.bufs[0]) }
 
 // Append copies data into the writable buffer using the latch-free
-// descriptor protocol. It returns the buffer index written (-1 when the
-// data was diverted to the overflow queue) and the number of full-buffer
-// wait spins, which the caller charges as virtual wait time (backpressure:
-// a producer blocked on a full remote buffer burns real time on real
-// hardware too).
+// descriptor protocol. It never waits: data that does not fit goes to the
+// overflow queue, and while that queue is non-empty every append joins it,
+// so one producer's appends reach the owner in the order it made them.
 //
 //eris:hotpath
-func (in *Inbox) Append(data []byte) (int, int) {
+func (in *Inbox) Append(data []byte) {
 	size := uint64(len(data))
 	if size == 0 {
-		return int(in.writable.Load()), 0
+		return
 	}
 	if len(data) > len(in.bufs[0]) {
-		// The payload can never fit in a buffer, no matter how often the
-		// owner swaps: spinning through the full backoff budget would only
-		// burn time. Divert straight to the overflow queue.
 		in.oversized.Inc()
 		in.appendOverflow(data)
-		return -1, 0
+		return
 	}
-	waits := 0
-	for spins := 0; ; spins++ {
+	for {
+		// Load overflowed before writable: Swap moves writable before it
+		// clears overflowed, so an append that finds the queue drained also
+		// finds the buffer the drain left writable.
+		if in.overflowed.Load() {
+			in.appendOverflow(data)
+			return
+		}
 		w := in.writable.Load()
 		d := in.desc[w].Load()
 		if d&descActive == 0 {
-			// Owner is mid-swap; the writable index is about to change.
-			backoff(spins)
-			if spins > overflowSpins {
-				in.appendOverflow(data)
-				return -1, waits
-			}
+			// Swap stores the new writable index before it retires the old
+			// buffer, so the reload finds the active one.
 			continue
 		}
 		off := descOffset(d)
 		if off+size > uint64(len(in.bufs[w])) {
-			// Buffer full: wait for the owner to swap.
-			waits++
-			backoff(spins)
-			if spins > overflowSpins {
-				in.appendOverflow(data)
-				return -1, waits
-			}
-			continue
+			in.appendOverflow(data)
+			return
 		}
 		// Reserve space and register as a writer in one CAS.
 		nd := d + size<<31 + 1
@@ -155,7 +135,7 @@ func (in *Inbox) Append(data []byte) (int, int) {
 		in.appends.Inc()
 		in.bytes.Add(int64(size))
 		in.Wake()
-		return int(w), waits
+		return
 	}
 }
 
@@ -241,29 +221,24 @@ func (in *Inbox) Park(timeout time.Duration, recheck func() bool) ParkResult {
 	}
 }
 
-// backoff yields briefly at first and sleeps once a writer has clearly
-// been waiting on the owner for a while.
-//
-//eris:hotpath
-func backoff(spins int) {
-	if spins < spinSpins {
-		runtime.Gosched()
-		return
-	}
-	time.Sleep(sleepBackoff) //eris:allowblock modeled backpressure: a full ring must stall the writer, per DESIGN.md
-}
-
 // Swap flips the double buffer: the previously writable buffer is drained
 // (waiting for in-flight writers) and its payload returned, valid until the
 // next Swap. Only the owning AEU calls Swap. Overflow-queued bytes are
 // appended to the returned payload.
 //
+// The overflow lock is held across the whole flip. A producer's append that
+// lands in the new buffer while the old one retires belongs to the next
+// payload, and so must every later append of that producer: one that spills
+// to the queue waits out the flip instead of joining this drain.
+//
 //eris:hotpath
 func (in *Inbox) Swap() []byte {
+	in.overflowMu.Lock() //eris:allowblock bounded: the flip waits only on appends already copying, and the common case finds the queue empty
 	old := in.writable.Load()
 	next := 1 - old
 	// Activate the other buffer first so writers always find an active
 	// buffer, then move the writable pointer, then retire the old buffer.
+	// The next Swap's activation clears the old buffer's offset.
 	in.desc[next].Store(descActive)
 	in.writable.Store(next)
 	var d uint64
@@ -283,8 +258,6 @@ func (in *Inbox) Swap() []byte {
 	}
 	in.swaps.Inc()
 	payload := in.bufs[old][:descOffset(d)]
-
-	in.overflowMu.Lock() //eris:allowblock bounded overflow drain under the lock; the common case holds it for an empty check
 	if len(in.overflow) > 0 {
 		payload = append(append([]byte(nil), payload...), in.overflow...)
 		in.overflow = in.overflow[:0]
@@ -293,10 +266,6 @@ func (in *Inbox) Swap() []byte {
 	in.overflowMu.Unlock()
 	return payload
 }
-
-// resetOld marks the drained buffer empty; Swap leaves the old descriptor
-// inactive with its offset intact so the owner can read the payload, and
-// the *next* Swap's Store(descActive) clears it — no extra step needed.
 
 // InboxStats is a snapshot of inbox counters.
 type InboxStats struct {

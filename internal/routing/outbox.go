@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -29,9 +28,8 @@ const refRecordBytes = 1 + 4 + 4 + 4
 // Virtual CPU costs of the routing layer, in nanoseconds. The partition
 // tables are cache-resident, so a table lookup charges no memory access.
 const (
-	routeNSPerKey      = 3     // one partition-table lookup
-	decodeNSPerCommand = 2     // decoding one routed command
-	fullBufferPollNS   = 100.0 // one poll on a full remote incoming buffer (backpressure)
+	routeNSPerKey      = 3 // one partition-table lookup
+	decodeNSPerCommand = 2 // decoding one routed command
 )
 
 // multicastSlots is the capacity of each AEU's multicast table.
@@ -306,7 +304,8 @@ func (o *Outbox) RouteScan(obj ObjectID, pred colstore.Predicate, replyTo int32,
 
 // multicast stores the command once in the multicast table and appends a
 // reference record to each target's reference buffer (step 2, multicast
-// path, of Figure 4).
+// path, of Figure 4). When every slot is still referenced, the command is
+// encoded inline into each target's unicast buffer instead.
 //
 //eris:hotpath
 func (o *Outbox) multicast(cmd *command.Command, targets []uint32) {
@@ -316,6 +315,12 @@ func (o *Outbox) multicast(cmd *command.Command, targets []uint32) {
 	m := o.r.machine
 	m.AdvanceNS(o.core(), routeNSPerKey*float64(len(targets)))
 	slot := o.allocMcastSlot()
+	if slot < 0 {
+		for _, to := range targets {
+			o.appendCmd(to, cmd)
+		}
+		return
+	}
 	e := &o.mcast[slot]
 	e.data = cmd.AppendEncode(e.data[:0])
 	e.refs.Store(int32(len(targets)))
@@ -338,23 +343,19 @@ func (o *Outbox) multicast(cmd *command.Command, targets []uint32) {
 	}
 }
 
-// allocMcastSlot finds a slot whose previous references are all consumed.
+// allocMcastSlot finds a slot whose previous references are all consumed,
+// or returns -1 when every slot is still referenced.
 //
 //eris:hotpath
 func (o *Outbox) allocMcastSlot() int {
-	for spins := 0; ; spins++ {
-		for i := 0; i < len(o.mcast); i++ {
-			slot := (o.mcastNext + i) % len(o.mcast)
-			if o.mcast[slot].refs.Load() == 0 {
-				o.mcastNext = (slot + 1) % len(o.mcast)
-				return slot
-			}
+	for i := range o.mcast {
+		slot := (o.mcastNext + i) % len(o.mcast)
+		if o.mcast[slot].refs.Load() == 0 {
+			o.mcastNext = (slot + 1) % len(o.mcast)
+			return slot
 		}
-		// All slots pending: targets have not drained yet. Flush what we
-		// have so they can make progress and yield.
-		o.Flush()
-		runtime.Gosched()
 	}
+	return -1
 }
 
 // FlushTarget copies the pending buffers for one target into its inbox,
@@ -375,16 +376,9 @@ func (o *Outbox) FlushTarget(to uint32) {
 	m.Stream(o.core(), targetNode, int64(total))
 
 	inbox := o.r.inboxes[to]
-	if len(uni) > 0 {
-		_, waits := inbox.Append(uni)
-		m.AdvanceNS(o.core(), fullBufferPollNS*float64(waits))
-		o.uni[to] = uni[:0]
-	}
-	if len(refs) > 0 {
-		_, waits := inbox.Append(refs)
-		m.AdvanceNS(o.core(), fullBufferPollNS*float64(waits))
-		o.refs[to] = refs[:0]
-	}
+	inbox.Append(uni)
+	inbox.Append(refs)
+	o.uni[to], o.refs[to] = uni[:0], refs[:0]
 	o.flushes.Inc()
 	o.flushedByte.Add(int64(total))
 	o.dirty[to] = false

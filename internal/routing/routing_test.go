@@ -1,10 +1,12 @@
 package routing
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"eris/internal/colstore"
 	"eris/internal/command"
@@ -217,6 +219,52 @@ func TestMulticastScan(t *testing.T) {
 	}
 }
 
+// TestMulticastBeyondSlotsNeverWaits: one goroutine multicasts twice as
+// many scans as the multicast table has slots, with no drain in between.
+// Once every slot is referenced the rest go inline, so every call returns,
+// and each holder then drains every scan exactly once.
+func TestMulticastBeyondSlotsNeverWaits(t *testing.T) {
+	r := newRouter(t, 4, Config{})
+	holders := []uint32{0, 2, 3}
+	if err := r.RegisterSize(2, holders); err != nil {
+		t.Fatal(err)
+	}
+	const scans = 2 * multicastSlots
+	ob := r.Outbox(1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for tag := uint64(0); tag < scans; tag++ {
+			ob.RouteScan(2, colstore.Predicate{Op: colstore.Less, Operand: 99}, 1, tag)
+		}
+		ob.Flush()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%d multicasts with no drain still running after 10s", scans)
+	}
+	for _, aeu := range holders {
+		seen := make([]bool, scans)
+		r.Drain(aeu, func(c command.Command) {
+			if c.Op != command.OpScan || c.Tag >= scans || seen[c.Tag] {
+				t.Fatalf("aeu %d: unexpected or repeated %+v", aeu, c)
+			}
+			seen[c.Tag] = true
+		})
+		for tag, ok := range seen {
+			if !ok {
+				t.Fatalf("aeu %d never received scan %d", aeu, tag)
+			}
+		}
+	}
+	for slot := range ob.mcast {
+		if got := ob.mcast[slot].refs.Load(); got != 0 {
+			t.Fatalf("slot %d: %d dangling refs", slot, got)
+		}
+	}
+}
+
 func TestAutoFlushOnFullBuffer(t *testing.T) {
 	r := newRouter(t, 2, Config{OutBufBytes: 128})
 	if err := r.RegisterRange(1, []csbtree.Entry{{Low: 0, Owner: 1}}); err != nil {
@@ -279,51 +327,66 @@ func TestInboxDescriptorProtocol(t *testing.T) {
 	}
 }
 
+// TestInboxConcurrentWriters: writers append numbered records into a
+// buffer small enough that most spill to the overflow queue while the owner
+// swaps. Every record arrives whole, and each writer's arrive in the order
+// it appended them.
 func TestInboxConcurrentWriters(t *testing.T) {
 	machine, _ := numasim.New(topology.SingleNode(4), numasim.Config{})
 	sys := mem.NewSystem(machine)
-	in := newInbox(sys.Node(0), 1<<16, metrics.NewRegistry(), 0)
-	const writers, per = 8, 500
+	in := newInbox(sys.Node(0), 256, metrics.NewRegistry(), 0)
+	const writers, per, recBytes = 8, 500, 8
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(id byte) {
 			defer wg.Done()
-			rec := make([]byte, 8)
+			// Record: [id][seq, 4 bytes][id id id].
+			rec := make([]byte, recBytes)
 			for i := 0; i < per; i++ {
 				for j := range rec {
 					rec[j] = id
 				}
+				binary.LittleEndian.PutUint32(rec[1:], uint32(i))
 				in.Append(rec)
 			}
 		}(byte(w + 1))
 	}
 	// Owner concurrently swaps and validates records.
-	counts := make(map[byte]int)
+	next := make(map[byte]int) // each writer's next expected sequence number
+	check := func(payload []byte) {
+		if len(payload)%recBytes != 0 {
+			t.Fatalf("payload of %d bytes is not whole records", len(payload))
+		}
+		for off := 0; off < len(payload); off += recBytes {
+			id := payload[off]
+			for j := 5; j < recBytes; j++ {
+				if payload[off+j] != id {
+					t.Fatalf("torn record at %d: %v", off, payload[off:off+recBytes])
+				}
+			}
+			seq := int(binary.LittleEndian.Uint32(payload[off+1:]))
+			if seq != next[id] {
+				t.Fatalf("writer %d: record %d arrived, want %d", id, seq, next[id])
+			}
+			next[id]++
+		}
+	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	for {
-		payload := in.Swap()
-		for off := 0; off+8 <= len(payload); off += 8 {
-			id := payload[off]
-			for j := 1; j < 8; j++ {
-				if payload[off+j] != id {
-					t.Errorf("torn record at %d: %v", off, payload[off:off+8])
-					return
-				}
-			}
-			counts[id]++
-		}
+		check(in.Swap())
 		select {
 		case <-done:
-			payload := in.Swap()
-			for off := 0; off+8 <= len(payload); off += 8 {
-				counts[payload[off]]++
-			}
+			check(in.Swap())
+			check(in.Swap())
 			for w := 0; w < writers; w++ {
-				if counts[byte(w+1)] != per {
-					t.Fatalf("writer %d: %d records, want %d", w+1, counts[byte(w+1)], per)
+				if next[byte(w+1)] != per {
+					t.Fatalf("writer %d: %d records, want %d", w+1, next[byte(w+1)], per)
 				}
+			}
+			if in.Stats().Overflows == 0 {
+				t.Fatal("no append took the overflow path; shrink the buffer")
 			}
 			return
 		default:
@@ -336,8 +399,8 @@ func TestInboxOverflowValve(t *testing.T) {
 	sys := mem.NewSystem(machine)
 	in := newInbox(sys.Node(0), 16, metrics.NewRegistry(), 0)
 	in.Append([]byte("0123456789abcdef")) // fills the buffer exactly
-	// Next append cannot fit; with no owner swapping it must eventually
-	// divert to the overflow queue rather than deadlock.
+	// Next append cannot fit; with no owner swapping it diverts to the
+	// overflow queue at once.
 	in.Append([]byte("zz"))
 	if in.Stats().Overflows != 1 {
 		t.Fatalf("overflows = %d", in.Stats().Overflows)
