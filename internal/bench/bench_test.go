@@ -152,3 +152,22 @@ func TestFigureRunsUse64BitTrees(t *testing.T) {
 		t.Fatalf("figure engine built a %d-bit tree of %d levels, want 64 bits and 8", cfg.KeyBits, cfg.KeyBits/cfg.PrefixBits)
 	}
 }
+
+// TestFig13SummaryRecovery checks that recovery needs a sustained return to
+// >= 90 % of baseline: a one-bin spike after the change does not count, a
+// run of recoveryBins bins does, and recovery is timed from its first bin.
+func TestFig13SummaryRecovery(t *testing.T) {
+	const binSec = 0.001
+	// Bins 1..3 set the baseline (bin 0 is warm-up); the change is at bin 5.
+	series := []float64{0, 10, 10, 10, 10, 2, 2, 9.5, 2, 2, 9, 10, 9.2, 10, 10}
+	base, min, rec := fig13Summary(series, 5, len(series), binSec)
+	if base != 10 || min != 2 {
+		t.Fatalf("base %v, min %v; want 10, 2", base, min)
+	}
+	if want := 5.0; rec != want { // bins 10..12 hold; bin 7 alone is a spike
+		t.Fatalf("recovery %v ms, want %v", rec, want)
+	}
+	if _, _, rec := fig13Summary(series[:12], 5, 12, binSec); rec != -1 {
+		t.Fatalf("spike and a two-bin return counted as recovery at %v ms", rec)
+	}
+}

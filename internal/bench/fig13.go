@@ -161,12 +161,18 @@ func Fig13(p Params) ([]*Table, error) {
 		base, minTput, recMS := fig13Summary(r.series, changeBin, lastBin, cfg.binSec)
 		summary.Add(r.name, mops(base), mops(minTput), 100*(1-minTput/base), recMS, len(r.cycles))
 	}
-	summary.Note("recovery: first bin after the drastic change back at >=90%% of baseline; -1 = not recovered")
+	summary.Note("recovery: start of the first %d consecutive bins after the drastic change back at >=90%% of baseline; -1 = not recovered", recoveryBins)
 	return []*Table{series, summary}, nil
 }
 
+// recoveryBins is how many consecutive bins must be back at >= 90 % of
+// baseline before a series counts as recovered: one bin can get there on
+// noise alone.
+const recoveryBins = 3
+
 // fig13Summary computes baseline throughput, the post-change minimum and
-// the recovery time from a series.
+// the recovery time from a series: the start of the first recoveryBins
+// consecutive bins at >= 90 % of baseline, or -1 if none.
 func fig13Summary(series []float64, changeBin, lastBin int, binSec float64) (base, min float64, recoveryMS float64) {
 	if changeBin < 1 {
 		changeBin = 1
@@ -182,12 +188,18 @@ func fig13Summary(series []float64, changeBin, lastBin int, binSec float64) (bas
 	}
 	min = -1
 	recoveryMS = -1
+	run := 0 // consecutive bins at >= 90 % of baseline, ending at b
 	for b := changeBin; b < lastBin && b < len(series); b++ {
 		if min < 0 || series[b] < min {
 			min = series[b]
 		}
-		if recoveryMS < 0 && series[b] >= 0.9*base {
-			recoveryMS = float64(b-changeBin) * binSec * 1e3
+		if series[b] >= 0.9*base {
+			run++
+		} else {
+			run = 0
+		}
+		if recoveryMS < 0 && run == recoveryBins {
+			recoveryMS = float64(b+1-recoveryBins-changeBin) * binSec * 1e3
 		}
 	}
 	if min < 0 {

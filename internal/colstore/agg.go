@@ -16,11 +16,17 @@ import (
 // 32-bit lanes: aggInterval32 clamps the interval to the 32-bit domain
 // first, so the kernel sees a 32-bit lo and width.
 //
-// Each kernel exists twice: aggIntervalGo and aggInterval32Go, the
-// portable copies, and AVX2 copies in agg_amd64.s. intervalKernel and
-// intervalKernel32 are the ones this CPU runs, picked once at init
-// (agg_amd64.go, agg_other.go); the Go copies are also the oracles the
-// assembly is fuzzed against.
+// A shared pass over a narrow block tests its distinct intervals two at a
+// time (aggInterval32x2): on AVX-512 one kernel loads each vector of
+// sixteen values once and tests both intervals against it, compare into
+// an opmask and masked adds; elsewhere the pair is one or two runs of the
+// single-interval kernel.
+//
+// Each single-interval kernel exists twice: aggIntervalGo and
+// aggInterval32Go, the portable copies, and AVX2 copies in agg_amd64.s.
+// intervalKernel, intervalKernel32 and pairKernel32 are the ones this CPU
+// runs, picked once at init (agg_amd64.go, agg_other.go); the Go copies
+// are also the oracles the assembly is fuzzed against.
 
 // aggInterval returns the matched count and wrapping sum of the values in
 // [lo, hi]. lo > hi is the empty interval.
@@ -71,4 +77,48 @@ func aggInterval32Go(vals []uint32, lo, width uint32) (misses, sum uint64) {
 		sum += uint64(v & (miss - 1))
 	}
 	return misses, sum
+}
+
+// aggInterval32x2 is aggInterval32 for two intervals, [loA, hiA] and
+// [loB, hiB], in one pass over a narrow block's values. zmax bounds the
+// values (the block's zone map): where it proves that no 32-bit lane sum
+// can wrap (laneSumsFit), the AVX-512 kernel sums in 32-bit lanes.
+//
+//eris:hotpath
+func aggInterval32x2(vals []uint32, zmax, loA, hiA, loB, hiB uint64) (matchedA, sumA, matchedB, sumB uint64) {
+	if loA > hiA || loA > math.MaxUint32 || loB > hiB || loB > math.MaxUint32 {
+		// An interval that matches nothing here: aggInterval32 answers it
+		// without a kernel run.
+		matchedA, sumA = aggInterval32(vals, loA, hiA)
+		matchedB, sumB = aggInterval32(vals, loB, hiB)
+		return matchedA, sumA, matchedB, sumB
+	}
+	hiA, hiB = min(hiA, math.MaxUint32), min(hiB, math.MaxUint32)
+	return pairKernel32(vals, uint32(loA), uint32(hiA-loA), uint32(loB), uint32(hiB-loB), laneSumsFit(zmax, len(vals)))
+}
+
+// laneSumsFit reports whether n values of at most zmax can be summed in
+// the pair kernel's sixteen 32-bit lanes: each lane adds at most
+// ceil(n/16) of them, so none wraps while zmax * ceil(n/16) < 2^32 — for
+// a full block of 4096 values, while zmax < 2^24.
+//
+//eris:hotpath
+func laneSumsFit(zmax uint64, n int) bool {
+	hi, lo := bits.Mul64(zmax, uint64(n+15)/16)
+	return hi == 0 && lo < 1<<32
+}
+
+// aggInterval32x2Singles is the pair kernel as one intervalKernel32 run
+// per distinct interval, for CPUs without AVX-512. It sums in 64 bits, so
+// it ignores lanes.
+//
+//eris:hotpath
+func aggInterval32x2Singles(vals []uint32, loA, widthA, loB, widthB uint32, _ bool) (matchedA, sumA, matchedB, sumB uint64) {
+	missA, sumA := intervalKernel32(vals, loA, widthA)
+	matchedA = uint64(len(vals)) - missA
+	if loB == loA && widthB == widthA {
+		return matchedA, sumA, matchedA, sumA
+	}
+	missB, sumB := intervalKernel32(vals, loB, widthB)
+	return matchedA, sumA, uint64(len(vals)) - missB, sumB
 }

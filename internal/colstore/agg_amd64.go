@@ -3,16 +3,23 @@
 package colstore
 
 // intervalKernel and intervalKernel32 are the AVX2 kernels when the CPU
-// and the OS support them, else the portable ones.
+// and the OS support them, else the portable ones. pairKernel32 is the
+// AVX-512 pair kernel where the CPU and the OS support AVX-512, else one
+// or two intervalKernel32 runs.
 var (
 	intervalKernel   = aggIntervalGo
 	intervalKernel32 = aggInterval32Go
+	pairKernel32     = aggInterval32x2Singles
+	avx512           bool
 )
 
 func init() {
 	if hasAVX2() {
 		intervalKernel = aggIntervalAsm
 		intervalKernel32 = aggInterval32Asm
+	}
+	if avx512 = hasAVX512(); avx512 {
+		pairKernel32 = aggInterval32x2Asm
 	}
 }
 
@@ -39,6 +46,22 @@ func hasAVX2() bool {
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
 	return ebx7&avx2 != 0
+}
+
+// hasAVX512 reads the CPU features: the pair kernel needs AVX2, the
+// AVX512F CPUID bit and an OS that saves the opmask and ZMM registers
+// (XCR0 enabling the XMM, YMM, opmask, ZMM_Hi256 and Hi16_ZMM state).
+func hasAVX512() bool {
+	const (
+		avx512f = 1 << 16 // CPUID.(7,0):EBX
+		zmmK    = 0xe6    // XCR0 bits 1, 2, 5, 6 and 7
+	)
+	if !hasAVX2() {
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	xcr0, _ := xgetbv()
+	return ebx7&avx512f != 0 && xcr0&zmmK == zmmK
 }
 
 // aggIntervalAsm runs the AVX2 kernel over the whole groups of eight
@@ -80,6 +103,32 @@ func aggInterval32Asm(vals []uint32, lo, width uint32) (misses, sum uint64) {
 //eris:hotpath
 //go:noescape
 func aggInterval32AVX2(vals *uint32, n int, lo, width uint32) (misses, sum uint64)
+
+// aggInterval32x2Asm runs the AVX-512 pair kernel over the whole groups
+// of sixteen values and the portable kernel, once per interval, over the
+// rest. lanes picks the kernel's 32-bit-lane sum loop (laneSumsFit).
+//
+//eris:hotpath
+func aggInterval32x2Asm(vals []uint32, loA, widthA, loB, widthB uint32, lanes bool) (matchedA, sumA, matchedB, sumB uint64) {
+	n := len(vals) &^ 15
+	if n > 0 {
+		matchedA, sumA, matchedB, sumB = aggInterval32x2AVX512(&vals[0], n, loA, widthA, loB, widthB, lanes)
+	}
+	tail := uint64(len(vals) - n)
+	missA, sA := aggInterval32Go(vals[n:], loA, widthA)
+	missB, sB := aggInterval32Go(vals[n:], loB, widthB)
+	return matchedA + tail - missA, sumA + sA, matchedB + tail - missB, sumB + sB
+}
+
+// aggInterval32x2AVX512 counts and sums the values of two intervals
+// [loA, loA+widthA] and [loB, loB+widthB] over n values at vals, n a
+// multiple of sixteen, loading each value once (agg_amd64.s). lanes sums
+// in 32-bit lanes, which only a caller that has proven no lane can wrap
+// may ask for.
+//
+//eris:hotpath
+//go:noescape
+func aggInterval32x2AVX512(vals *uint32, n int, loA, widthA, loB, widthB uint32, lanes bool) (matchedA, sumA, matchedB, sumB uint64)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

@@ -1,5 +1,22 @@
 #include "textflag.h"
 
+// FOLD turns the A/H pair of a sum of 32-bit values read as 64-bit lanes
+// into eight 64-bit partial sums in a: a - h<<32 + h.
+#define FOLD(a, h, tmp) \
+	VPSLLQ $32, h, tmp; \
+	VPSUBQ tmp, a, a;   \
+	VPADDQ h, a, a
+
+// HSUM adds the eight 64-bit lanes of z into the low lane of x; y and x
+// are z's lower halves, ty and tx a scratch register's.
+#define HSUM(z, y, x, ty, tx) \
+	VEXTRACTI64X4 $1, z, ty; \
+	VPADDQ ty, y, y;         \
+	VEXTRACTI128 $1, y, tx;  \
+	VPADDQ tx, x, x;         \
+	VPSHUFD $0x4e, x, tx;    \
+	VPADDQ tx, x, x
+
 // func aggIntervalAVX2(vals *uint64, n int, lo, width uint64) (misses, sum uint64)
 //
 // Eight values per iteration, as two vectors of four with their own
@@ -136,6 +153,99 @@ reduce32:
 	VPSHUFD $0x4e, X6, X7
 	VPADDQ X7, X6, X6
 	MOVQ X6, sum+32(FP)
+	VZEROUPPER
+	RET
+
+// func aggInterval32x2AVX512(vals *uint32, n int, loA, widthA, loB, widthB uint32, lanes bool) (matchedA, sumA, matchedB, sumB uint64)
+//
+// Two intervals per loaded vector of sixteen narrow values. Per interval:
+// d = v - lo, and VPCMPUD $2 (unsigned <=) compares d with the width into
+// an opmask (K1 for A, K2 for B); a masked VPSUBD of all-ones adds one to
+// the lanes that match. The counts stay in 32-bit lanes, each seeing n/16
+// values. The matched values are summed by one of two loops:
+//   - loop2: the A/H pair trick of aggInterval32AVX2 on the zero-masked
+//     values, read as eight 64-bit lanes of pairs (l, h): A += l + h<<32
+//     and H += h, and the sum is A - H<<32 + H modulo 2^64.
+//   - loop2lanes (lanes set): a masked VPADDD adds the matched values in
+//     32-bit lanes. The caller sets lanes only when no lane can wrap,
+//     which the block's zone map proves: max * ceil(n/16) < 2^32.
+// Both end in the same reduction: the 32-bit lane sums are first read as
+// A and H (H = A >> 32), which is exact since the lanes did not wrap.
+TEXT ·aggInterval32x2AVX512(SB), NOSPLIT, $0-72
+	MOVQ vals+0(FP), SI
+	MOVQ n+8(FP), CX
+	MOVL loA+16(FP), AX
+	VPBROADCASTD AX, Z15
+	MOVL widthA+20(FP), AX
+	VPBROADCASTD AX, Z14
+	MOVL loB+24(FP), AX
+	VPBROADCASTD AX, Z13
+	MOVL widthB+28(FP), AX
+	VPBROADCASTD AX, Z12
+	VPTERNLOGD $0xff, Z11, Z11, Z11
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	VPXORD Z8, Z8, Z8
+	VPXORD Z9, Z9, Z9
+	SHRQ $4, CX
+	JZ   reduce2
+	CMPB lanes+32(FP), $0
+	JNE  loop2lanes
+
+loop2:
+	VMOVDQU32 (SI), Z0
+	VPSUBD Z15, Z0, Z1
+	VPSUBD Z13, Z0, Z2
+	VPCMPUD $2, Z14, Z1, K1
+	VPCMPUD $2, Z12, Z2, K2
+	VPSUBD Z11, Z4, K1, Z4
+	VPSUBD Z11, Z5, K2, Z5
+	VMOVDQU32.Z Z0, K1, Z1
+	VMOVDQU32.Z Z0, K2, Z2
+	VPADDQ Z1, Z6, Z6
+	VPADDQ Z2, Z8, Z8
+	VPSRLQ $32, Z1, Z1
+	VPSRLQ $32, Z2, Z2
+	VPADDQ Z1, Z7, Z7
+	VPADDQ Z2, Z9, Z9
+	ADDQ $64, SI
+	DECQ CX
+	JNZ  loop2
+	JMP  reduce2
+
+loop2lanes:
+	VMOVDQU32 (SI), Z0
+	VPSUBD Z15, Z0, Z1
+	VPSUBD Z13, Z0, Z2
+	VPCMPUD $2, Z14, Z1, K1
+	VPCMPUD $2, Z12, Z2, K2
+	VPSUBD Z11, Z4, K1, Z4
+	VPSUBD Z11, Z5, K2, Z5
+	VPADDD Z0, Z6, K1, Z6
+	VPADDD Z0, Z8, K2, Z8
+	ADDQ $64, SI
+	DECQ CX
+	JNZ  loop2lanes
+	VPSRLQ $32, Z6, Z7
+	VPSRLQ $32, Z8, Z9
+
+reduce2:
+	VPSRLQ $32, Z4, Z10
+	FOLD(Z4, Z10, Z1)
+	HSUM(Z4, Y4, X4, Y1, X1)
+	MOVQ X4, matchedA+40(FP)
+	FOLD(Z6, Z7, Z1)
+	HSUM(Z6, Y6, X6, Y1, X1)
+	MOVQ X6, sumA+48(FP)
+	VPSRLQ $32, Z5, Z10
+	FOLD(Z5, Z10, Z1)
+	HSUM(Z5, Y5, X5, Y1, X1)
+	MOVQ X5, matchedB+56(FP)
+	FOLD(Z8, Z9, Z1)
+	HSUM(Z8, Y8, X8, Y1, X1)
+	MOVQ X8, sumB+64(FP)
 	VZEROUPPER
 	RET
 

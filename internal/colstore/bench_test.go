@@ -11,8 +11,12 @@ package colstore
 // the same pass over 64 MiB, the memory-bound regime of a served column
 // partition, with one and with two distinct 10 % Between specs. The
 // dram32/* cases repeat them over 8 Mi values below 10^6, shaped like the
-// benchmark ledger's column: their blocks are narrow, 32 MiB of uint32.
-// Every case sets 8 bytes per value, so MB/s compares across widths.
+// benchmark ledger's column: their blocks are narrow, 32 MiB of uint32,
+// and small enough for the AVX-512 pair kernel to sum in 32-bit lanes;
+// dram32/3 adds a third interval, which runs paired with itself. The
+// dram32big/2 case spreads its narrow values up to 2^32-1, so the pair
+// kernel sums with its A/H loop. Every case sets 8 bytes per value, so
+// MB/s compares across widths.
 //
 // Run with -benchmem: the scan path must not allocate
 // (TestSharedScanSteadyStateAllocs asserts it).
@@ -145,7 +149,7 @@ func BenchmarkColScanUniform(b *testing.B) {
 		benchShared(b, col, uniformPred(0.1), uniformPred(0.1), uniformPred(0.01), uniformPred(0.5))
 	})
 	// Each dram column is loaded by the first case that runs on it.
-	var dram, dram32 *Column
+	var dram, dram32, dram32big *Column
 	load := func(b *testing.B, col **Column, chunk []uint64) *Column {
 		if *col == nil {
 			f := newFixture(b)
@@ -165,13 +169,30 @@ func BenchmarkColScanUniform(b *testing.B) {
 		}
 		return load(b, &dram32, chunk)
 	}
+	dram32bigCol := func(b *testing.B) *Column {
+		chunk := hashed(1 << 16)
+		for i := range chunk {
+			chunk[i] >>= 32
+		}
+		return load(b, &dram32big, chunk)
+	}
 	narrowBetween := func(lo uint64) Predicate {
 		return Predicate{Op: Between, Operand: lo, High: lo + narrowDomain/10}
+	}
+	bigBetween := func(from float64) Predicate {
+		lo := uint64(from * (1 << 32))
+		return Predicate{Op: Between, Operand: lo, High: lo + (1<<32)/10}
 	}
 	b.Run("dram/1", func(b *testing.B) { benchShared(b, dramCol(b), uniformBetween(0.3)) })
 	b.Run("dram/2", func(b *testing.B) { benchShared(b, dramCol(b), uniformBetween(0.3), uniformBetween(0.6)) })
 	b.Run("dram32/1", func(b *testing.B) { benchShared(b, dram32Col(b), narrowBetween(300_000)) })
 	b.Run("dram32/2", func(b *testing.B) {
 		benchShared(b, dram32Col(b), narrowBetween(300_000), narrowBetween(600_000))
+	})
+	b.Run("dram32/3", func(b *testing.B) {
+		benchShared(b, dram32Col(b), narrowBetween(300_000), narrowBetween(600_000), narrowBetween(100_000))
+	})
+	b.Run("dram32big/2", func(b *testing.B) {
+		benchShared(b, dram32bigCol(b), bigBetween(0.3), bigBetween(0.6))
 	})
 }

@@ -17,12 +17,13 @@
 // touching the values, whether the block is skipped (no overlap), accepted
 // whole (contained, matched/sum served from the block summary) or
 // evaluated. Evaluated blocks run the interval kernel of their width
-// (agg.go), in AVX2 assembly where the CPU has it. SharedScan and
-// ScanFiltered share one block walk. Virtual time is charged per block
-// touched: pruned and full-hit blocks cost one zone check, only evaluated
-// blocks stream their bytes — so zone-map pruning shows up in the
-// simulated fig-8-style cost numbers exactly as it would on the real
-// machine.
+// (agg.go), in AVX2 assembly where the CPU has it; a narrow block's
+// intervals run two per pass, in one AVX-512 kernel where the CPU has
+// that. SharedScan and ScanFiltered share one block walk. Virtual time is
+// charged per block touched: pruned and full-hit blocks cost one zone
+// check, only evaluated blocks stream their bytes — so zone-map pruning
+// shows up in the simulated fig-8-style cost numbers exactly as it would
+// on the real machine.
 //
 // Isolation for scan sharing comes from an MVCC-lite snapshot: the column's
 // value count at command time bounds what a scan may see, so appends never
@@ -355,13 +356,28 @@ type ScanStats struct {
 	BlocksStreamed int64 // blocks whose values the pass streamed
 }
 
-// ScanScratch is the reusable per-caller state of SharedScan: the per-scan
-// verdict buffer, and the bytes the caller's last pass streamed. It grows
-// to the largest scan count seen and then stays allocation-free; one
-// scratch must not be shared by concurrent scans.
+// ScanScratch is the reusable per-caller state of SharedScan: the pass's
+// buffers, and the bytes the caller's last pass streamed. It grows to the
+// largest scan count seen and then stays allocation-free; one scratch
+// must not be shared by concurrent scans.
 type ScanScratch struct {
-	verdicts []uint8
+	bufs     passBufs
 	streamed int64
+}
+
+// passBufs are walk's buffers, each with room for one entry per spec.
+type passBufs struct {
+	verdicts []uint8    // each spec's verdict on the current block
+	slots    []int      // each spec's interval: its index in ivals
+	ivals    []interval // the pass's distinct intervals
+}
+
+// interval is one distinct spec interval of a pass, with its kernel
+// result on the narrow block it was last evaluated on.
+type interval struct {
+	lo, hi       uint64
+	matched, sum uint64
+	block        int // 1 + the index of that block; 0 before the first
 }
 
 // BytesStreamed returns the bytes of values the last SharedScan through
@@ -400,30 +416,36 @@ func (b *block) verdict(s ScanSpec, visible int64) uint8 {
 //
 //eris:hotpath
 func (c *Column) SharedScan(core topology.CoreID, snapshot int64, specs []ScanSpec, aggs []ScanAgg, scratch *ScanScratch) ScanStats {
-	if cap(scratch.verdicts) < len(specs) {
-		scratch.verdicts = make([]uint8, len(specs)) //eris:allowalloc amortized scan-scratch growth, reused across shared scans
+	if b := &scratch.bufs; cap(b.verdicts) < len(specs) {
+		b.verdicts = make([]uint8, len(specs)) //eris:allowalloc amortized scan-scratch growth, reused across shared scans
+		b.slots = make([]int, len(specs))      //eris:allowalloc amortized scan-scratch growth, reused across shared scans
+		b.ivals = make([]interval, len(specs)) //eris:allowalloc amortized scan-scratch growth, reused across shared scans
 	}
-	stats, _, streamed := c.walk(core, snapshot, specs, aggs, scratch.verdicts[:len(specs)])
+	stats, _, streamed := c.walk(core, snapshot, specs, aggs, &scratch.bufs)
 	scratch.streamed = streamed
 	return stats
 }
 
 // walk is the one block walk behind SharedScan and ScanFiltered. Per block,
 // each scan's zone-map verdict is computed first; the block's values are
-// streamed only if at least one scan must evaluate them, and consecutive
-// scans with an identical interval share one kernel run. verdicts holds
-// one slot per spec. It returns the block outcomes, the positions walked
-// and the bytes of values streamed. Narrow blocks run the 32-bit kernel
-// and stream 4 bytes per value.
+// streamed only if at least one scan must evaluate them. On a wide block,
+// consecutive scans with an identical interval share one kernel run; on a
+// narrow block, the distinct intervals that any scan evaluates run two
+// per pass over its values (evalNarrow), 4 bytes per value streamed. bufs
+// has room for one entry per spec. It returns the block outcomes, the
+// positions walked and the bytes of values streamed.
 //
 // Virtual cost: one zone check per (block, scan); one byte stream per
-// evaluated block plus one per-byte compute charge per kernel run, both at
-// the model's 8 bytes per value whatever the block's width, so the
-// simulated figures do not depend on the data's range. Pruned and
-// full-hit blocks never touch their values.
+// evaluated block plus one per-byte compute charge per run of consecutive
+// evaluating scans with an identical interval, both at the model's 8 bytes
+// per value, whatever the block's width and however the kernels pair the
+// intervals, so the simulated figures do not depend on the data's range
+// or the CPU. Pruned and full-hit blocks never touch their values.
 //
 //eris:hotpath
-func (c *Column) walk(core topology.CoreID, snapshot int64, specs []ScanSpec, aggs []ScanAgg, verdicts []uint8) (stats ScanStats, seen, streamed int64) {
+func (c *Column) walk(core topology.CoreID, snapshot int64, specs []ScanSpec, aggs []ScanAgg, bufs *passBufs) (stats ScanStats, seen, streamed int64) {
+	bufs.prepare(specs)
+	verdicts := bufs.verdicts
 	c.mu.RLock() //eris:allowblock column RWMutex write-locked only for bounded transfer splices; read side never waits on I/O
 	defer c.mu.RUnlock()
 	for bi := range c.blocks {
@@ -445,6 +467,7 @@ func (c *Column) walk(core topology.CoreID, snapshot int64, specs []ScanSpec, ag
 			stats.BlocksStreamed++
 			if b.narrow != nil {
 				streamed += n * 4
+				bufs.evalNarrow(b.narrow[:n], b.zmax, bi+1)
 			} else {
 				streamed += n * 8
 			}
@@ -463,7 +486,8 @@ func (c *Column) walk(core topology.CoreID, snapshot int64, specs []ScanSpec, ag
 				stats.BlocksScanned++
 				if !havePrev || specs[i].Lo != prevLo || specs[i].Hi != prevHi {
 					if b.narrow != nil {
-						prevM, prevS = aggInterval32(b.narrow[:n], specs[i].Lo, specs[i].Hi)
+						iv := &bufs.ivals[bufs.slots[i]]
+						prevM, prevS = iv.matched, iv.sum
 					} else {
 						prevM, prevS = aggInterval(b.data[:n], specs[i].Lo, specs[i].Hi)
 					}
@@ -477,6 +501,57 @@ func (c *Column) walk(core topology.CoreID, snapshot int64, specs []ScanSpec, ag
 		seen += n
 	}
 	return stats, seen, streamed
+}
+
+// prepare sizes verdicts and slots to a pass's specs and fills slots and
+// ivals: each spec's interval gets the index of its first occurrence
+// among the distinct ones.
+//
+//eris:hotpath
+func (p *passBufs) prepare(specs []ScanSpec) {
+	p.verdicts = p.verdicts[:len(specs)]
+	p.slots = p.slots[:len(specs)]
+	p.ivals = p.ivals[:0]
+	for i, s := range specs {
+		k := 0
+		for k < len(p.ivals) && (p.ivals[k].lo != s.Lo || p.ivals[k].hi != s.Hi) {
+			k++
+		}
+		if k == len(p.ivals) {
+			p.ivals = p.ivals[:k+1]
+			p.ivals[k] = interval{lo: s.Lo, hi: s.Hi}
+		}
+		p.slots[i] = k
+	}
+}
+
+// evalNarrow runs the kernel over a narrow block's values for every
+// distinct interval that a spec evaluates, two intervals per pass
+// (aggInterval32x2), and keeps each result in its interval; an odd one out
+// is paired with itself. zmax is the block's zone-map max, stamp 1 + its
+// index.
+//
+//eris:hotpath
+func (p *passBufs) evalNarrow(vals []uint32, zmax uint64, stamp int) {
+	pending := -1
+	for i, v := range p.verdicts {
+		k := p.slots[i]
+		if v != verdictEval || p.ivals[k].block == stamp {
+			continue
+		}
+		p.ivals[k].block = stamp
+		if pending < 0 {
+			pending = k
+			continue
+		}
+		a, b := &p.ivals[pending], &p.ivals[k]
+		a.matched, a.sum, b.matched, b.sum = aggInterval32x2(vals, zmax, a.lo, a.hi, b.lo, b.hi)
+		pending = -1
+	}
+	if pending >= 0 {
+		a := &p.ivals[pending]
+		a.matched, a.sum, _, _ = aggInterval32x2(vals, zmax, a.lo, a.hi, a.lo, a.hi)
+	}
 }
 
 // ScanResult aggregates a filtered scan.
@@ -501,7 +576,10 @@ func (c *Column) ScanFiltered(core topology.CoreID, snapshot int64, p Predicate)
 	specs := [1]ScanSpec{SpecOf(p)}
 	var aggs [1]ScanAgg
 	var verdicts [1]uint8
-	stats, seen, streamed := c.walk(core, snapshot, specs[:], aggs[:], verdicts[:])
+	var slots [1]int
+	var ivals [1]interval
+	bufs := passBufs{verdicts: verdicts[:], slots: slots[:], ivals: ivals[:]}
+	stats, seen, streamed := c.walk(core, snapshot, specs[:], aggs[:], &bufs)
 	return ScanResult{
 		Scanned: seen, Matched: int64(aggs[0].Matched), Sum: aggs[0].Sum,
 		BlocksScanned: stats.BlocksScanned, BlocksPruned: stats.BlocksPruned, BlocksFullHit: stats.BlocksFullHit,

@@ -508,3 +508,98 @@ func TestColumnWidthModel(t *testing.T) {
 		t.Fatal("the model missed a width change it is meant to cover")
 	}
 }
+
+// TestSharedScanIntervalPairs drives SharedScan with one to five specs over
+// a growing narrow column and compares every result against a []uint64
+// oracle. Narrow blocks run their distinct evaluated intervals two per
+// kernel pass (evalNarrow), so the specs repeat intervals out of order,
+// come in odd counts and include one that matches nothing. The blocks'
+// maxima fall on both sides of the pair kernel's 32-bit-lane guard
+// (laneSumsFit: zmax < 2^28 for 256 values), the values above it large
+// enough that 32-bit lane sums would wrap, and snapshots cut the tail
+// block short.
+func TestSharedScanIntervalPairs(t *testing.T) {
+	const chunk = 256
+	f := newFixture(t)
+	col := f.local(0, chunk)
+	var oracle []uint64
+	rng := rand.New(rand.NewSource(45))
+	value := func(kind int) uint64 {
+		switch kind {
+		case 0: // small
+			return uint64(rng.Intn(1 << 20))
+		case 1: // just below the guard
+			return 1<<28 - 1 - uint64(rng.Intn(1<<12))
+		default: // above it, up to 2^32-1
+			return 1<<28 + uint64(rng.Int63n(1<<32-1<<28))
+		}
+	}
+	interval := func() ScanSpec {
+		if rng.Intn(8) == 0 {
+			return ScanSpec{Lo: 1, Hi: 0} // matches nothing
+		}
+		pick := func() uint64 {
+			if len(oracle) > 0 && rng.Intn(3) != 0 {
+				return oracle[rng.Intn(len(oracle))] + uint64(rng.Intn(3)) - 1
+			}
+			return []uint64{0, 1, 1<<28 - 1, 1 << 28, math.MaxUint32 - 1, math.MaxUint32, 1 << 32}[rng.Intn(7)]
+		}
+		lo, hi := pick(), pick()
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		return ScanSpec{Lo: lo, Hi: hi}
+	}
+	var lanes, ah int // narrow blocks on each side of the guard
+	var scratch ScanScratch
+	for step := 0; step < 300; step++ {
+		kind := rng.Intn(3)
+		vals := make([]uint64, 1+rng.Intn(chunk))
+		for i := range vals {
+			vals[i] = value(kind)
+		}
+		vals[0] = 0 // every block holds a 0, so intervals above it evaluate
+		col.Append(0, vals)
+		oracle = append(oracle, vals...)
+		snap := int64(len(oracle))
+		if rng.Intn(2) == 0 {
+			snap -= rng.Int63n(min(snap, chunk)) // a partially visible tail block
+		}
+		specs := make([]ScanSpec, 1+rng.Intn(5))
+		for i := range specs {
+			if i >= 2 && rng.Intn(2) == 0 {
+				specs[i] = specs[rng.Intn(i-1)] // repeats an earlier, non-adjacent interval
+			} else {
+				specs[i] = interval()
+			}
+		}
+		aggs := make([]ScanAgg, len(specs))
+		col.SharedScan(0, snap, specs, aggs, &scratch)
+		for i, s := range specs {
+			var want ScanAgg
+			for _, v := range oracle[:snap] {
+				if s.Lo <= v && v <= s.Hi {
+					want.Matched++
+					want.Sum += v
+				}
+			}
+			if aggs[i] != want {
+				t.Fatalf("step %d: spec %d of %v at snapshot %d = %+v, oracle %+v", step, i, specs, snap, aggs[i], want)
+			}
+		}
+	}
+	for bi := range col.blocks {
+		b := &col.blocks[bi]
+		if b.narrow == nil {
+			t.Fatalf("block %d is wide; every value fits in 32 bits", bi)
+		}
+		if laneSumsFit(b.zmax, b.used) {
+			lanes++
+		} else {
+			ah++
+		}
+	}
+	if lanes == 0 || ah == 0 {
+		t.Fatalf("blocks on the 32-bit-lane side of the guard %d, on the A/H side %d; want both", lanes, ah)
+	}
+}

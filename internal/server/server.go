@@ -94,7 +94,7 @@ type Server struct {
 	accepted   *metrics.Counter
 	active     *metrics.Gauge
 	requests   *metrics.Counter
-	responses  *metrics.Counter
+	responses  *metrics.Counter // responses produced, counted before they are written
 	errors     *metrics.Counter // requests answered with TError
 	badFrames  *metrics.Counter // connections dropped on protocol errors
 	dropsInj   *metrics.Counter // connections killed by the DropConn fault
@@ -391,8 +391,10 @@ func (c *conn) handle(m *wire.Msg, arrival time.Time, deadline time.Time) {
 		c.abort()
 		return
 	}
-	c.send(&resp)
+	// Counted before the write: a client that has read its last response
+	// must find it counted.
 	c.s.responses.Inc()
+	c.send(&resp)
 }
 
 // send encodes m onto the connection's write buffer and, when no other
