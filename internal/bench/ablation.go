@@ -154,18 +154,26 @@ func AblationMAWindow(p Params) ([]*Table, error) {
 	cfg := fig13Shape(p, schedule, 1.0/1000)
 	t := &Table{
 		Title:   "Ablation: Moving-Average Window Sweep (drastic change only)",
-		Headers: []string{"window", "baseline (M/s)", "min (M/s)", "drop %", "recovery (ms)", "cycles"},
+		Headers: []string{"window", "min (M/s)", "drop %", "recovery (ms)", "cycles"},
 	}
 	lastBin := int(cfg.runSec / cfg.binSec)
 	changeBin := int(cfg.schedule.Phases[1].Start/cfg.binSec) + 1
-	for _, w := range []int{1, 2, 4, 8, 16, 31} {
+	windows := []int{1, 2, 4, 8, 16, 31}
+	runs := make([]*fig13Run, len(windows))
+	all := make([][]float64, len(windows))
+	for i, w := range windows {
 		r, err := cfg.run("MA", balance.MovingAverage{Window: w})
 		if err != nil {
 			return nil, err
 		}
-		base, minT, rec := fig13Summary(r.series, changeBin, lastBin, cfg.binSec)
-		t.Add(w, mops(base), mops(minT), 100*(1-minT/base), rec, len(r.cycles))
+		runs[i], all[i] = r, r.series
 	}
+	base := fig13Baseline(all, changeBin)
+	for i, r := range runs {
+		minT, rec := fig13Summary(r.series, base, changeBin, lastBin, cfg.binSec)
+		t.Add(windows[i], mops(minT), 100*(1-minT/base), rec, len(r.cycles))
+	}
+	t.Note("baseline %s M/s: mean of the pre-change bins over all runs, as in Figure 13's summary", mops(base))
 	t.Note("window >= partitions-1 behaves like One-Shot; small windows trade recovery speed for gentler drops")
 	return []*Table{t}, nil
 }

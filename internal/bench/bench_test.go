@@ -156,18 +156,36 @@ func TestFigureRunsUse64BitTrees(t *testing.T) {
 // TestFig13SummaryRecovery checks that recovery needs a sustained return to
 // >= 90 % of baseline: a one-bin spike after the change does not count, a
 // run of recoveryBins bins does, and recovery is timed from its first bin.
+// The baseline skips the start-up peak and pools the runs' pre-change bins.
 func TestFig13SummaryRecovery(t *testing.T) {
 	const binSec = 0.001
-	// Bins 1..3 set the baseline (bin 0 is warm-up); the change is at bin 5.
+	// Bins 2..3 set the baseline (bins 0 and 1 are warm-up and start-up);
+	// the change is at bin 5.
 	series := []float64{0, 10, 10, 10, 10, 2, 2, 9.5, 2, 2, 9, 10, 9.2, 10, 10}
-	base, min, rec := fig13Summary(series, 5, len(series), binSec)
+	base := fig13Baseline([][]float64{series}, 5)
+	min, rec := fig13Summary(series, base, 5, len(series), binSec)
 	if base != 10 || min != 2 {
 		t.Fatalf("base %v, min %v; want 10, 2", base, min)
 	}
 	if want := 5.0; rec != want { // bins 10..12 hold; bin 7 alone is a spike
 		t.Fatalf("recovery %v ms, want %v", rec, want)
 	}
-	if _, _, rec := fig13Summary(series[:12], 5, 12, binSec); rec != -1 {
+	if _, rec := fig13Summary(series[:12], base, 5, 12, binSec); rec != -1 {
 		t.Fatalf("spike and a two-bin return counted as recovery at %v ms", rec)
+	}
+	// A start-up peak in bin 1, then a steady level that the series returns
+	// to (within bin noise) after the change. The other run dips before the
+	// change; pooled, the two still give the steady level.
+	peaked := []float64{4, 15, 10.5, 10, 9.5, 3, 4, 9.2, 10, 9.4, 10, 9.8}
+	dipped := []float64{4, 15, 12, 7.5, 9.5, 3, 3, 3, 3, 3, 3, 3}
+	base = fig13Baseline([][]float64{peaked, dipped}, 5)
+	if base != 10 {
+		t.Fatalf("base %v with a start-up peak, want the steady 10", base)
+	}
+	if _, rec := fig13Summary(peaked, base, 5, len(peaked), binSec); rec != 2 {
+		t.Fatalf("return to the steady level: recovery %v ms, want 2", rec)
+	}
+	if _, rec := fig13Summary(dipped, base, 5, len(dipped), binSec); rec != -1 {
+		t.Fatalf("a run that stays down counted as recovered at %v ms", rec)
 	}
 }

@@ -154,13 +154,19 @@ func Fig13(p Params) ([]*Table, error) {
 
 	summary := &Table{
 		Title:   "Figure 13 (summary): Drop Depth and Recovery per Algorithm",
-		Headers: []string{"algorithm", "baseline (M/s)", "min after change (M/s)", "drop %", "recovery (ms)", "balance cycles"},
+		Headers: []string{"algorithm", "min after change (M/s)", "drop %", "recovery (ms)", "balance cycles"},
 	}
 	changeBin := int(cfg.schedule.Phases[1].Start/cfg.binSec) + 1
-	for _, r := range runs {
-		base, minTput, recMS := fig13Summary(r.series, changeBin, lastBin, cfg.binSec)
-		summary.Add(r.name, mops(base), mops(minTput), 100*(1-minTput/base), recMS, len(r.cycles))
+	all := make([][]float64, len(runs))
+	for i, r := range runs {
+		all[i] = r.series
 	}
+	base := fig13Baseline(all, changeBin)
+	for _, r := range runs {
+		minTput, recMS := fig13Summary(r.series, base, changeBin, lastBin, cfg.binSec)
+		summary.Add(r.name, mops(minTput), 100*(1-minTput/base), recMS, len(r.cycles))
+	}
+	summary.Note("baseline %s M/s: mean of bins %d..%d (before the drastic change, after warm-up and start-up) over all %d runs", mops(base), startupBins, changeBin-2, len(runs))
 	summary.Note("recovery: start of the first %d consecutive bins after the drastic change back at >=90%% of baseline; -1 = not recovered", recoveryBins)
 	return []*Table{series, summary}, nil
 }
@@ -170,26 +176,39 @@ func Fig13(p Params) ([]*Table, error) {
 // noise alone.
 const recoveryBins = 3
 
-// fig13Summary computes baseline throughput, the post-change minimum and
-// the recovery time from a series: the start of the first recoveryBins
-// consecutive bins at >= 90 % of baseline, or -1 if none.
-func fig13Summary(series []float64, changeBin, lastBin int, binSec float64) (base, min float64, recoveryMS float64) {
-	if changeBin < 1 {
-		changeBin = 1
-	}
+// startupBins is how many bins the baseline skips: bin 0 is warm-up, and
+// bin 1 is a start-up peak that reads up to ~1.5x the steady pre-change
+// throughput in quick runs.
+const startupBins = 2
+
+// fig13Baseline is the steady throughput before the change: the mean of
+// bins startupBins..changeBin-2 (bin changeBin-1 holds the change) over
+// every series. The runs see the same uniform workload until the change,
+// so pooling their bins keeps one run's bin noise, or a balancer's early
+// move, out of every run's drop and recovery.
+func fig13Baseline(series [][]float64, changeBin int) float64 {
 	var sum float64
 	n := 0
-	for b := 1; b < changeBin-1 && b < len(series); b++ {
-		sum += series[b]
-		n++
+	for _, s := range series {
+		for b := startupBins; b < changeBin-1 && b < len(s); b++ {
+			sum += s[b]
+			n++
+		}
 	}
-	if n > 0 {
-		base = sum / float64(n)
+	if n == 0 {
+		return 0
 	}
+	return sum / float64(n)
+}
+
+// fig13Summary computes the post-change minimum of a series and its
+// recovery time against base: the start of the first recoveryBins
+// consecutive bins at >= 90 % of base, or -1 if none.
+func fig13Summary(series []float64, base float64, changeBin, lastBin int, binSec float64) (min, recoveryMS float64) {
 	min = -1
 	recoveryMS = -1
 	run := 0 // consecutive bins at >= 90 % of baseline, ending at b
-	for b := changeBin; b < lastBin && b < len(series); b++ {
+	for b := max(changeBin, 0); b < lastBin && b < len(series); b++ {
 		if min < 0 || series[b] < min {
 			min = series[b]
 		}
@@ -205,5 +224,5 @@ func fig13Summary(series []float64, changeBin, lastBin int, binSec float64) (bas
 	if min < 0 {
 		min = 0
 	}
-	return base, min, recoveryMS
+	return min, recoveryMS
 }

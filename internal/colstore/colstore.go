@@ -373,7 +373,7 @@ type passBufs struct {
 }
 
 // interval is one distinct spec interval of a pass, with its kernel
-// result on the narrow block it was last evaluated on.
+// result on the block it was last evaluated on.
 type interval struct {
 	lo, hi       uint64
 	matched, sum uint64
@@ -428,12 +428,12 @@ func (c *Column) SharedScan(core topology.CoreID, snapshot int64, specs []ScanSp
 
 // walk is the one block walk behind SharedScan and ScanFiltered. Per block,
 // each scan's zone-map verdict is computed first; the block's values are
-// streamed only if at least one scan must evaluate them. On a wide block,
-// consecutive scans with an identical interval share one kernel run; on a
-// narrow block, the distinct intervals that any scan evaluates run two
-// per pass over its values (evalNarrow), 4 bytes per value streamed. bufs
-// has room for one entry per spec. It returns the block outcomes, the
-// positions walked and the bytes of values streamed.
+// streamed only if at least one scan must evaluate them. The distinct
+// intervals that any scan evaluates then run once each over the block
+// (evalBlock), two per pass over a narrow block's values, and their
+// results fan out to every scan with that interval. bufs has room for one
+// entry per spec. It returns the block outcomes, the positions walked and
+// the bytes of values streamed.
 //
 // Virtual cost: one zone check per (block, scan); one byte stream per
 // evaluated block plus one per-byte compute charge per run of consecutive
@@ -467,12 +467,12 @@ func (c *Column) walk(core topology.CoreID, snapshot int64, specs []ScanSpec, ag
 			stats.BlocksStreamed++
 			if b.narrow != nil {
 				streamed += n * 4
-				bufs.evalNarrow(b.narrow[:n], b.zmax, bi+1)
 			} else {
 				streamed += n * 8
 			}
+			bufs.evalBlock(b, n, bi+1)
 		}
-		var prevLo, prevHi, prevM, prevS uint64
+		var prevLo, prevHi uint64
 		havePrev := false
 		for i := range specs {
 			switch verdicts[i] {
@@ -485,17 +485,12 @@ func (c *Column) walk(core topology.CoreID, snapshot int64, specs []ScanSpec, ag
 			default:
 				stats.BlocksScanned++
 				if !havePrev || specs[i].Lo != prevLo || specs[i].Hi != prevHi {
-					if b.narrow != nil {
-						iv := &bufs.ivals[bufs.slots[i]]
-						prevM, prevS = iv.matched, iv.sum
-					} else {
-						prevM, prevS = aggInterval(b.data[:n], specs[i].Lo, specs[i].Hi)
-					}
 					c.machine.AdvanceNS(core, float64(n*8)*scanComputeNSPerByte)
 					prevLo, prevHi, havePrev = specs[i].Lo, specs[i].Hi, true
 				}
-				aggs[i].Matched += prevM
-				aggs[i].Sum += prevS
+				iv := &bufs.ivals[bufs.slots[i]]
+				aggs[i].Matched += iv.matched
+				aggs[i].Sum += iv.sum
 			}
 		}
 		seen += n
@@ -525,14 +520,14 @@ func (p *passBufs) prepare(specs []ScanSpec) {
 	}
 }
 
-// evalNarrow runs the kernel over a narrow block's values for every
-// distinct interval that a spec evaluates, two intervals per pass
-// (aggInterval32x2), and keeps each result in its interval; an odd one out
-// is paired with itself. zmax is the block's zone-map max, stamp 1 + its
-// index.
+// evalBlock runs the kernel over the first n values of block b for every
+// distinct interval that a spec evaluates and keeps each result in its
+// interval. A narrow block's intervals run two per pass
+// (aggInterval32x2), an odd one out paired with itself. stamp is 1 + the
+// block's index.
 //
 //eris:hotpath
-func (p *passBufs) evalNarrow(vals []uint32, zmax uint64, stamp int) {
+func (p *passBufs) evalBlock(b *block, n int64, stamp int) {
 	pending := -1
 	for i, v := range p.verdicts {
 		k := p.slots[i]
@@ -540,17 +535,22 @@ func (p *passBufs) evalNarrow(vals []uint32, zmax uint64, stamp int) {
 			continue
 		}
 		p.ivals[k].block = stamp
+		if b.narrow == nil {
+			iv := &p.ivals[k]
+			iv.matched, iv.sum = aggInterval(b.data[:n], iv.lo, iv.hi)
+			continue
+		}
 		if pending < 0 {
 			pending = k
 			continue
 		}
-		a, b := &p.ivals[pending], &p.ivals[k]
-		a.matched, a.sum, b.matched, b.sum = aggInterval32x2(vals, zmax, a.lo, a.hi, b.lo, b.hi)
+		x, y := &p.ivals[pending], &p.ivals[k]
+		x.matched, x.sum, y.matched, y.sum = aggInterval32x2(b.narrow[:n], b.zmax, x.lo, x.hi, y.lo, y.hi)
 		pending = -1
 	}
 	if pending >= 0 {
-		a := &p.ivals[pending]
-		a.matched, a.sum, _, _ = aggInterval32x2(vals, zmax, a.lo, a.hi, a.lo, a.hi)
+		x := &p.ivals[pending]
+		x.matched, x.sum, _, _ = aggInterval32x2(b.narrow[:n], b.zmax, x.lo, x.hi, x.lo, x.hi)
 	}
 }
 

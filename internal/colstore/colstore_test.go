@@ -510,14 +510,14 @@ func TestColumnWidthModel(t *testing.T) {
 }
 
 // TestSharedScanIntervalPairs drives SharedScan with one to five specs over
-// a growing narrow column and compares every result against a []uint64
-// oracle. Narrow blocks run their distinct evaluated intervals two per
-// kernel pass (evalNarrow), so the specs repeat intervals out of order,
-// come in odd counts and include one that matches nothing. The blocks'
-// maxima fall on both sides of the pair kernel's 32-bit-lane guard
-// (laneSumsFit: zmax < 2^28 for 256 values), the values above it large
-// enough that 32-bit lane sums would wrap, and snapshots cut the tail
-// block short.
+// a growing column and compares every result against a []uint64 oracle.
+// A pass runs each distinct evaluated interval once per block and narrow
+// blocks run them two per kernel pass (evalBlock), so the specs repeat
+// intervals out of order, come in odd counts and include one that matches
+// nothing. The narrow blocks' maxima fall on both sides of the pair
+// kernel's 32-bit-lane guard (laneSumsFit: zmax < 2^28 for 256 values),
+// the values above it large enough that 32-bit lane sums would wrap; some
+// blocks are wide, and snapshots cut the tail block short.
 func TestSharedScanIntervalPairs(t *testing.T) {
 	const chunk = 256
 	f := newFixture(t)
@@ -530,8 +530,10 @@ func TestSharedScanIntervalPairs(t *testing.T) {
 			return uint64(rng.Intn(1 << 20))
 		case 1: // just below the guard
 			return 1<<28 - 1 - uint64(rng.Intn(1<<12))
-		default: // above it, up to 2^32-1
+		case 2: // above it, up to 2^32-1
 			return 1<<28 + uint64(rng.Int63n(1<<32-1<<28))
+		default: // wide
+			return 1<<32 + uint64(rng.Int63n(1<<40))
 		}
 	}
 	interval := func() ScanSpec {
@@ -550,10 +552,13 @@ func TestSharedScanIntervalPairs(t *testing.T) {
 		}
 		return ScanSpec{Lo: lo, Hi: hi}
 	}
-	var lanes, ah int // narrow blocks on each side of the guard
+	var lanes, ah, wide int // narrow blocks on each side of the guard, wide blocks
 	var scratch ScanScratch
 	for step := 0; step < 300; step++ {
 		kind := rng.Intn(3)
+		if rng.Intn(10) == 0 {
+			kind = 3
+		}
 		vals := make([]uint64, 1+rng.Intn(chunk))
 		for i := range vals {
 			vals[i] = value(kind)
@@ -591,15 +596,14 @@ func TestSharedScanIntervalPairs(t *testing.T) {
 	for bi := range col.blocks {
 		b := &col.blocks[bi]
 		if b.narrow == nil {
-			t.Fatalf("block %d is wide; every value fits in 32 bits", bi)
-		}
-		if laneSumsFit(b.zmax, b.used) {
+			wide++
+		} else if laneSumsFit(b.zmax, b.used) {
 			lanes++
 		} else {
 			ah++
 		}
 	}
-	if lanes == 0 || ah == 0 {
-		t.Fatalf("blocks on the 32-bit-lane side of the guard %d, on the A/H side %d; want both", lanes, ah)
+	if lanes == 0 || ah == 0 || wide == 0 {
+		t.Fatalf("narrow blocks on the 32-bit-lane side of the guard %d, on the A/H side %d, wide blocks %d; want each", lanes, ah, wide)
 	}
 }
